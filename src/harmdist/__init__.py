@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .analytic import (  # noqa: F401
     AnalyticMap, Compose, ExpMap, HalfPlane, Identity, Koebe, LinearCombo,
-    LogMap, Mobius, Monomial, SeriesMap, ZERO, disk_automorphism_map,
-    eval_derivatives, koebe_transform,
+    LogMap, Mobius, Monomial, SeriesMap, ZERO, disk_automorphism_map, koebe_transform,
 )
 from .bounds import PairBound, growth_sandwich, mobius_exact  # noqa: F401
 from .criteria import (  # noqa: F401

@@ -70,11 +70,6 @@ class AnalyticMap:
         return abs(v[0]) < 1e-12 and abs(v[1] - 1.0) < 1e-12
 
 
-def eval_derivatives(m: AnalyticMap, z, up_to: int = 3):
-    """Convenience wrapper: list [m(z), m'(z), ...] up to the requested order."""
-    return list(m.derivs(z, up_to))
-
-
 class Identity(AnalyticMap):
     name = "identity"
 

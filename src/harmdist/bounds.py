@@ -1,18 +1,26 @@
-"""Pointwise evaluators for the two-point distortion inequalities.
+"""Two-point distortion bounds as pure formulas over a pair jet.
 
-Each evaluator returns a PairBound with the lower and/or upper bound on
-|f(a) - f(b)| at a pair (a, b), given the pointwise scale factors
+``pair_jet(f, a, b)`` evaluates the map once at every point: one
+``h.derivs`` and one ``g.derivs`` call per point give f(z), the
+sense-preserving test and the pointwise scale factors
 
     R   = (1-|z|^2)(|h'| - |g'|),
     Q   = (1-|z|^2)(|h'| + |g'|),
     R_h = (1-|z|^2)|h'|,
 
-and the hyperbolic distance d = d(a, b).  Evaluators are vectorized: a
-and b may be complex arrays, in which case lower/upper are arrays.
+and each pair gets its pseudo-hyperbolic distance rho = rho(a, b) and
+hyperbolic distance d = d(a, b).  A bound is a formula ``bound(jet,
+**params)`` of that jet alone, returning a PairBound with the lower and/or
+upper bound on |f(a) - f(b)|.  Each formula lists the jet fields it reads
+in ``bound.reads``, so a caller can ask ``pair_jet`` for nothing more;
+jets are vectorized, so a and b may be complex arrays, in which case
+lower/upper are arrays.
 
-Validity of each bound is gated elsewhere (verifier harness) on the
-verdict of its hypothesis criterion; the evaluators themselves only check
-parameter ranges.
+Constants of the map that a formula needs, such as ||omega|| = sup |omega|,
+are parameters computed once by the caller (the verifier's prepare step).
+Validity of each bound is gated elsewhere (verifier harness) on the verdict
+of its hypothesis criterion; the formulas themselves only check parameter
+ranges.
 """
 
 from __future__ import annotations
@@ -21,10 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import hyperbolic, pseudo_hyperbolic
+from .disk import hyperbolic_from_pseudo, pseudo_hyperbolic
 from .errors import NotSensePreservingError, ParameterError
-from .harmonic import HarmonicMap, as_harmonic
-from .operators import distortion_quantities
+from .harmonic import as_harmonic
+from .operators import PointJet, point_jet
+
+# Every field a formula may read; pair_jet computes all of them by default.
+ALL_READS = frozenset({"R", "Q", "Rh", "h", "omega0"})
 
 
 @dataclass(frozen=True)
@@ -38,11 +49,41 @@ class PairBound:
     parameters: dict = field(default_factory=dict)
 
 
-def _rq(f, a, b):
+@dataclass(frozen=True)
+class PairJet:
+    """The point jets at a and b and the distances between them."""
+
+    a: PointJet
+    b: PointJet
+    rho: object  # pseudo-hyperbolic distance rho(a, b)
+    d: object  # hyperbolic distance d(a, b)
+    omega0: complex | None = None  # omega(0), read by the Mobius identity
+
+
+def pair_jet(f, a, b, reads=ALL_READS) -> PairJet:
+    """Evaluate f once at each point of the pairs (a, b).
+
+    ``reads`` names the fields to compute beyond f(a), f(b), rho and d: any
+    of "R", "Q", "Rh", "h" (h(a), h(b)) and "omega0".  Raises DomainError
+    for a point outside the disc and NotSensePreservingError where
+    |omega| >= 1.
+    """
     f = as_harmonic(f)
-    Ra, Qa, Rha = distortion_quantities(f, np.asarray(a, complex))
-    Rb, Qb, Rhb = distortion_quantities(f, np.asarray(b, complex))
-    return (Ra, Qa, Rha), (Rb, Qb, Rhb)
+    rho = pseudo_hyperbolic(a, b)  # the one disc-membership check
+    return PairJet(
+        point_jet(f, a, reads), point_jet(f, b, reads), rho, hyperbolic_from_pseudo(rho),
+        complex(f.omega_derivs(0.0, 0)[0]) if "omega0" in reads else None,
+    )
+
+
+def _reads(*fields):
+    """Record the jet fields a formula reads beyond rho and d."""
+
+    def mark(formula):
+        formula.reads = frozenset(fields)
+        return formula
+
+    return mark
 
 
 def _out(x):
@@ -50,17 +91,22 @@ def _out(x):
     return x if x.ndim else float(x)
 
 
-def blatter_lower(f, a, b) -> PairBound:
+def _given(omega_inf, formula: str) -> float:
+    if omega_inf is None:
+        raise ParameterError(f"{formula} requires omega_inf = sup |omega|")
+    return omega_inf
+
+
+@_reads("R")
+def blatter_lower(jet) -> PairBound:
     """lower^2 = sinh^2(2d) (R(a)^2 + R(b)^2) / (8 cosh(4d))."""
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, _, _), (Rb, _, _) = _rq(f, a, b)
-    lo = np.sqrt(np.sinh(2 * d) ** 2 * (Ra**2 + Rb**2) / (8.0 * np.cosh(4 * d)))
+    d = jet.d
+    lo = np.sqrt(np.sinh(2 * d) ** 2 * (jet.a.R**2 + jet.b.R**2) / (8.0 * np.cosh(4 * d)))
     return PairBound("blatter", lower=_out(lo), hypothesis="univalent")
 
 
-def kim_minda_convex_lower(
-    f, a, b, p: float = 2.0, omega_inf: float | None = None
-) -> PairBound:
+@_reads("Rh")
+def kim_minda_convex_lower(jet, p: float = 2.0, omega_inf: float | None = None) -> PairBound:
     """Convex-map lower bound, parametrized by p > 1.
 
     lower = (1 - ||omega||) sinh(d)/(2 cosh(pd)^{1/p}) (R_h(a)^p + R_h(b)^p)^{1/p}
@@ -77,19 +123,13 @@ def kim_minda_convex_lower(
     """
     if p <= 1.0:
         raise ParameterError("kim_minda_convex_lower requires p > 1")
-    f = as_harmonic(f)
-    if omega_inf is None:
-        from .norms import omega_inf_norm
-
-        omega_inf = omega_inf_norm(f).value
-    if omega_inf >= 1.0:
+    if _given(omega_inf, "kim_minda_convex_lower") >= 1.0:
         raise NotSensePreservingError("kim_minda_convex_lower requires ||omega|| < 1")
-    d = np.asarray(hyperbolic(a, b))
-    (_, _, Rha), (_, _, Rhb) = _rq(f, a, b)
+    d = jet.d
     lo = (
         (1.0 - omega_inf)
         * np.sinh(d) / (2.0 * np.cosh(p * d) ** (1.0 / p))
-        * (Rha**p + Rhb**p) ** (1.0 / p)
+        * (jet.a.Rh**p + jet.b.Rh**p) ** (1.0 / p)
     )
     return PairBound(
         "kim_minda_convex", lower=_out(lo), hypothesis="convexity",
@@ -97,27 +137,26 @@ def kim_minda_convex_lower(
     )
 
 
-def chuaqui_pommerenke_lower(phi, a, b) -> PairBound:
+@_reads("R")
+def chuaqui_pommerenke_lower(jet) -> PairBound:
     """lower = d(a,b) sqrt(R(a) R(b)) under ||S phi|| <= 2."""
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, _, _), (Rb, _, _) = _rq(phi, a, b)
-    lo = d * np.sqrt(Ra * Rb)
+    lo = jet.d * np.sqrt(jet.a.R * jet.b.R)
     return PairBound("chuaqui_pommerenke", lower=_out(lo), hypothesis="nehari_analytic")
 
 
-def mmm_upper(phi, a, b, t: float = 1.0) -> PairBound:
+@_reads("R")
+def mmm_upper(jet, t: float = 1.0) -> PairBound:
     """upper = sqrt(R(a)R(b)/(1+t)) sinh(sqrt(1+t) d) under ||S phi|| <= 2t."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError("mmm_upper requires t in [0, 1]")
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, _, _), (Rb, _, _) = _rq(phi, a, b)
-    up = np.sqrt(Ra * Rb / (1.0 + t)) * np.sinh(np.sqrt(1.0 + t) * d)
+    up = np.sqrt(jet.a.R * jet.b.R / (1.0 + t)) * np.sinh(np.sqrt(1.0 + t) * jet.d)
     return PairBound(
         "mmm", upper=_out(up), hypothesis="nehari_analytic", parameters={"t": t}
     )
 
 
-def dhk_bounds(f, a, b, alpha: float = 2.0, strict: bool = True) -> PairBound:
+@_reads("R", "Q")
+def dhk_bounds(jet, alpha: float = 2.0, strict: bool = True) -> PairBound:
     """Growth sandwich for normalized univalent harmonic maps of order alpha.
 
     lower = (1/(2a))(1 - e^{-2ad}) max(R(a), R(b))
@@ -130,52 +169,49 @@ def dhk_bounds(f, a, b, alpha: float = 2.0, strict: bool = True) -> PairBound:
         raise ParameterError("dhk_bounds requires alpha >= 1")
     if alpha <= 0.0:
         raise ParameterError("dhk_bounds requires alpha > 0")
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, Qa, _), (Rb, Qb, _) = _rq(f, a, b)
-    lo = (1.0 - np.exp(-2.0 * alpha * d)) / (2.0 * alpha) * np.maximum(Ra, Rb)
-    up = (np.exp(2.0 * alpha * d) - 1.0) / (2.0 * alpha) * np.minimum(Qa, Qb)
+    d = jet.d
+    lo = (1.0 - np.exp(-2.0 * alpha * d)) / (2.0 * alpha) * np.maximum(jet.a.R, jet.b.R)
+    up = (np.exp(2.0 * alpha * d) - 1.0) / (2.0 * alpha) * np.minimum(jet.a.Q, jet.b.Q)
     return PairBound(
         "dhk", lower=_out(lo), upper=_out(up),
         hypothesis="normalized", parameters={"alpha": alpha},
     )
 
 
-def becker_analytic_bounds(phi, a, b) -> PairBound:
+@_reads("R")
+def becker_analytic_bounds(jet) -> PairBound:
     """Sandwich (1 -/+ e^{-/+3d})/3 sqrt(R(a)R(b)) under the paper Becker hypothesis."""
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, _, _), (Rb, _, _) = _rq(phi, a, b)
-    s = np.sqrt(Ra * Rb)
-    lo = (1.0 - np.exp(-3.0 * d)) / 3.0 * s
-    up = (np.exp(3.0 * d) - 1.0) / 3.0 * s
+    s = np.sqrt(jet.a.R * jet.b.R)
+    lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * s
+    up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * s
     return PairBound(
         "becker_analytic", lower=_out(lo), upper=_out(up), hypothesis="becker_analytic"
     )
 
 
-def becker_harmonic_bounds(f, a, b) -> PairBound:
+@_reads("R", "Q")
+def becker_harmonic_bounds(jet) -> PairBound:
     """Harmonic Becker sandwich: R-side lower, Q-side upper."""
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, Qa, _), (Rb, Qb, _) = _rq(f, a, b)
-    lo = (1.0 - np.exp(-3.0 * d)) / 3.0 * np.sqrt(Ra * Rb)
-    up = (np.exp(3.0 * d) - 1.0) / 3.0 * np.sqrt(Qa * Qb)
+    lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * np.sqrt(jet.a.R * jet.b.R)
+    up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * np.sqrt(jet.a.Q * jet.b.Q)
     return PairBound(
         "becker_harmonic", lower=_out(lo), upper=_out(up), hypothesis="becker_harmonic"
     )
 
 
-def nehari_harmonic_bounds(f, a, b, epsilon: float = 0.1) -> PairBound:
+@_reads("R", "Q")
+def nehari_harmonic_bounds(jet, epsilon: float = 0.1) -> PairBound:
     """lower = d sqrt(R R); upper = sqrt(Q Q / 2) sinh(sqrt(2) d)."""
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, Qa, _), (Rb, Qb, _) = _rq(f, a, b)
-    lo = d * np.sqrt(Ra * Rb)
-    up = np.sqrt(Qa * Qb / 2.0) * np.sinh(np.sqrt(2.0) * d)
+    lo = jet.d * np.sqrt(jet.a.R * jet.b.R)
+    up = np.sqrt(jet.a.Q * jet.b.Q / 2.0) * np.sinh(np.sqrt(2.0) * jet.d)
     return PairBound(
         "nehari_harmonic", lower=_out(lo), upper=_out(up),
         hypothesis="nehari_harmonic", parameters={"epsilon": epsilon},
     )
 
 
-def convex_h_bounds(f, a, b, omega_inf: float | None = None) -> PairBound:
+@_reads("Rh")
+def convex_h_bounds(jet, omega_inf: float) -> PairBound:
     """Two-point sandwich for f = h + conj(g) with h convex.
 
     lower = (1 - ||omega||) rho (R_h(a)+R_h(b))/2   (p -> 1 convex bound)
@@ -186,16 +222,10 @@ def convex_h_bounds(f, a, b, omega_inf: float | None = None) -> PairBound:
     already violated by the identity map (rho(R_h(a)+R_h(b))/2 < |a-b|
     whenever |a| != |b|), so it cannot serve as an upper bound.
     """
-    f = as_harmonic(f)
-    if omega_inf is None:
-        from .norms import omega_inf_norm
-
-        omega_inf = omega_inf_norm(f).value
     if omega_inf >= 1.0:
         raise NotSensePreservingError("convex_h_bounds requires ||omega|| < 1")
-    rho = np.asarray(pseudo_hyperbolic(a, b))
-    (_, _, Rha), (_, _, Rhb) = _rq(f, a, b)
-    mean = (Rha + Rhb) / 2.0
+    rho = jet.rho
+    mean = (jet.a.Rh + jet.b.Rh) / 2.0
     lo = (1.0 - omega_inf) * rho * mean
     up = (1.0 + omega_inf) * rho / (1.0 - rho) * mean
     return PairBound(
@@ -204,8 +234,9 @@ def convex_h_bounds(f, a, b, omega_inf: float | None = None) -> PairBound:
     )
 
 
+@_reads("Rh")
 def linconn_bounds(
-    f, a, b, c: float = 1.0, beta: float = 2.0, omega_inf: float | None = None
+    jet, c: float = 1.0, beta: float = 2.0, omega_inf: float | None = None
 ) -> PairBound:
     """(1 -/+ c||omega||) (1/(2b))(1 - e^{-2bd} / e^{2bd} - 1) sqrt(R_h R_h).
 
@@ -216,16 +247,10 @@ def linconn_bounds(
         raise ParameterError("linconn_bounds requires c >= 1")
     if not 1.0 <= beta <= 2.0:
         raise ParameterError("linconn_bounds requires beta in [1, 2]")
-    f = as_harmonic(f)
-    if omega_inf is None:
-        from .norms import omega_inf_norm
-
-        omega_inf = omega_inf_norm(f).value
-    if c * omega_inf >= 1.0:
+    if c * _given(omega_inf, "linconn_bounds") >= 1.0:
         raise ParameterError("linconn_bounds hypothesis violated: c ||omega|| >= 1")
-    d = np.asarray(hyperbolic(a, b))
-    (_, _, Rha), (_, _, Rhb) = _rq(f, a, b)
-    s = np.sqrt(Rha * Rhb)
+    d = jet.d
+    s = np.sqrt(jet.a.Rh * jet.b.Rh)
     lo = (1.0 - c * omega_inf) * (1.0 - np.exp(-2.0 * beta * d)) / (2.0 * beta) * s
     up = (1.0 + c * omega_inf) * (np.exp(2.0 * beta * d) - 1.0) / (2.0 * beta) * s
     return PairBound(
@@ -234,7 +259,8 @@ def linconn_bounds(
     )
 
 
-def corollary_bounds(f, a, b, beta_lambda: float = 2.0) -> PairBound:
+@_reads("R", "Q")
+def corollary_bounds(jet, beta_lambda: float = 2.0) -> PairBound:
     """Growth sandwich via the shears phi = h + lambda g of order <= beta_lambda.
 
     lower = (1/(2bl))(1 - e^{-2bl d}) sqrt(R(a)R(b))
@@ -246,34 +272,30 @@ def corollary_bounds(f, a, b, beta_lambda: float = 2.0) -> PairBound:
     """
     if not 1.0 <= beta_lambda <= 2.0:
         raise ParameterError("corollary_bounds requires beta_lambda in [1, 2]")
-    d = np.asarray(hyperbolic(a, b))
-    (Ra, Qa, _), (Rb, Qb, _) = _rq(f, a, b)
+    d = jet.d
     bl = beta_lambda
-    lo = (1.0 - np.exp(-2.0 * bl * d)) / (2.0 * bl) * np.sqrt(Ra * Rb)
-    up = (np.exp(2.0 * bl * d) - 1.0) / (2.0 * bl) * np.sqrt(Qa * Qb)
+    lo = (1.0 - np.exp(-2.0 * bl * d)) / (2.0 * bl) * np.sqrt(jet.a.R * jet.b.R)
+    up = (np.exp(2.0 * bl * d) - 1.0) / (2.0 * bl) * np.sqrt(jet.a.Q * jet.b.Q)
     return PairBound(
         "corollary", lower=_out(lo), upper=_out(up), hypothesis="theorem_d",
         parameters={"beta_lambda": bl},
     )
 
 
-def mobius_exact(f: HarmonicMap, a, b):
+@_reads("Rh", "h", "omega0")
+def mobius_exact(jet):
     """Exact identity |f(a)-f(b)| = sqrt(R_h(a)R_h(b)) sinh(d) |1 + conj(alpha) lambda|.
 
-    Requires f = h + conj(alpha h) with h Mobius; lambda is the unimodular
-    phase conj(h(a)-h(b))/(h(a)-h(b)).  Returns 0 at a = b (by continuity;
-    lambda is undefined there).
+    Requires f = h + conj(alpha h) with h Mobius, so alpha = omega(0);
+    lambda is the unimodular phase conj(h(a)-h(b))/(h(a)-h(b)).  Returns
+    the value itself, which is both a lower and an upper bound, and 0 at
+    a = b (by continuity; lambda is undefined there).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    h = f.h
-    alpha = complex(f.omega_derivs(0.0, 0)[0])
-    d = np.asarray(hyperbolic(a, b))
-    (_, _, Rha), (_, _, Rhb) = _rq(f, a, b)
-    dh = np.asarray(h(a) - h(b))
+    dh = np.asarray(jet.a.h - jet.b.h)
     coincident = np.abs(dh) < 1e-300
     lam = np.conj(dh) / np.where(coincident, 1.0, dh)
-    val = np.sqrt(Rha * Rhb) * np.sinh(d) * np.abs(1.0 + np.conj(alpha) * lam)
+    phase = np.abs(1.0 + np.conj(jet.omega0) * lam)
+    val = np.sqrt(jet.a.Rh * jet.b.Rh) * np.sinh(jet.d) * phase
     val = np.where(coincident, 0.0, val)
     return _out(val)
 

@@ -42,8 +42,13 @@ def pseudo_hyperbolic(a, b):
 
 
 def hyperbolic(a, b):
-    """d(a, b) = arctanh(rho(a, b)) = (1/2) log((1 + rho) / (1 - rho))."""
-    rho = np.asarray(pseudo_hyperbolic(a, b))
+    """d(a, b) = arctanh(rho(a, b))."""
+    return hyperbolic_from_pseudo(pseudo_hyperbolic(a, b))
+
+
+def hyperbolic_from_pseudo(rho):
+    """d = arctanh(rho) = (1/2) log((1 + rho) / (1 - rho)) from rho = rho(a, b)."""
+    rho = np.asarray(rho)
     out = 0.5 * (np.log1p(rho) - np.log1p(-rho))
     return out if out.ndim else float(out)
 

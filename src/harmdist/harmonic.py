@@ -73,7 +73,10 @@ class HarmonicMap:
         return tuple(out)
 
     def check_sense_preserving(self, z):
-        w = self.omega_derivs(z, 0)[0]
+        self.check_dilatation(self.omega_derivs(z, 0)[0])
+
+    def check_dilatation(self, w):
+        """Raise unless 1 - |omega|^2 >= SENSE_TOL for the dilatation values w."""
         if np.any(1.0 - np.abs(w) ** 2 < SENSE_TOL):
             raise NotSensePreservingError(
                 f"{self.name}: |omega| >= 1 - {SENSE_TOL} at a queried point"

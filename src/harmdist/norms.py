@@ -8,12 +8,11 @@ lower bounds on the true supremum (sampling can only under-estimate); the
 
 The grid always contains z = 0, and the argmax is selected
 deterministically (ties broken by smallest |z|, then smallest argument),
-so results do not depend on evaluation order or parallel chunking.
+so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,32 +71,6 @@ def polar_grid(r_max: float, nr: int, ntheta: int) -> np.ndarray:
     return np.concatenate([[0.0 + 0.0j], z])
 
 
-def _map_chunks(func, z: np.ndarray, parallel=None) -> np.ndarray:
-    """Evaluate func over z, optionally via a pluggable parallel map."""
-    if parallel is None:
-        parallel = _default_parallel_map()
-    if parallel is None:
-        return np.asarray(func(z), dtype=float)
-    chunks = np.array_split(z, max(1, len(z) // 2048))
-    return np.concatenate([np.asarray(v, dtype=float) for v in parallel(func, chunks)])
-
-
-def _default_parallel_map():
-    try:
-        n = int(os.environ.get("HARMDIST_THREADS", "1"))
-    except ValueError:
-        n = 1
-    if n <= 1:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    def pmap(func, chunks):
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(func, chunks))
-
-    return pmap
-
-
 def _deterministic_argmax(z: np.ndarray, v: np.ndarray) -> int:
     m = v.max()
     idx = np.flatnonzero(v == m)
@@ -131,12 +104,11 @@ def sup_weighted(
     r_max: float = DEFAULT_R_MAX,
     grid: tuple[int, int] = DEFAULT_GRID,
     refine: bool = True,
-    parallel=None,
 ) -> NormEstimate:
     """Sampled supremum of a pointwise functional over |z| <= r_max."""
     nr, ntheta = grid
     z = polar_grid(r_max, nr, ntheta)
-    v = _map_chunks(func, z, parallel)
+    v = np.asarray(func(z), dtype=float)
     i = _deterministic_argmax(z, v)
     best_z, best_v = complex(z[i]), float(v[i])
     refined = False

@@ -14,6 +14,8 @@ as a test oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .analytic import AnalyticMap, DERIV_SINGULAR_TOL
@@ -101,6 +103,40 @@ def omega_star_at(omega, z):
     return out if np.ndim(out) else float(out)
 
 
+@dataclass(frozen=True)
+class PointJet:
+    """f and the distortion scales at z; a field that was not asked for is None."""
+
+    value: object  # f(z) = h(z) + conj(g(z))
+    R: object = None
+    Q: object = None
+    Rh: object = None
+    h: object = None  # h(z)
+
+
+def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
+    """One h.derivs and one g.derivs call at z, sense-preserving test included.
+
+    ``reads`` names the fields to keep besides the value; the derivative
+    arrays do not outlive the call.  The caller checks that z lies in the
+    disc.
+    """
+    f = as_harmonic(f)
+    z = np.asarray(z, dtype=complex)
+    h0, h1 = f.h.derivs(z, 1)
+    g0, g1 = f.g.derivs(z, 1)
+    f.check_dilatation(g1 / h1)
+    w2 = 1.0 - np.abs(z) ** 2
+    ah, ag = np.abs(h1), np.abs(g1)
+    return PointJet(
+        value=h0 + np.conj(g0),
+        R=w2 * (ah - ag) if "R" in reads else None,
+        Q=w2 * (ah + ag) if "Q" in reads else None,
+        Rh=w2 * ah if "Rh" in reads else None,
+        h=h0 if "h" in reads else None,
+    )
+
+
 def distortion_quantities(f, z):
     """(R, Q, R_h) at z.
 
@@ -110,15 +146,8 @@ def distortion_quantities(f, z):
 
     For analytic input R = Q = R_h = R_phi.
     """
-    f = as_harmonic(f)
     require_in_disk(z)
-    z = np.asarray(z, dtype=complex)
-    h1 = f.h.derivs(z, 1)[1]
-    g1 = f.g.derivs(z, 1)[1]
-    f.check_sense_preserving(z)
-    w2 = 1.0 - np.abs(z) ** 2
-    ah, ag = np.abs(h1), np.abs(g1)
-    R, Q, Rh = w2 * (ah - ag), w2 * (ah + ag), w2 * ah
-    if np.ndim(R):
-        return R, Q, Rh
-    return float(R), float(Q), float(Rh)
+    jet = point_jet(f, z)
+    if np.ndim(jet.R):
+        return jet.R, jet.Q, jet.Rh
+    return float(jet.R), float(jet.Q), float(jet.Rh)

@@ -125,22 +125,3 @@ def compose(outer: TaylorSeries, inner: TaylorSeries) -> TaylorSeries:
     acc = np.pad(acc, (0, max(0, n + 1 - len(acc))))
     return TaylorSeries(acc[: n + 1], r)
 
-
-def automorphism_series(a: complex, order: int) -> TaylorSeries:
-    """Taylor coefficients of sigma_a(z) = (z + a) / (1 + conj(a) z)."""
-    ab = np.conj(a)
-    n = np.arange(order + 1)
-    c = (1.0 - abs(a) ** 2) * (-ab) ** np.maximum(n - 1, 0)
-    c[0] = a
-    if order >= 1:
-        c[1] = 1.0 - abs(a) ** 2
-    return TaylorSeries(c, 0.95)
-
-
-def compose_with_automorphism(s: TaylorSeries, a: complex) -> TaylorSeries:
-    """s(sigma_a(z)); reliable radius shrinks by COMPOSE_RADIUS_FACTOR."""
-    sig = automorphism_series(a, s.truncation_order)
-    out = compose(s, sig)
-    return TaylorSeries(
-        out.coefficients, COMPOSE_RADIUS_FACTOR * min(s.reliable_radius, 0.95)
-    )

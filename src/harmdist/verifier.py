@@ -4,12 +4,14 @@ For every sampled pair the bound's lower/upper values are compared against
 the directly evaluated |f(a) - f(b)| (the ground truth; never a series of
 the difference).  A single relative tolerance constant governs all
 comparisons: a pair counts as a violation when it fails by more than
-REL_TOL * max(1, |f(a) - f(b)|).
+REL_TOL * max(1, |f(a) - f(b)|), or when its bound or |f(a) - f(b)| is not
+finite.  Each sample point is evaluated once, through bounds.pair_jet.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import bounds as B
 from . import criteria as C
-from .disk import automorphism, hyperbolic, pseudo_hyperbolic
+from .disk import automorphism
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, beta_lambda, omega_inf_norm
@@ -66,7 +68,7 @@ def sample_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Bound registry: evaluator + hypothesis gate per bound name.
+# Bound registry: formula, hypothesis gate and optional prepare step per bound.
 
 def _hyp_normalized(f, params, r_max):
     f = as_harmonic(f)
@@ -78,6 +80,14 @@ def _hyp_none(f, params, r_max):
     return C.CriterionVerdict("assumed", True, 0.0, 0j, {})
 
 
+def _hyp_convex(f, params, r_max):
+    return C.convexity_check(as_harmonic(f).h, r_max=r_max)
+
+
+def _hyp_theorem_d(f, params, r_max):
+    return C.theorem_d_harmonic(f, params.get("c", 1.0), r_max=r_max)
+
+
 def _with_omega_inf(f, params, r_max):
     if "omega_inf" not in params:
         params = dict(params)
@@ -85,82 +95,82 @@ def _with_omega_inf(f, params, r_max):
     return params
 
 
+def _with_beta_lambda(f, params, r_max):
+    if "beta_lambda" not in params:
+        beta = params.get("beta", 1.0)
+        params = {**params, "beta_lambda": beta_lambda(beta, as_harmonic(f), r_max=r_max)}
+    return params
+
+
+# A formula is called with the entries of params that it names.
 BOUND_REGISTRY: dict[str, dict] = {
-    "blatter": dict(
-        evaluate=lambda f, a, b, p: B.blatter_lower(f, a, b),
-        hypothesis=_hyp_none,
-    ),
-    "kim_minda_convex": dict(
-        evaluate=lambda f, a, b, p: B.kim_minda_convex_lower(
-            f, a, b, p.get("p", 2.0), p.get("omega_inf")
-        ),
-        hypothesis=lambda f, p, r: C.convexity_check(as_harmonic(f).h, r_max=r),
-        prepare=_with_omega_inf,
-    ),
+    "blatter": dict(formula=B.blatter_lower, hypothesis=_hyp_none),
+    "kim_minda_convex": dict(formula=B.kim_minda_convex_lower, hypothesis=_hyp_convex,
+                             prepare=_with_omega_inf),
     "chuaqui_pommerenke": dict(
-        evaluate=lambda f, a, b, p: B.chuaqui_pommerenke_lower(f, a, b),
+        formula=B.chuaqui_pommerenke_lower,
         hypothesis=lambda f, p, r: C.nehari_analytic(as_harmonic(f).h, 1.0, r_max=r),
     ),
     "mmm": dict(
-        evaluate=lambda f, a, b, p: B.mmm_upper(f, a, b, p.get("t", 1.0)),
+        formula=B.mmm_upper,
         hypothesis=lambda f, p, r: C.nehari_analytic(
             as_harmonic(f).h, p.get("t", 1.0), r_max=r
         ),
     ),
-    "dhk": dict(
-        evaluate=lambda f, a, b, p: B.dhk_bounds(
-            f, a, b, p.get("alpha", 2.0), strict=p.get("strict", True)
-        ),
-        hypothesis=_hyp_normalized,
-    ),
+    "dhk": dict(formula=B.dhk_bounds, hypothesis=_hyp_normalized),
     "becker_analytic": dict(
-        evaluate=lambda f, a, b, p: B.becker_analytic_bounds(f, a, b),
+        formula=B.becker_analytic_bounds,
         hypothesis=lambda f, p, r: C.becker_analytic(as_harmonic(f).h, "paper", r_max=r),
     ),
     "becker_harmonic": dict(
-        evaluate=lambda f, a, b, p: B.becker_harmonic_bounds(f, a, b),
+        formula=B.becker_harmonic_bounds,
         hypothesis=lambda f, p, r: C.becker_harmonic(f, r_max=r),
     ),
     "nehari_harmonic": dict(
-        evaluate=lambda f, a, b, p: B.nehari_harmonic_bounds(
-            f, a, b, p.get("epsilon", C.DEFAULT_NEHARI_EPSILON)
-        ),
+        formula=B.nehari_harmonic_bounds,
         hypothesis=lambda f, p, r: C.nehari_harmonic(
             f, p.get("epsilon", C.DEFAULT_NEHARI_EPSILON), r_max=r
         ),
     ),
-    "convex_h": dict(
-        evaluate=lambda f, a, b, p: B.convex_h_bounds(f, a, b, p.get("omega_inf")),
-        hypothesis=lambda f, p, r: C.convexity_check(as_harmonic(f).h, r_max=r),
-        prepare=_with_omega_inf,
-    ),
-    "linconn": dict(
-        evaluate=lambda f, a, b, p: B.linconn_bounds(
-            f, a, b, p.get("c", 1.0), p.get("beta", 2.0), p.get("omega_inf")
-        ),
-        hypothesis=lambda f, p, r: C.theorem_d_harmonic(f, p.get("c", 1.0), r_max=r),
-        prepare=_with_omega_inf,
-    ),
-    "corollary": dict(
-        evaluate=lambda f, a, b, p: B.corollary_bounds(
-            f, a, b, p.get("beta_lambda", 2.0)
-        ),
-        hypothesis=lambda f, p, r: C.theorem_d_harmonic(f, p.get("c", 1.0), r_max=r),
-        prepare=lambda f, p, r: (
-            p if "beta_lambda" in p
-            else {**p, "beta_lambda": beta_lambda(p.get("beta", 1.0), as_harmonic(f), r_max=r)}
-        ),
-    ),
-    "mobius_exact": dict(
-        evaluate=lambda f, a, b, p: _mobius_exact_bound(f, a, b),
-        hypothesis=_hyp_none,
-    ),
+    "convex_h": dict(formula=B.convex_h_bounds, hypothesis=_hyp_convex,
+                     prepare=_with_omega_inf),
+    "linconn": dict(formula=B.linconn_bounds, hypothesis=_hyp_theorem_d,
+                    prepare=_with_omega_inf),
+    "corollary": dict(formula=B.corollary_bounds, hypothesis=_hyp_theorem_d,
+                      prepare=_with_beta_lambda),
+    "mobius_exact": dict(formula=B.mobius_exact, hypothesis=_hyp_none),
 }
 
 
-def _mobius_exact_bound(f, a, b):
-    v = B.mobius_exact(as_harmonic(f), a, b)
-    return B.PairBound("mobius_exact", lower=v, upper=v, hypothesis="exact")
+def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> dict:
+    """rho, d, |f(a) - f(b)|, the bound's sides and signed margins at pairs (a, b).
+
+    Each point is evaluated once, through one pair jet.  A formula returns
+    a PairBound, or an exact value that is both its lower and upper side;
+    a side the bound lacks, and its margin, are None.
+    """
+    formula = BOUND_REGISTRY[bound_name]["formula"]
+    jet = B.pair_jet(f, a, b, formula.reads)
+    names = inspect.signature(formula).parameters
+    out = formula(jet, **{k: v for k, v in params.items() if k in names})
+    lower, upper = (out.lower, out.upper) if isinstance(out, B.PairBound) else (out, out)
+    actual = np.abs(np.asarray(jet.a.value - jet.b.value))
+    lower = None if lower is None else np.asarray(lower, dtype=float)
+    upper = None if upper is None else np.asarray(upper, dtype=float)
+    return dict(
+        rho=np.asarray(jet.rho), d=np.asarray(jet.d), lower=lower, actual=actual, upper=upper,
+        lower_margin=None if lower is None else actual - lower,
+        upper_margin=None if upper is None else upper - actual,
+    )
+
+
+def _margin(v: dict) -> np.ndarray:
+    """The smaller signed margin per pair; negative where a side fails."""
+    m = np.full(np.shape(v["actual"]), np.inf)
+    for side in (v["lower_margin"], v["upper_margin"]):
+        if side is not None:
+            m = np.minimum(m, side)
+    return m
 
 
 @dataclass
@@ -249,38 +259,25 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
     report.skipped = int((~ok).sum())
     a, b = a[ok], b[ok]
 
-    pb = spec["evaluate"](f, a, b, params)
-    actual = np.abs(np.asarray(f(a) - f(b)))
+    v = _evaluate_pairs(f, bound_name, params, a, b)
+    actual, lower, upper = v["actual"], v["lower"], v["upper"]
     tol = REL_TOL * np.maximum(1.0, actual)
 
-    lower = None if pb.lower is None else np.asarray(pb.lower, dtype=float)
-    upper = None if pb.upper is None else np.asarray(pb.upper, dtype=float)
-    lo_margin = actual - lower if lower is not None else None
-    up_margin = upper - actual if upper is not None else None
-
-    viol = np.zeros(len(a), dtype=bool)
-    if bound_name == "mobius_exact":
-        viol |= np.abs(actual - lower) > tol
-    else:
-        if lo_margin is not None:
-            viol |= lo_margin < -tol
-        if up_margin is not None:
-            viol |= up_margin < -tol
-
+    # Fail closed: a pair whose bound or true distance is not finite is a violation.
+    viol = ~np.isfinite(actual)
+    worst, worst_margin = None, np.inf
+    for side in ("lower", "upper"):
+        margin = v[f"{side}_margin"]
+        if margin is None:
+            continue
+        viol |= ~np.isfinite(v[side]) | (margin < -tol)
+        if len(a):
+            k = int(np.argmin(margin))
+            setattr(report, f"min_{side}_margin", float(margin.min()))
+            if margin[k] < worst_margin:
+                worst, worst_margin = k, float(margin[k])
     report.pairs = int(len(a))
     report.violations = int(viol.sum())
-    worst = None
-    worst_margin = np.inf
-    if lo_margin is not None and len(a):
-        report.min_lower_margin = float(lo_margin.min())
-        k = int(np.argmin(lo_margin))
-        if lo_margin[k] < worst_margin:
-            worst, worst_margin = k, float(lo_margin[k])
-    if up_margin is not None and len(a):
-        report.min_upper_margin = float(up_margin.min())
-        k = int(np.argmin(up_margin))
-        if up_margin[k] < worst_margin:
-            worst, worst_margin = k, float(up_margin[k])
     if worst is not None:
         report.worst_pair = (complex(a[worst]), complex(b[worst]))
     if lower is not None and len(a):
@@ -292,21 +289,14 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
     if bound_name == "becker_harmonic" and len(a):
         # Statement form vs proof form of the upper bound: the proof display
         # ends squared; record which is tighter, pair by pair.
-        d = np.asarray(hyperbolic(a, b))
+        d = v["d"]
         qq = (3.0 * upper) / np.maximum(np.exp(3.0 * d) - 1.0, 1e-300)  # sqrt(QaQb)
         proof_upper = np.sqrt((np.exp(3.0 * d) - 1.0) / 3.0) * np.sqrt(qq)
         report.extra["proof_form_tighter_pairs"] = int((proof_upper < upper).sum())
 
-    report.table = dict(
-        re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag,
-        rho=np.asarray(pseudo_hyperbolic(a, b)),
-        d=np.asarray(hyperbolic(a, b)),
-        lower=lower if lower is not None else np.full(len(a), np.nan),
-        actual=actual,
-        upper=upper if upper is not None else np.full(len(a), np.nan),
-        lower_margin=lo_margin if lo_margin is not None else np.full(len(a), np.nan),
-        upper_margin=up_margin if up_margin is not None else np.full(len(a), np.nan),
-    )
+    nan = np.full(len(a), np.nan)
+    report.table = dict(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag,
+                        **{k: nan if x is None else x for k, x in v.items()})
     return report
 
 
@@ -331,20 +321,10 @@ def counterexample_search(
         params = spec["prepare"](f, params, report.r_max)
 
     r_eff = report.r_max
-
-    def margin_of(a, b):
-        pb = spec["evaluate"](f, np.asarray(a), np.asarray(b), params)
-        actual = np.abs(np.asarray(f(np.asarray(a)) - f(np.asarray(b))))
-        m = np.full(np.shape(actual), np.inf)
-        if pb.lower is not None:
-            m = np.minimum(m, actual - np.asarray(pb.lower))
-        if pb.upper is not None:
-            m = np.minimum(m, np.asarray(pb.upper) - actual)
-        return m
-
     a0, b0 = report.worst_pair
     x = np.array([a0.real, a0.imag, b0.real, b0.imag])
-    best = float(margin_of(np.array([a0]), np.array([b0]))[0])
+    start = _evaluate_pairs(f, bound_name, params, np.array([a0]), np.array([b0]))
+    best = float(_margin(start)[0])
     step = 0.05
     evals = 0
     while evals < budget and step > 1e-7:
@@ -354,7 +334,7 @@ def counterexample_search(
         lim = r_eff * (1.0 - 1e-9)
         ca = np.where(mod_a >= lim, ca / mod_a * lim, ca)
         cb = np.where(mod_b >= lim, cb / mod_b * lim, cb)
-        vals = margin_of(ca, cb)
+        vals = _margin(_evaluate_pairs(f, bound_name, params, ca, cb))
         evals += len(vals)
         k = int(np.argmin(vals))
         if vals[k] < best:

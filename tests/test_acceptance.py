@@ -251,14 +251,14 @@ def test_09_reduction_identities(capsys, rng):
         a = disc_points(rng, 500, r_hi=0.95)
         b = disc_points(rng, 500, r_hi=0.95)
         f = analytic_as_harmonic(LogMap())
-        hb = B.becker_harmonic_bounds(f, a, b)
-        an = B.becker_analytic_bounds(LogMap(), a, b)
+        hb = B.becker_harmonic_bounds(B.pair_jet(f, a, b))
+        an = B.becker_analytic_bounds(B.pair_jet(LogMap(), a, b))
         if (np.abs(hb.lower - an.lower).max() > 1e-14 * np.abs(an.lower).max()
                 or np.abs(hb.upper - an.upper).max() > 1e-14 * np.abs(an.upper).max()):
             failures.append("becker harmonic != analytic for g = 0")
-        nb = B.nehari_harmonic_bounds(f, a, b)
-        lo = B.chuaqui_pommerenke_lower(f, a, b).lower
-        up = B.mmm_upper(LogMap(), a, b, t=1.0).upper
+        nb = B.nehari_harmonic_bounds(B.pair_jet(f, a, b))
+        lo = B.chuaqui_pommerenke_lower(B.pair_jet(f, a, b)).lower
+        up = B.mmm_upper(B.pair_jet(LogMap(), a, b), t=1.0).upper
         if (np.abs(nb.lower - lo).max() > 1e-14 * np.abs(lo).max()
                 or np.abs(nb.upper - up).max() > 1e-14 * np.abs(up).max()):
             failures.append("nehari harmonic reduction broken for g = 0")

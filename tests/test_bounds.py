@@ -5,23 +5,40 @@ import pytest
 
 from conftest import disc_points
 from harmdist import bounds as B
-from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius
-from harmdist.errors import NotSensePreservingError, ParameterError
-from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
+from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
+from harmdist.errors import DomainError, NotSensePreservingError, ParameterError
+from harmdist.harmonic import (
+    HarmonicMap,
+    analytic_as_harmonic,
+    harmonic_mobius,
+    shear_linear,
+)
 
 EVALUATORS = [
-    ("blatter", lambda f, a, b: B.blatter_lower(f, a, b)),
-    ("kim_minda", lambda f, a, b: B.kim_minda_convex_lower(f, a, b, 2.0)),
-    ("chuaqui_pommerenke", lambda f, a, b: B.chuaqui_pommerenke_lower(f, a, b)),
-    ("mmm", lambda f, a, b: B.mmm_upper(f, a, b, 1.0)),
-    ("dhk", lambda f, a, b: B.dhk_bounds(f, a, b, 2.0)),
-    ("becker_analytic", lambda f, a, b: B.becker_analytic_bounds(f, a, b)),
-    ("becker_harmonic", lambda f, a, b: B.becker_harmonic_bounds(f, a, b)),
-    ("nehari_harmonic", lambda f, a, b: B.nehari_harmonic_bounds(f, a, b)),
-    ("convex_h", lambda f, a, b: B.convex_h_bounds(f, a, b, 0.3)),
-    ("linconn", lambda f, a, b: B.linconn_bounds(f, a, b, 1.0, 1.5, 0.3)),
-    ("corollary", lambda f, a, b: B.corollary_bounds(f, a, b, 1.5)),
+    ("blatter", lambda f, a, b: B.blatter_lower(B.pair_jet(f, a, b))),
+    ("kim_minda",
+     lambda f, a, b: B.kim_minda_convex_lower(B.pair_jet(f, a, b), 2.0, omega_inf=0.3)),
+    ("chuaqui_pommerenke", lambda f, a, b: B.chuaqui_pommerenke_lower(B.pair_jet(f, a, b))),
+    ("mmm", lambda f, a, b: B.mmm_upper(B.pair_jet(f, a, b), 1.0)),
+    ("dhk", lambda f, a, b: B.dhk_bounds(B.pair_jet(f, a, b), 2.0)),
+    ("becker_analytic", lambda f, a, b: B.becker_analytic_bounds(B.pair_jet(f, a, b))),
+    ("becker_harmonic", lambda f, a, b: B.becker_harmonic_bounds(B.pair_jet(f, a, b))),
+    ("nehari_harmonic", lambda f, a, b: B.nehari_harmonic_bounds(B.pair_jet(f, a, b))),
+    ("convex_h", lambda f, a, b: B.convex_h_bounds(B.pair_jet(f, a, b), 0.3)),
+    ("linconn", lambda f, a, b: B.linconn_bounds(B.pair_jet(f, a, b), 1.0, 1.5, 0.3)),
+    ("corollary", lambda f, a, b: B.corollary_bounds(B.pair_jet(f, a, b), 1.5)),
 ]
+
+
+def test_pair_jet_keeps_only_what_is_read():
+    f = HarmonicMap(Identity(), Monomial(0.6, 2))  # omega = 1.2 z
+    jet = B.pair_jet(f, 0.1, 0.2 + 0.1j, B.convex_h_bounds.reads)
+    assert jet.a.Rh == pytest.approx(0.99) and jet.a.R is None and jet.a.Q is None
+    assert jet.b.value == f(0.2 + 0.1j) and jet.omega0 is None
+    with pytest.raises(NotSensePreservingError):
+        B.pair_jet(f, 0.1, 0.95)
+    with pytest.raises(DomainError):
+        B.pair_jet(f, 0.1, 1.2)
 
 
 @pytest.mark.parametrize("name,ev", EVALUATORS, ids=[n for n, _ in EVALUATORS])
@@ -48,8 +65,8 @@ def test_harmonic_becker_reduces_to_analytic(rng):
     f = analytic_as_harmonic(LogMap())
     a = disc_points(rng, 25, r_hi=0.8)
     b = disc_points(rng, 25, r_hi=0.8)
-    hb = B.becker_harmonic_bounds(f, a, b)
-    an = B.becker_analytic_bounds(LogMap(), a, b)
+    hb = B.becker_harmonic_bounds(B.pair_jet(f, a, b))
+    an = B.becker_analytic_bounds(B.pair_jet(LogMap(), a, b))
     np.testing.assert_allclose(hb.lower, an.lower, rtol=1e-14)
     np.testing.assert_allclose(hb.upper, an.upper, rtol=1e-14)
 
@@ -59,9 +76,9 @@ def test_nehari_harmonic_reduces_for_analytic(rng):
     a = disc_points(rng, 25, r_hi=0.8)
     b = disc_points(rng, 25, r_hi=0.8)
     f = analytic_as_harmonic(LogMap())
-    nb = B.nehari_harmonic_bounds(f, a, b)
-    lo = B.chuaqui_pommerenke_lower(f, a, b)
-    up = B.mmm_upper(LogMap(), a, b, t=1.0)
+    nb = B.nehari_harmonic_bounds(B.pair_jet(f, a, b))
+    lo = B.chuaqui_pommerenke_lower(B.pair_jet(f, a, b))
+    up = B.mmm_upper(B.pair_jet(LogMap(), a, b), t=1.0)
     np.testing.assert_allclose(nb.lower, lo.lower, rtol=1e-14)
     np.testing.assert_allclose(nb.upper, up.upper, rtol=1e-14)
 
@@ -70,8 +87,8 @@ def test_corollary_reduces_to_linconn_inner_factor(rng):
     a = disc_points(rng, 25, r_hi=0.8)
     b = disc_points(rng, 25, r_hi=0.8)
     f = analytic_as_harmonic(HalfPlane())
-    co = B.corollary_bounds(f, a, b, beta_lambda=1.5)
-    li = B.linconn_bounds(f, a, b, c=1.0, beta=1.5, omega_inf=0.0)
+    co = B.corollary_bounds(B.pair_jet(f, a, b), beta_lambda=1.5)
+    li = B.linconn_bounds(B.pair_jet(f, a, b), c=1.0, beta=1.5, omega_inf=0.0)
     np.testing.assert_allclose(co.lower, li.lower, rtol=1e-14)
     np.testing.assert_allclose(co.upper, li.upper, rtol=1e-14)
 
@@ -83,7 +100,7 @@ def test_dhk_monotone_in_alpha(rng):
     alphas = np.linspace(1.0, 2.0, 6)
     prev = None
     for al in alphas:
-        pb = B.dhk_bounds(f, a, b, al)
+        pb = B.dhk_bounds(B.pair_jet(f, a, b), al)
         if prev is not None:
             assert np.all(pb.lower <= prev.lower + 1e-12)
             assert np.all(pb.upper >= prev.upper - 1e-12)
@@ -93,22 +110,22 @@ def test_dhk_monotone_in_alpha(rng):
 def test_parameter_validation():
     f = shear_linear(Identity(), 0.3)
     with pytest.raises(ParameterError):
-        B.kim_minda_convex_lower(f, 0.1, 0.2, p=1.0)
+        B.kim_minda_convex_lower(B.pair_jet(f, 0.1, 0.2), p=1.0)
     with pytest.raises(ParameterError):
-        B.mmm_upper(HalfPlane(), 0.1, 0.2, t=1.5)
+        B.mmm_upper(B.pair_jet(HalfPlane(), 0.1, 0.2), t=1.5)
     with pytest.raises(ParameterError):
-        B.dhk_bounds(f, 0.1, 0.2, alpha=0.5)  # strict by default
-    B.dhk_bounds(f, 0.1, 0.2, alpha=0.5, strict=False)  # negative-control escape
+        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=0.5)  # strict by default
+    B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=0.5, strict=False)  # negative-control escape
     with pytest.raises(ParameterError):
-        B.dhk_bounds(f, 0.1, 0.2, alpha=-1.0, strict=False)
+        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=-1.0, strict=False)
     with pytest.raises(NotSensePreservingError):
-        B.convex_h_bounds(f, 0.1, 0.2, omega_inf=1.0)
+        B.convex_h_bounds(B.pair_jet(f, 0.1, 0.2), omega_inf=1.0)
     with pytest.raises(ParameterError):
-        B.linconn_bounds(f, 0.1, 0.2, c=0.5)
+        B.linconn_bounds(B.pair_jet(f, 0.1, 0.2), c=0.5)
     with pytest.raises(ParameterError):
-        B.linconn_bounds(f, 0.1, 0.2, c=3.0, beta=1.0, omega_inf=0.5)
+        B.linconn_bounds(B.pair_jet(f, 0.1, 0.2), c=3.0, beta=1.0, omega_inf=0.5)
     with pytest.raises(ParameterError):
-        B.corollary_bounds(f, 0.1, 0.2, beta_lambda=2.5)
+        B.corollary_bounds(B.pair_jet(f, 0.1, 0.2), beta_lambda=2.5)
 
 
 def test_mobius_exact_identity(rng):
@@ -117,12 +134,12 @@ def test_mobius_exact_identity(rng):
     for h, alpha in ((Identity(), 0.3), (HalfPlane(), 0.6j),
                      (Mobius(1.0, -0.2, -0.2, 1.0), 0.0)):
         f = harmonic_mobius(h, alpha)
-        val = B.mobius_exact(f, a, b)
+        val = B.mobius_exact(B.pair_jet(f, a, b))
         actual = np.abs(f(a) - f(b))
         np.testing.assert_allclose(val, actual, rtol=1e-9, atol=1e-12)
     # coincident points fall back to 0 by continuity
     f = harmonic_mobius(Identity(), 0.3)
-    assert B.mobius_exact(f, 0.2, 0.2) == 0.0
+    assert B.mobius_exact(B.pair_jet(f, 0.2, 0.2)) == 0.0
 
 
 def test_growth_sandwich_koebe_equality():
@@ -140,6 +157,6 @@ def test_convex_h_upper_exceeds_identity_displacement(rng):
     f = analytic_as_harmonic(Identity())
     a = disc_points(rng, 200, r_hi=0.95)
     b = disc_points(rng, 200, r_hi=0.95)
-    pb = B.convex_h_bounds(f, a, b, omega_inf=0.0)
+    pb = B.convex_h_bounds(B.pair_jet(f, a, b), omega_inf=0.0)
     assert np.all(pb.upper >= np.abs(a - b) - 1e-12)
     assert np.all(pb.lower <= np.abs(a - b) + 1e-12)

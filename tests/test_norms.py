@@ -1,7 +1,5 @@
 """Supremum engine and named norms, with 1-d maximization oracles."""
 
-import os
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -57,18 +55,6 @@ def test_refinement_never_decreases():
     coarse = sup_weighted(func, "toy", 0.9, (6, 7), refine=False)
     refined = sup_weighted(func, "toy", 0.9, (6, 7), refine=True)
     assert refined.value >= coarse.value
-
-
-def test_deterministic_under_thread_count():
-    func = lambda z: np.abs(z) * (1.0 + 0.1 * np.cos(3 * np.angle(z + 1e-30)))
-    base = sup_weighted(func, "toy", 0.95, GRID)
-    os.environ["HARMDIST_THREADS"] = "4"
-    try:
-        threaded = sup_weighted(func, "toy", 0.95, GRID)
-    finally:
-        os.environ.pop("HARMDIST_THREADS")
-    assert threaded.value == base.value
-    assert threaded.argmax_point == base.argmax_point
 
 
 def test_schwarzian_norm_fixtures_vs_oracle():

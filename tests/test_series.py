@@ -77,21 +77,6 @@ def test_compose_matches_direct_evaluation():
     np.testing.assert_allclose(comp(z), outer(inner(z)), rtol=1e-10, atol=1e-12)
 
 
-def test_automorphism_series_matches_closed_form():
-    from harmdist.disk import automorphism
-
-    a = 0.3 - 0.2j
-    sig = ts.automorphism_series(a, 30)
-    z = np.array([0.1, -0.2 + 0.15j, 0.3j])
-    np.testing.assert_allclose(sig(z), automorphism(a, z), rtol=1e-10)
-
-
-def test_compose_with_automorphism_shrinks_radius():
-    s = _mk([0.0, 1.0, 0.2, 0, 0, 0, 0, 0, 0, 0], r=0.9)
-    out = ts.compose_with_automorphism(s, 0.2)
-    assert out.reliable_radius == pytest.approx(ts.COMPOSE_RADIUS_FACTOR * 0.9)
-
-
 def test_reliable_radius_policy():
     # numerically polynomial -> whole disc
     c = np.zeros(40, dtype=complex)

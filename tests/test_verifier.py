@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harmdist.analytic import HalfPlane, Identity, Koebe
+from harmdist.catalog import get_map
 from harmdist.errors import ParameterError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
 from harmdist.verifier import (
@@ -140,6 +141,43 @@ def test_counterexample_search_digs_deeper():
     )
     assert margin <= worst0 + 1e-12
     assert abs(a) < 1.0 and abs(b) < 1.0
+
+
+def test_each_sample_point_is_evaluated_once():
+    """One verify_bound call runs h.derivs and g.derivs once per sample point."""
+    f = get_map("shear-identity-0.3z")
+    seen = {"h": 0, "g": 0}
+    for part in ("h", "g"):
+        m = getattr(f, part)
+
+        def counted(z, order=3, _derivs=m.derivs, _part=part):
+            seen[_part] += int(np.size(z))
+            return _derivs(z, order)
+
+        object.__setattr__(m, "derivs", counted)
+    s = sample_pairs("uniform-in-disc", 500, seed=2)
+    r = verify_bound(f, "dhk", {"alpha": 2.0}, s)
+    assert r.pairs == 500
+    assert seen == {"h": 2 * r.pairs, "g": 2 * r.pairs}
+
+
+def test_non_finite_pairs_count_as_violations():
+    """A NaN or infinite bound value fails closed.
+
+    At p = 1000 the convex lower bound overflows to NaN or inf on part of
+    the sample (harmdist verify --bound kim_minda_convex --map halfplane
+    --p 1000 --pairs 20000); every such pair must be counted.
+    """
+    params = {"epsilon": 0.1, "t": 1.0, "p": 1000.0, "alpha": 2.0, "beta": 2.0, "c": 1.0}
+    s = sample_pairs("uniform-in-disc", 20_000, 0, 0.999)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = verify_bound(get_map("halfplane"), "kim_minda_convex", params, s)
+    t = r.table
+    non_finite = ~(np.isfinite(t["lower"]) & np.isfinite(t["actual"]))
+    assert np.isnan(t["lower"]).sum() > 0
+    with np.errstate(invalid="ignore"):
+        failing = t["lower_margin"] < -REL_TOL * np.maximum(1.0, t["actual"])
+    assert r.violations == int((non_finite | failing).sum())
 
 
 def test_unknown_bound_rejected():
