@@ -1,7 +1,10 @@
 """Command-line front end: catalog, analyze, verify, plot.
 
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
-not met (without --allow-unmet); 4 = configuration error.
+not met (without --allow-unmet); 4 = configuration error (a bad option,
+map or parameter); 5 = numerical error (at a sampled point the map is
+singular, not sense-preserving, or not evaluable: outside the disc or
+beyond its reliable radius; or a supremum's functional is not finite).
 """
 
 from __future__ import annotations
@@ -15,27 +18,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import criteria as C
 from .catalog import CATALOG, get_map, listing
-from .criteria import (
-    DEFAULT_NEHARI_EPSILON,
-    becker_analytic,
-    becker_harmonic,
-    convexity_check,
-    nehari_analytic,
-    nehari_harmonic,
-    theorem_d_harmonic,
-)
+from .criteria import DEFAULT_NEHARI_EPSILON
 from .descriptors import load_descriptor
-from .errors import ConfigError, HarmdistError
+from .errors import ConfigError, HarmdistError, ParameterError
 from .harmonic import HarmonicMap
 from .norms import (
+    BECKER_HARMONIC,
+    CONVEXITY,
     DEFAULT_GRID,
     DEFAULT_R_MAX,
-    harmonic_schwarzian_norm,
-    omega_inf_norm,
-    omega_star_norm,
-    order_of,
-    pre_schwarzian_norm,
+    HARMONIC_SCHWARZIAN,
+    OMEGA_ABS,
+    OMEGA_STAR,
+    ORDER,
+    PRE_SCHWARZIAN,
+    PRE_SCHWARZIAN_Z,
+    SCHWARZIAN,
+    GridSuprema,
 )
 from .operators import harmonic_pre_schwarzian, harmonic_schwarzian
 from .plotting import (
@@ -57,6 +58,13 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CONFIG = 4
+EXIT_NUMERICAL = 5
+
+# The nine distinct suprema `analyze` reports or judges, on one grid jet.
+ANALYZE_FUNCTIONALS = (
+    PRE_SCHWARZIAN, PRE_SCHWARZIAN_Z, HARMONIC_SCHWARZIAN, OMEGA_ABS, OMEGA_STAR,
+    ORDER, BECKER_HARMONIC, SCHWARZIAN, CONVEXITY,
+)
 
 
 @dataclass
@@ -166,31 +174,35 @@ def cmd_analyze(cfg: RunConfig) -> int:
         for z in zs
     ]
 
-    h = f.h
+    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, grid)
     norms = {
-        "pre_schwarzian_paper": pre_schwarzian_norm(h, False, r_max, grid),
-        "pre_schwarzian_classical": pre_schwarzian_norm(h, True, r_max, grid),
-        "schwarzian_harmonic": harmonic_schwarzian_norm(f, r_max, grid),
-        "omega_inf": omega_inf_norm(f, r_max, grid),
-        "omega_star": omega_star_norm(f, r_max, grid),
+        "pre_schwarzian_paper": sups.estimate(PRE_SCHWARZIAN),
+        "pre_schwarzian_classical": sups.estimate(PRE_SCHWARZIAN_Z),
+        "schwarzian_harmonic": sups.estimate(HARMONIC_SCHWARZIAN),
+        "omega_inf": sups.estimate(OMEGA_ABS),
+        "omega_star": sups.estimate(OMEGA_STAR),
     }
     report["norms"] = {
         k: dict(value=v.value, r_max=v.r_max, refined=v.refined,
                 argmax=[v.argmax_point.real, v.argmax_point.imag])
         for k, v in norms.items()
     }
-    oe = order_of(h, r_max, grid)
+    oe = sups.order()
     report["order"] = dict(alpha=oe.alpha, normalized=oe.normalized,
                            argmax=[oe.argmax_point.real, oe.argmax_point.imag])
 
+    # Each distinct supremum is estimated once; the criteria reuse the norms.
     verdicts = [
-        becker_analytic(h, "paper", r_max, grid),
-        becker_analytic(h, "classical", r_max, grid),
-        becker_harmonic(f, r_max, grid),
-        nehari_analytic(h, cfg.t, r_max, grid),
-        nehari_harmonic(f, cfg.epsilon, r_max, grid),
-        convexity_check(h, r_max, grid),
-        theorem_d_harmonic(f, cfg.c, r_max, grid),
+        C.becker_analytic_verdict(
+            "paper", r_max, lambda: norms["pre_schwarzian_paper"]),
+        C.becker_analytic_verdict(
+            "classical", r_max, lambda: norms["pre_schwarzian_classical"]),
+        C.becker_harmonic_verdict(r_max, lambda: sups.estimate(BECKER_HARMONIC)),
+        C.nehari_analytic_verdict(cfg.t, r_max, lambda: sups.estimate(SCHWARZIAN)),
+        C.nehari_harmonic_verdict(
+            cfg.epsilon, r_max, lambda: norms["schwarzian_harmonic"]),
+        C.convexity_verdict(r_max, lambda: sups.estimate(CONVEXITY)),
+        C.theorem_d_verdict(cfg.c, lambda: norms["omega_inf"]),
     ]
     report["criteria"] = [_jsonable(v) for v in verdicts]
 
@@ -289,12 +301,12 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command == "plot":
             return cmd_plot(cfg)
         raise ConfigError(f"unknown command {cfg.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HarmdistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -31,3 +31,7 @@ class NormalizationError(HarmdistError):
 
 class ConfigError(HarmdistError):
     """Invalid run configuration or mapping descriptor."""
+
+
+class NonFiniteError(HarmdistError):
+    """A computed value that must be a finite number is NaN or infinite."""

@@ -51,26 +51,10 @@ class HarmonicMap:
         return self.h(z) + np.conj(self.g(z))
 
     def omega_derivs(self, z, order: int = 2):
-        """(omega, omega', omega'') from exact h, g derivatives.
-
-        omega   = g'/h'
-        omega'  = g''/h' - g' h''/h'^2
-        omega'' = g'''/h' - (2 g'' h'' + g' h''')/h'^2 + 2 g' h''^2/h'^3
-        """
-        hv = self.h.derivs(z, order + 1)
-        gv = self.g.derivs(z, order + 1)
-        h1 = hv[1]
-        w = gv[1] / h1
-        out = [w]
-        if order >= 1:
-            out.append(gv[2] / h1 - gv[1] * hv[2] / h1**2)
-        if order >= 2:
-            out.append(
-                gv[3] / h1
-                - (2.0 * gv[2] * hv[2] + gv[1] * hv[3]) / h1**2
-                + 2.0 * gv[1] * hv[2] ** 2 / h1**3
-            )
-        return tuple(out)
+        """(omega, omega', omega'') through ``order`` from exact h, g derivatives."""
+        return omega_quotients(
+            self.h.derivs(z, order + 1), self.g.derivs(z, order + 1), order
+        )
 
     def check_sense_preserving(self, z):
         self.check_dilatation(self.omega_derivs(z, 0)[0])
@@ -81,6 +65,29 @@ class HarmonicMap:
             raise NotSensePreservingError(
                 f"{self.name}: |omega| >= 1 - {SENSE_TOL} at a queried point"
             )
+
+
+def omega_quotients(hv, gv, order: int):
+    """(omega, omega', omega'') through ``order`` by the quotient rule.
+
+    hv[k] and gv[k] are the k-th derivatives of h and g for 1 <= k <= order + 1.
+
+    omega   = g'/h'
+    omega'  = g''/h' - g' h''/h'^2
+    omega'' = g'''/h' - (2 g'' h'' + g' h''')/h'^2 + 2 g' h''^2/h'^3
+    """
+    h1 = hv[1]
+    w = gv[1] / h1
+    out = [w]
+    if order >= 1:
+        out.append(gv[2] / h1 - gv[1] * hv[2] / h1**2)
+    if order >= 2:
+        out.append(
+            gv[3] / h1
+            - (2.0 * gv[2] * hv[2] + gv[1] * hv[3]) / h1**2
+            + 2.0 * gv[1] * hv[2] ** 2 / h1**3
+        )
+    return tuple(out)
 
 
 def jacobian(f: HarmonicMap, z):

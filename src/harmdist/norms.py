@@ -1,10 +1,19 @@
 """Estimation of disc suprema: weighted operator norms, |omega| norms, orders.
 
-One shared engine evaluates a real-valued pointwise functional on a polar
-grid with radii clustered toward r_max, takes the maximum, and refines
-around the argmax with a compass pattern search.  Estimates are certified
-lower bounds on the true supremum (sampling can only under-estimate); the
-``refined`` flag records that local refinement ran to convergence.
+Every named functional is a ``Functional``: a formula over an operators.Jet
+of a stated order.  The grid-jet contract: a supremum evaluates the map's
+jet once on a polar grid (one h.derivs call and, if a formula reads omega,
+one g.derivs call), scans the formula on it, and refines around the argmax
+with a compass pattern search that evaluates the formula on jets of its
+own candidates.  ``GridSuprema`` shares one grid jet among several
+functionals of the same map, r_max and grid, and lives only as long as its
+caller keeps it; ``sup_weighted`` is the same engine for a single pointwise
+function of z.
+
+Estimates are sampled lower bounds on the true supremum (sampling can only
+under-estimate); the ``refined`` flag records that local refinement ran to
+convergence.  A NaN or infinite functional value raises NonFiniteError
+instead of being skipped.
 
 The grid always contains z = 0, and the argmax is selected
 deterministically (ties broken by smallest |z|, then smallest argument),
@@ -14,19 +23,22 @@ so results do not depend on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .analytic import AnalyticMap
-from .errors import NormalizationError, ParameterError
+from .errors import NonFiniteError, NormalizationError, ParameterError
 from .harmonic import HarmonicMap, as_harmonic
 from .operators import (
-    harmonic_pre_schwarzian,
-    harmonic_schwarzian,
+    Jet,
+    harmonic_pre_schwarzian_of,
+    harmonic_schwarzian_of,
     omega_star_at,
-    pre_schwarzian,
-    schwarzian,
+    omega_star_of,
+    pre_schwarzian_of,
+    schwarzian_of,
 )
 
 DEFAULT_R_MAX = 0.999
@@ -71,6 +83,13 @@ def polar_grid(r_max: float, nr: int, ntheta: int) -> np.ndarray:
     return np.concatenate([[0.0 + 0.0j], z])
 
 
+def _require_finite(z: np.ndarray, v: np.ndarray, kind: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        k = bad[0]
+        raise NonFiniteError(f"{kind}: functional value {v[k]} at z = {complex(z[k])}")
+
+
 def _deterministic_argmax(z: np.ndarray, v: np.ndarray) -> int:
     m = v.max()
     idx = np.flatnonzero(v == m)
@@ -82,20 +101,41 @@ def _deterministic_argmax(z: np.ndarray, v: np.ndarray) -> int:
     return int(idx[order[0]])
 
 
-def _pattern_search(func, z0: complex, step: float, r_max: float):
+def _pattern_search(func, z0: complex, step: float, r_max: float, kind: str):
     """Compass maximization of func around z0 within |z| <= r_max."""
-    best_z, best_v = complex(z0), float(func(np.array([z0]))[0])
+    z = np.array([z0])
+    v = np.asarray(func(z), dtype=float)
+    _require_finite(z, v, kind)
+    best_z, best_v = complex(z0), float(v[0])
     for _ in range(REFINE_ITERS):
         cand = best_z + step * np.array([1, -1, 1j, -1j])
         mod = np.maximum(np.abs(cand), 1e-300)
         cand = np.where(mod >= r_max, cand / mod * r_max, cand)
         vals = np.asarray(func(cand), dtype=float)
+        _require_finite(cand, vals, kind)
         k = int(np.argmax(vals))
         if vals[k] > best_v:
             best_z, best_v = complex(cand[k]), float(vals[k])
         else:
             step *= REFINE_CONTRACTION
     return best_z, best_v, step < REFINE_CONVERGED_STEP
+
+
+def _estimate(z, v, func, kind, r_max, grid, refine) -> NormEstimate:
+    """The estimate from the values v of func on the polar grid z."""
+    nr, ntheta = grid
+    v = np.asarray(v, dtype=float)
+    _require_finite(z, v, kind)
+    i = _deterministic_argmax(z, v)
+    best_z, best_v = complex(z[i]), float(v[i])
+    refined = False
+    if refine:
+        # initial step = local grid spacing near the argmax
+        step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
+        rz, rv, refined = _pattern_search(func, best_z, step, r_max, kind)
+        if rv > best_v:  # refinement may only improve the estimate
+            best_z, best_v = rz, rv
+    return NormEstimate(best_v, kind, r_max, (nr, ntheta), refined, best_z)
 
 
 def sup_weighted(
@@ -106,108 +146,136 @@ def sup_weighted(
     refine: bool = True,
 ) -> NormEstimate:
     """Sampled supremum of a pointwise functional over |z| <= r_max."""
-    nr, ntheta = grid
-    z = polar_grid(r_max, nr, ntheta)
-    v = np.asarray(func(z), dtype=float)
-    i = _deterministic_argmax(z, v)
-    best_z, best_v = complex(z[i]), float(v[i])
-    refined = False
-    if refine:
-        # initial step = local grid spacing near the argmax
-        step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
-        rz, rv, refined = _pattern_search(func, best_z, step, r_max)
-        if rv > best_v:  # refinement may only improve the estimate
-            best_z, best_v = rz, rv
-    return NormEstimate(best_v, kind, r_max, (nr, ntheta), refined, best_z)
+    z = polar_grid(r_max, *grid)
+    return _estimate(z, func(z), func, kind, r_max, grid, refine)
 
 
 # ---------------------------------------------------------------------------
-# Named pointwise functionals.
+# Named pointwise functionals: formulas over a jet.
 
-def pre_schwarzian_functional(phi: AnalyticMap, with_z: bool = False):
-    def f(z):
-        p = np.abs(pre_schwarzian(phi, z))
-        w = 1.0 - np.abs(z) ** 2
-        return w * (np.abs(z) * p if with_z else p)
+@dataclass(frozen=True)
+class Functional:
+    """A real pointwise functional: ``formula`` over a Jet of ``order``."""
 
-    return f
+    kind: str
+    formula: Callable[[Jet], np.ndarray]
+    order: int
 
-def schwarzian_functional(phi: AnalyticMap):
-    return lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(phi, z))
+    def at(self, f) -> Callable[[np.ndarray], np.ndarray]:
+        """The functional of the map f as a function of z, one jet per call."""
+        return lambda z: self.formula(Jet(f, z, self.order))
 
-def harmonic_schwarzian_functional(f: HarmonicMap):
-    f = as_harmonic(f)
-    return lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(harmonic_schwarzian(f, z))
 
-def omega_abs_functional(omega):
-    if isinstance(omega, HarmonicMap):
-        return lambda z: np.abs(omega.omega_derivs(np.asarray(z, complex), 0)[0])
-    return lambda z: np.abs(omega(z))
+def _pre_schwarzian_weighted(jet, with_z=False):
+    p = np.abs(pre_schwarzian_of(jet))
+    w = 1.0 - np.abs(jet.z) ** 2
+    return w * (np.abs(jet.z) * p if with_z else p)
 
-def omega_star_functional(omega):
-    return lambda z: omega_star_at(omega, z)
 
-def becker_harmonic_functional(f: HarmonicMap):
+def _becker_harmonic(jet):
     """(1-|z|^2)|z P_f| + |z omega'|(1-|z|^2)/(1-|omega|^2)."""
-    f = as_harmonic(f)
+    z = jet.z
+    w2 = 1.0 - np.abs(z) ** 2
+    p = harmonic_pre_schwarzian_of(jet)
+    w, w1 = jet.omega[:2]
+    denom = 1.0 - np.abs(w) ** 2
+    return w2 * np.abs(z * p) + np.abs(z * w1) * w2 / denom
 
-    def func(z):
-        z = np.asarray(z, dtype=complex)
-        w2 = 1.0 - np.abs(z) ** 2
-        p = harmonic_pre_schwarzian(f, z)
-        w, w1 = f.omega_derivs(z, 1)
-        denom = 1.0 - np.abs(w) ** 2
-        return w2 * np.abs(z * p) + np.abs(z * w1) * w2 / denom
 
-    return func
+PRE_SCHWARZIAN = Functional("pre_schwarzian_norm", _pre_schwarzian_weighted, 2)
+PRE_SCHWARZIAN_Z = Functional(
+    "pre_schwarzian_norm", partial(_pre_schwarzian_weighted, with_z=True), 2
+)
+SCHWARZIAN = Functional(
+    "schwarzian_norm",
+    lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(schwarzian_of(jet)), 3,
+)
+HARMONIC_SCHWARZIAN = Functional(
+    "schwarzian_norm",
+    lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(harmonic_schwarzian_of(jet)), 3,
+)
+OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1)
+OMEGA_STAR = Functional("omega_star", omega_star_of, 2)
+BECKER_HARMONIC = Functional("becker_functional", _becker_harmonic, 2)
+# |(1/2)(1-|z|^2) P phi(z) - conj(z)|, whose supremum is the order.
+ORDER = Functional(
+    "order",
+    lambda jet: np.abs(
+        0.5 * (1.0 - np.abs(jet.z) ** 2) * pre_schwarzian_of(jet) - np.conj(jet.z)
+    ),
+    2,
+)
+# -Re(1 + z h''/h'): its supremum is minus the infimum that decides convexity.
+CONVEXITY = Functional(
+    "convexity", lambda jet: -np.real(1.0 + jet.z * pre_schwarzian_of(jet)), 2
+)
 
-def order_integrand(phi: AnalyticMap):
-    """|(1/2)(1-|z|^2) P phi(z) - conj(z)|, whose supremum is the order."""
 
-    def func(z):
-        z = np.asarray(z, dtype=complex)
-        return np.abs(
-            0.5 * (1.0 - np.abs(z) ** 2) * pre_schwarzian(phi, z) - np.conj(z)
-        )
+class GridSuprema:
+    """Suprema of several functionals of one map over one polar grid.
 
-    return func
+    The grid jet is evaluated once, when the object is made, to the highest
+    order the given functionals read.  Each ``estimate`` scans its formula
+    on that jet, keeps only the value and argmax, and refines on jets of its
+    own candidates.  Nothing is cached beyond the object's lifetime.
+    """
+
+    def __init__(self, f, functionals, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
+        self.f = f
+        self.r_max = r_max
+        self.grid = grid
+        order = max(fn.order for fn in functionals)
+        self.jet = Jet(f, polar_grid(r_max, *grid), order)
+
+    def estimate(self, fn: Functional) -> NormEstimate:
+        return _estimate(self.jet.z, fn.formula(self.jet), fn.at(self.f),
+                         fn.kind, self.r_max, self.grid, refine=True)
+
+    def order(self) -> OrderEstimate:
+        """order_of(h) for the analytic part h, from the grid jet when h is normalized."""
+        if not self.jet.h.is_normalized():
+            return order_of(self.jet.h, self.r_max, self.grid)
+        est = self.estimate(ORDER)
+        return OrderEstimate(est.value, est.argmax_point, True)
 
 
 # ---------------------------------------------------------------------------
 # Norms and orders.
 
 def pre_schwarzian_norm(phi, with_z=False, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    kind = "pre_schwarzian_norm"
-    return sup_weighted(pre_schwarzian_functional(phi, with_z), kind, r_max, grid)
+    fn = PRE_SCHWARZIAN_Z if with_z else PRE_SCHWARZIAN
+    return sup_weighted(fn.at(phi), fn.kind, r_max, grid)
 
 
 def schwarzian_norm(phi: AnalyticMap, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return sup_weighted(schwarzian_functional(phi), "schwarzian_norm", r_max, grid)
+    return sup_weighted(SCHWARZIAN.at(phi), SCHWARZIAN.kind, r_max, grid)
 
 
 def harmonic_schwarzian_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return sup_weighted(
-        harmonic_schwarzian_functional(f), "schwarzian_norm", r_max, grid
-    )
+    fn = HARMONIC_SCHWARZIAN
+    return sup_weighted(fn.at(as_harmonic(f)), fn.kind, r_max, grid)
 
 
 def omega_inf_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
     """sup |omega|; boundary-dominated, so the r_max cap is part of the result."""
     r_max = min(r_max, getattr(omega, "reliable_radius", 1.0))
-    return sup_weighted(omega_abs_functional(omega), "omega_inf", r_max, grid)
+    if isinstance(omega, HarmonicMap):
+        func = OMEGA_ABS.at(omega)
+    else:
+        func = lambda z: np.abs(omega(z))  # noqa: E731
+    return sup_weighted(func, OMEGA_ABS.kind, r_max, grid)
 
 
 def omega_star_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
     rr = getattr(omega, "reliable_radius", 1.0)
     return sup_weighted(
-        omega_star_functional(omega), "omega_star", min(r_max, rr), grid
+        lambda z: omega_star_at(omega, z), OMEGA_STAR.kind, min(r_max, rr), grid
     )
 
 
 def becker_harmonic_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return sup_weighted(
-        becker_harmonic_functional(f), "becker_functional", r_max, grid
-    )
+    fn = BECKER_HARMONIC
+    return sup_weighted(fn.at(as_harmonic(f)), fn.kind, r_max, grid)
 
 
 def order_of(
@@ -222,7 +290,7 @@ def order_of(
             phi = koebe_transform(phi, 0.0)
         except Exception as exc:
             raise NormalizationError(f"cannot renormalize {phi.name}: {exc}") from exc
-    est = sup_weighted(order_integrand(phi), "order", r_max, grid)
+    est = sup_weighted(ORDER.at(phi), ORDER.kind, r_max, grid)
     return OrderEstimate(est.value, est.argmax_point, was_normalized)
 
 

@@ -7,6 +7,11 @@ Harmonic:  P_f = Ph - conj(w) w' / (1 - |w|^2),
 with w = g'/h'.  For g = 0 the harmonic operators reduce exactly to the
 analytic ones (the correction terms vanish identically).
 
+Each operator is written once, as a formula over a ``Jet``: the derivatives
+of h (and of omega) at the query points, evaluated once and shared by every
+formula that reads them.  The public ``(f, z)`` operators build a jet at z
+and apply the formula.
+
 The harmonic Schwarzian is computed from the closed formula, never by
 differentiating P_f numerically; the finite-difference route exists only
 as a test oracle.
@@ -21,7 +26,35 @@ import numpy as np
 from .analytic import AnalyticMap, DERIV_SINGULAR_TOL
 from .disk import require_in_disk
 from .errors import DomainError, SingularError
-from .harmonic import SENSE_TOL, HarmonicMap, as_harmonic
+from .harmonic import SENSE_TOL, HarmonicMap, as_harmonic, omega_quotients
+
+
+class Jet:
+    """h', ..., h^(order) at z from one h.derivs call, shared by the formulas below.
+
+    ``f`` is an analytic map, or a harmonic map whose omega, ...,
+    omega^(order-1) come from one g.derivs call through the quotient rule.
+    That call is made the first time a formula reads ``omega``, so a jet no
+    formula reads omega from never evaluates g.  h(z) and the derivatives of
+    g are not kept.  The formulas run their own checks, so formulas sharing
+    a jet raise the errors each would raise on its own, in the order they run.
+    """
+
+    def __init__(self, f, z, order: int):
+        self.f = f
+        self.h = f.h if isinstance(f, HarmonicMap) else f
+        self.z = np.asarray(z, dtype=complex)
+        self.order = order
+        self.hd = (None,) + tuple(self.h.derivs(self.z, order)[1:])
+        self._omega = None
+
+    @property
+    def omega(self):
+        """(omega, omega', ...) through order - 1, from one g.derivs call."""
+        if self._omega is None:
+            gd = self.f.g.derivs(self.z, self.order)
+            self._omega = omega_quotients(self.hd, gd, self.order - 1)
+        return self._omega
 
 
 def _nonzero_deriv(d1, name: str):
@@ -29,59 +62,80 @@ def _nonzero_deriv(d1, name: str):
         raise SingularError(f"{name}: vanishing first derivative at a queried point")
 
 
-def pre_schwarzian(phi: AnalyticMap, z):
-    """P phi(z) = phi''(z) / phi'(z)."""
-    _, d1, d2 = phi.derivs(z, 2)
-    _nonzero_deriv(d1, phi.name)
-    out = d2 / d1
-    return out if np.ndim(out) else complex(out)
+def _omega_factor(jet: Jet, order: int):
+    ws = jet.omega[: order + 1]
+    denom = 1.0 - np.abs(ws[0]) ** 2
+    if np.any(denom < SENSE_TOL):
+        raise SingularError(
+            f"{jet.f.name}: 1 - |omega|^2 < {SENSE_TOL}; operator blows up"
+        )
+    return ws, denom
 
 
-def schwarzian(phi: AnalyticMap, z):
-    """S phi(z) = phi'''/phi' - (3/2)(phi''/phi')^2."""
-    out = _schwarzian_value(phi, z)
-    return out if np.ndim(out) else complex(out)
+def pre_schwarzian_of(jet: Jet):
+    """P h = h''/h' on a jet of order >= 2."""
+    _nonzero_deriv(jet.hd[1], jet.h.name)
+    return jet.hd[2] / jet.hd[1]
 
 
-def _schwarzian_value(phi: AnalyticMap, z):
-    exact = getattr(phi, "schwarzian_exact", lambda _z: None)(z)
+def schwarzian_of(jet: Jet):
+    """S h on a jet of order 3, or h's closed form where it has one."""
+    exact = getattr(jet.h, "schwarzian_exact", lambda _z: None)(jet.z)
     if exact is not None:
         return exact
-    _, d1, d2, d3 = phi.derivs(z, 3)
-    _nonzero_deriv(d1, phi.name)
+    _, d1, d2, d3 = jet.hd
+    _nonzero_deriv(d1, jet.h.name)
     p = d2 / d1
     return d3 / d1 - 1.5 * p * p
 
 
-def _omega_factor(f: HarmonicMap, z, order: int):
-    ws = f.omega_derivs(z, order)
-    denom = 1.0 - np.abs(ws[0]) ** 2
-    if np.any(denom < SENSE_TOL):
-        raise SingularError(f"{f.name}: 1 - |omega|^2 < {SENSE_TOL}; operator blows up")
-    return ws, denom
+def harmonic_pre_schwarzian_of(jet: Jet):
+    """P_f on a harmonic jet of order >= 2."""
+    _, h1, h2 = jet.hd[:3]
+    _nonzero_deriv(h1, jet.h.name)
+    (w, w1), denom = _omega_factor(jet, 1)
+    return h2 / h1 - np.conj(w) * w1 / denom
+
+
+def harmonic_schwarzian_of(jet: Jet):
+    """S_f on a harmonic jet of order 3."""
+    _, h1, h2 = jet.hd[:3]
+    _nonzero_deriv(h1, jet.h.name)
+    (w, w1, w2), denom = _omega_factor(jet, 2)
+    ph = h2 / h1
+    sh = schwarzian_of(jet)
+    cw = np.conj(w) / denom
+    return sh + cw * (w1 * ph - w2) - 1.5 * (w1 * cw) ** 2
+
+
+def omega_star_of(jet: Jet):
+    """|omega'|(1 - |z|^2)/(1 - |omega|^2) on a harmonic jet of order >= 2."""
+    (w, w1), denom = _omega_factor(jet, 1)
+    return np.abs(w1) * (1.0 - np.abs(jet.z) ** 2) / denom
+
+
+def _complex(out):
+    return out if np.ndim(out) else complex(out)
+
+
+def pre_schwarzian(phi: AnalyticMap, z):
+    """P phi(z) = phi''(z) / phi'(z)."""
+    return _complex(pre_schwarzian_of(Jet(phi, z, 2)))
+
+
+def schwarzian(phi: AnalyticMap, z):
+    """S phi(z) = phi'''/phi' - (3/2)(phi''/phi')^2."""
+    return _complex(schwarzian_of(Jet(phi, z, 3)))
 
 
 def harmonic_pre_schwarzian(f, z):
     """P_f(z) = h''/h' - conj(omega) omega' / (1 - |omega|^2)."""
-    f = as_harmonic(f)
-    _, h1, h2 = f.h.derivs(z, 2)
-    _nonzero_deriv(h1, f.h.name)
-    (w, w1), denom = _omega_factor(f, z, 1)
-    out = h2 / h1 - np.conj(w) * w1 / denom
-    return out if np.ndim(out) else complex(out)
+    return _complex(harmonic_pre_schwarzian_of(Jet(as_harmonic(f), z, 2)))
 
 
 def harmonic_schwarzian(f, z):
     """Closed-form harmonic Schwarzian S_f(z)."""
-    f = as_harmonic(f)
-    _, h1, h2 = f.h.derivs(z, 2)
-    _nonzero_deriv(h1, f.h.name)
-    (w, w1, w2), denom = _omega_factor(f, z, 2)
-    ph = h2 / h1
-    sh = _schwarzian_value(f.h, z)
-    cw = np.conj(w) / denom
-    out = sh + cw * (w1 * ph - w2) - 1.5 * (w1 * cw) ** 2
-    return out if np.ndim(out) else complex(out)
+    return _complex(harmonic_schwarzian_of(Jet(as_harmonic(f), z, 3)))
 
 
 def omega_star_at(omega, z):
@@ -93,13 +147,13 @@ def omega_star_at(omega, z):
     require_in_disk(z)
     z = np.asarray(z, dtype=complex)
     if isinstance(omega, HarmonicMap):
-        (w, w1), denom = _omega_factor(omega, z, 1)
+        out = omega_star_of(Jet(omega, z, 2))
     else:
         w, w1 = omega.derivs(z, 1)[:2]
         denom = 1.0 - np.abs(w) ** 2
         if np.any(denom <= 0.0):
             raise DomainError(f"{omega.name}: |omega| >= 1 at a queried point")
-    out = np.abs(w1) * (1.0 - np.abs(z) ** 2) / denom
+        out = np.abs(w1) * (1.0 - np.abs(z) ** 2) / denom
     return out if np.ndim(out) else float(out)
 
 

@@ -228,6 +228,11 @@ def _jsonable(x):
 
 def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> BoundReport:
     """Evaluate one bound over a pair sample, gated on its hypothesis."""
+    return _verify(f, bound_name, params, samples)[0]
+
+
+def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
+    """verify_bound's report and the params the bound was evaluated with."""
     if bound_name not in BOUND_REGISTRY:
         raise ParameterError(f"unknown bound {bound_name!r}")
     spec = BOUND_REGISTRY[bound_name]
@@ -248,7 +253,7 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
     )
     if not verdict.holds and not params.pop("force", False):
         report.parameters = _jsonable(params)
-        return report
+        return report, params
 
     if "prepare" in spec:
         params = spec["prepare"](f, params, r_eff)
@@ -297,7 +302,7 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
     nan = np.full(len(a), np.nan)
     report.table = dict(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag,
                         **{k: nan if x is None else x for k, x in v.items()})
-    return report
+    return report, params
 
 
 def counterexample_search(
@@ -309,16 +314,12 @@ def counterexample_search(
     Starts from the worst sampled pair and returns the most adversarial
     pair found within the evaluation budget, with its margin.
     """
-    spec = BOUND_REGISTRY[bound_name]
-    params = dict(params or {})
     f = as_harmonic(f)
     if samples is None:
         samples = sample_pairs("uniform-in-disc", 256, seed, min(r_max, f.reliable_radius))
-    report = verify_bound(f, bound_name, dict(params, force=True), samples)
+    report, params = _verify(f, bound_name, dict(params or {}, force=True), samples)
     if report.worst_pair is None:
         raise ParameterError("no margins to minimize for this bound")
-    if "prepare" in spec:
-        params = spec["prepare"](f, params, report.r_max)
 
     r_eff = report.r_max
     a0, b0 = report.worst_pair

@@ -2,15 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from harmdist import cli
 from harmdist.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VIOLATIONS,
     main,
 )
+from harmdist.criteria import convexity_check
+from harmdist.descriptors import parse_descriptor
 
 PAIRS = ["--pairs", "400"]
 
@@ -64,6 +69,43 @@ def test_config_errors(tmp_path, capsys):
     assert main(["analyze", "--map", "identity", "--grid", "x,y"]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_numerical_errors_exit_5(tmp_path, capsys):
+    # omega = 1.98 z leaves the disc at |z| > 1/1.98: not a configuration error
+    desc = tmp_path / "it.json"
+    desc.write_text(json.dumps({"h": {"name": "identity"}, "g": {"expr": "0.99z^2"}}))
+    args = ["--map", str(desc), "--out", str(tmp_path)]
+    assert main(["verify", "--bound", "dhk", "--pairs", "1000", *args]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert main(["analyze", *args]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert main(["analyze", "--map", "identity", "--t", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
+    """h.derivs and g.derivs each see one grid-sized call per analyze."""
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    sizes = {"h": [], "g": []}
+    for part in ("h", "g"):
+        m = getattr(f, part)
+
+        def counted(z, order=3, _derivs=m.derivs, _sizes=sizes[part]):
+            _sizes.append(int(np.size(z)))
+            return _derivs(z, order)
+
+        object.__setattr__(m, "derivs", counted)
+    monkeypatch.setattr(cli, "_resolve_map", lambda spec: f)
+    grid = (16, 64)
+    assert cli.cmd_analyze(cli.RunConfig("analyze", map_spec="series", grid=grid)) == EXIT_OK
+    capsys.readouterr()
+    points = grid[0] * grid[1] + 1
+    assert sizes["h"].count(points) == 1
+    assert sizes["g"].count(points) == 1
+    sizes["g"].clear()
+    convexity_check(f.h, grid=grid)
+    assert sizes["g"] == []
 
 
 def test_verify_descriptor_map(tmp_path):

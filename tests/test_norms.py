@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, LogMap, Monomial
-from harmdist.errors import ParameterError
+from harmdist.errors import HarmdistError, NonFiniteError, ParameterError
 from harmdist.harmonic import shear_linear
 from harmdist.norms import (
     beta_lambda,
@@ -57,11 +57,26 @@ def test_refinement_never_decreases():
     assert refined.value >= coarse.value
 
 
+def test_sup_engine_rejects_non_finite_grid_values():
+    func = lambda z: np.where(np.abs(z) > 0.9, np.nan, np.abs(z))
+    with pytest.raises(HarmdistError, match="toy: functional value nan at z = "):
+        sup_weighted(func, "toy")
+
+
+def test_sup_engine_rejects_non_finite_refinement_values():
+    # finite on the grid, NaN at every pattern-search candidate off it
+    on_grid = polar_grid(0.9, 8, 16)
+    func = lambda z: np.where(np.isin(z, on_grid), np.abs(z), np.nan)
+    assert sup_weighted(func, "toy", 0.9, (8, 16), refine=False).value == pytest.approx(0.9)
+    with pytest.raises(NonFiniteError, match="toy"):
+        sup_weighted(func, "toy", 0.9, (8, 16))
+
+
 def test_schwarzian_norm_fixtures_vs_oracle():
-    from harmdist.norms import schwarzian_functional
+    from harmdist.norms import SCHWARZIAN
 
     est = schwarzian_norm(Koebe(), grid=GRID)
-    oracle = _oracle_radial(schwarzian_functional(Koebe()))
+    oracle = _oracle_radial(SCHWARZIAN.at(Koebe()))
     assert est.value == pytest.approx(6.0, abs=2e-4)
     assert est.value == pytest.approx(oracle, rel=1e-6)
 
@@ -110,11 +125,11 @@ def test_becker_harmonic_norm_zero_dilatation_reduces():
 
 
 def test_order_fixtures_vs_radial_oracle():
-    from harmdist.norms import order_integrand
+    from harmdist.norms import ORDER
 
     est = order_of(Koebe(), grid=GRID)
     assert est.alpha == pytest.approx(2.0, abs=1e-4)
-    assert est.alpha == pytest.approx(_oracle_radial(order_integrand(Koebe())), rel=1e-5)
+    assert est.alpha == pytest.approx(_oracle_radial(ORDER.at(Koebe())), rel=1e-5)
     est = order_of(HalfPlane(), grid=GRID)
     assert est.alpha == pytest.approx(1.0, abs=1e-4)
 

@@ -143,6 +143,21 @@ def test_counterexample_search_digs_deeper():
     assert abs(a) < 1.0 and abs(b) < 1.0
 
 
+def test_counterexample_search_prepares_once(monkeypatch):
+    """The prepare step (omega_inf_norm for convex_h) runs once per search."""
+    from harmdist import verifier
+
+    calls = []
+
+    def counted(*args, _orig=verifier.omega_inf_norm, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "omega_inf_norm", counted)
+    counterexample_search(get_map("shear-identity-0.3z"), "convex_h", {}, budget=16)
+    assert len(calls) == 1
+
+
 def test_each_sample_point_is_evaluated_once():
     """One verify_bound call runs h.derivs and g.derivs once per sample point."""
     f = get_map("shear-identity-0.3z")
