@@ -2,9 +2,10 @@
 
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option,
-map or parameter); 5 = numerical error (at a sampled point the map is
-singular, not sense-preserving, or not evaluable: outside the disc or
-beyond its reliable radius; or a supremum's functional is not finite).
+such as an --r-max outside (0, 1), map, descriptor or parameter);
+5 = numerical error (at a sampled point the map is singular, not
+sense-preserving, or not evaluable: outside the disc or beyond its
+reliable radius; or a supremum's functional is not finite).
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
         if ns.command == "catalog":
             return cmd_catalog()
+        if not 0.0 < ns.r_max < 1.0:  # also false for NaN
+            raise ConfigError(f"--r-max must lie in the open interval (0, 1), "
+                              f"got {ns.r_max}")
         cfg = RunConfig(
             command=ns.command,
             map_spec=ns.map_spec,

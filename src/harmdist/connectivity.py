@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .analytic import AnalyticMap
 from .errors import HarmdistError, ParameterError
@@ -42,6 +40,11 @@ def linear_connectivity_estimate(
     seed: int = 0,
 ) -> ConnectivityEstimate:
     """Estimate the linear-connectivity constant of h on |z| <= r_sample."""
+    # scipy is imported here, not at module level, so that importing harmdist
+    # does not load it; nothing else in the package uses scipy.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     if not 0.0 < r_sample < 1.0:
         raise ParameterError("r_sample must lie in (0, 1)")
     if mesh < 5 or pair_count < 1:

@@ -30,7 +30,7 @@ from .analytic import (
     AnalyticMap, Compose, ExpMap, HalfPlane, Identity, Koebe, LinearCombo,
     LogMap, Mobius, Monomial, SeriesMap, disk_automorphism_map,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotSensePreservingError
 from .harmonic import HarmonicMap, from_h_and_omega
 from .series import TaylorSeries
 
@@ -146,7 +146,10 @@ def parse_descriptor(desc: dict, order: int = 120) -> HarmonicMap:
     if g is not None:
         return HarmonicMap(h, parse_entry(g, "g"))
     if omega is not None:
-        return from_h_and_omega(h, parse_entry(omega, "omega"), order=order)
+        try:
+            return from_h_and_omega(h, parse_entry(omega, "omega"), order=order)
+        except NotSensePreservingError as exc:
+            raise ConfigError(f"descriptor omega {json.dumps(omega)}: {exc}") from exc
     return analytic_as_harmonic(h)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .harmonic import HarmonicMap, as_harmonic
+from .verifier import write_float_csv
 
 
 def image_polylines(
@@ -76,10 +77,4 @@ def write_polylines_csv(
 
 def write_margin_scatter_csv(report, path: str | Path) -> None:
     """rho vs signed margins, from a BoundReport's per-pair table."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "lower_margin", "upper_margin"])
-        t = report.table
-        if t:
-            for row in zip(t["rho"], t["lower_margin"], t["upper_margin"]):
-                w.writerow([repr(float(v)) for v in row])
+    write_float_csv(path, report.table, ["rho", "lower_margin", "upper_margin"])

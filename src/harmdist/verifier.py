@@ -10,7 +10,6 @@ finite.  Each sample point is evaluated once, through bounds.pair_jet.
 
 from __future__ import annotations
 
-import csv
 import inspect
 import json
 from dataclasses import dataclass, field
@@ -362,10 +361,25 @@ def write_report_json(report: BoundReport, path: str | Path) -> None:
 
 
 def write_pairs_csv(report: BoundReport, path: str | Path) -> None:
+    write_float_csv(path, report.table, CSV_COLUMNS)
+
+
+# Rows formatted per write: one chunk's text is in memory, never the whole file.
+_CSV_CHUNK_ROWS = 4096
+
+
+def write_float_csv(path: str | Path, table: dict, columns: list[str]) -> None:
+    """A table's named float columns as CSV; an empty table gives the header only.
+
+    The bytes are those of csv.writer writing the header, then each row as
+    repr(float(v)) fields: "," between fields and "\\r\\n" after each line.
+    No column name or float repr needs quoting.  The text is formatted a
+    column at a time, _CSV_CHUNK_ROWS rows per write.
+    """
+    cols = [np.asarray(table[c], dtype=float) for c in columns] if table else []
+    rows = min((len(c) for c in cols), default=0)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        if report.table:
-            cols = [report.table[c] for c in CSV_COLUMNS]
-            for row in zip(*cols):
-                w.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        for i in range(0, rows, _CSV_CHUNK_ROWS):
+            text = [map(repr, c[i:i + _CSV_CHUNK_ROWS].tolist()) for c in cols]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*text)]))

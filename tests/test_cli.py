@@ -1,10 +1,16 @@
 """CLI subcommands, exit codes and emitted artifacts."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harmdist
 from harmdist import cli
 from harmdist.cli import (
     EXIT_CONFIG,
@@ -69,6 +75,26 @@ def test_config_errors(tmp_path, capsys):
     assert main(["analyze", "--map", "identity", "--grid", "x,y"]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("r_max", ["1.0", "0", "-0.5", "nan"])
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "--bound", "dhk"]],
+                         ids=["analyze", "verify"])
+def test_r_max_outside_open_unit_interval_is_config_error(command, r_max, tmp_path, capsys):
+    args = [*command, "--map", "koebe", "--r-max", r_max, "--out", str(tmp_path), *PAIRS]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: --r-max")
+    assert not any(tmp_path.iterdir())
+
+
+def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):
+    desc = tmp_path / "big-omega.json"
+    desc.write_text(json.dumps({"h": {"name": "identity"}, "omega": {"expr": "1.2z"}}))
+    for command in (["analyze"], ["verify", "--bound", "dhk", *PAIRS]):
+        assert main([*command, "--map", str(desc), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: descriptor omega")
+        assert "1.2z" in err
 
 
 def test_numerical_errors_exit_5(tmp_path, capsys):
@@ -138,6 +164,20 @@ def test_plot_emits_svg_and_csv(tmp_path):
     scatter = (tmp_path / "dhk-margins.csv").read_text().splitlines()
     assert scatter[0] == "rho,lower_margin,upper_margin"
     assert len(scatter) == 401
+    # Pinned from the row-by-row csv.writer before the shared chunked writer.
+    digest = hashlib.sha256((tmp_path / "dhk-margins.csv").read_bytes()).hexdigest()
+    assert digest == "3d2c8adf676c744b0ad9a471fda55291356df32d32bbacd760185eb3f96e5f34"
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only linear_connectivity_estimate needs scipy, and it imports it itself."""
+    code = ("import sys, harmdist, harmdist.cli\n"
+            "harmdist.cli.main(['catalog'])\n"
+            "sys.exit('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(harmdist.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "scipy was imported"
 
 
 def test_version_flag(capsys):

@@ -12,7 +12,7 @@ from harmdist.descriptors import (
     parse_entry,
     parse_expr,
 )
-from harmdist.errors import ConfigError
+from harmdist.errors import ConfigError, NotSensePreservingError
 
 
 def test_parse_complex_forms():
@@ -103,3 +103,10 @@ def test_load_descriptor_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_descriptor(bad)
+
+
+def test_omega_reaching_the_unit_circle_is_a_descriptor_error():
+    desc = {"h": {"name": "identity"}, "omega": {"expr": "1.2z"}}
+    with pytest.raises(ConfigError, match="descriptor omega") as exc:
+        parse_descriptor(desc)
+    assert isinstance(exc.value.__cause__, NotSensePreservingError)
