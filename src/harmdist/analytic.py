@@ -3,7 +3,9 @@
 Each map evaluates itself and its first three derivatives, either from
 hand-coded closed forms (catalog entries) or by term-wise differentiation
 of a truncated Taylor series.  Closed forms are exact on the whole open
-disc; series-backed maps certify a ``reliable_radius`` only.
+disc; series-backed maps certify a ``reliable_radius`` only.  A series map
+evaluates its derivative series with ``series.horner``, a cache-blocked,
+in-place Horner loop that gives the same bits as numpy's ``polyval``.
 
 Derivatives are hand-coded rather than finite-differenced because the
 Schwarzian amplifies derivative noise quadratically.
@@ -279,7 +281,12 @@ ZERO = Monomial(0.0, 0)
 
 
 class SeriesMap(AnalyticMap):
-    """A map backed by a truncated Taylor series."""
+    """A map backed by a truncated Taylor series.
+
+    ``derivs`` evaluates the series and its term-wise derivatives through
+    ``order`` with one ``series.horner`` call: one Horner pass per
+    derivative, in cache-sized blocks, with the bits of numpy's ``polyval``.
+    """
 
     def __init__(self, s: TaylorSeries, name: str = "series"):
         self.series = s
@@ -290,10 +297,7 @@ class SeriesMap(AnalyticMap):
             self._dcoeffs.append(np.polynomial.polynomial.polyder(self._dcoeffs[-1]))
 
     def derivs(self, z, order: int = 3):
-        z = self._check(z)
-        return tuple(
-            np.polynomial.polynomial.polyval(z, c) for c in self._dcoeffs[: order + 1]
-        )
+        return tuple(ts.horner(self._check(z), self._dcoeffs[: order + 1]))
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = self.series.coefficients

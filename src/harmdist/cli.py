@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option,
-such as an --r-max outside (0, 1), map, descriptor or parameter);
+such as an --r-max outside (0, 1) or a negative --seed, map, descriptor
+or parameter);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).

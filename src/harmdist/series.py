@@ -22,6 +22,54 @@ COMPOSE_RADIUS_FACTOR = 0.7
 
 _TAIL_TARGET = 1e-12
 
+# Most points in one block of `horner`: a block of z and its accumulator
+# (2 x 256 KiB of complex128) stay in L2 cache across all of a series'
+# coefficients.
+_HORNER_CHUNK = 16384
+
+
+def _polyval(z, c):
+    """numpy's ``polynomial.polyval`` recurrence, as one expression per step."""
+    acc = c[-1] + z * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * z
+    return acc
+
+
+def horner(z, coeff_arrays) -> list:
+    """Evaluate each coefficient array c_0..c_N at z, with numpy polyval's bits.
+
+    Each array gets its own Horner pass, ``acc = c_N + z*0`` and then
+    ``acc = c_k + acc*z`` for k = N-1 .. 0: the same roundings, in the same
+    order, as numpy's ``polynomial.polyval``.  The flattened z is cut into
+    equal blocks of at most ``_HORNER_CHUNK`` points, and each pass runs in
+    place in its block of the output, so no step allocates and the block
+    stays in cache.  The results have z's shape.
+
+    A z of at most one point takes the polyval expression on the value as
+    given.  numpy's scalar complex arithmetic and its array loop round
+    differently, and so do its in-place and out-of-place products of a
+    one-point array; so a scalar is never evaluated as a one-point array,
+    and no block has a single point.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.size <= 1:
+        return [_polyval(z, c) for c in coeff_arrays]
+    flat = z.ravel()
+    blocks = -(-flat.size // _HORNER_CHUNK)
+    edges = [flat.size * j // blocks for j in range(blocks + 1)]
+    out = [np.empty(flat.shape, dtype=complex) for _ in coeff_arrays]
+    for lo, hi in zip(edges, edges[1:]):
+        zz = flat[lo:hi]
+        for c, res in zip(coeff_arrays, out):
+            acc = res[lo:hi]
+            np.multiply(zz, 0, out=acc)
+            acc += c[-1]
+            for ck in c[-2::-1]:
+                acc *= zz
+                acc += ck
+    return [res.reshape(z.shape) for res in out]
+
 
 def reliable_radius_from_coeffs(coeffs: np.ndarray, cap: float = 0.95) -> float:
     """Radius where the last coefficients contribute below the tail target.
@@ -63,7 +111,7 @@ class TaylorSeries:
             raise PrecisionError(
                 f"evaluation at |z| beyond reliable radius {self.reliable_radius:g}"
             )
-        out = P.polyval(z, self.coefficients)
+        (out,) = horner(z, [self.coefficients])
         return out if np.ndim(out) else complex(out)
 
     def truncated(self, order: int) -> "TaylorSeries":

@@ -44,6 +44,8 @@ def sample_pairs(
     """Deterministic pair sampler; see STRATEGIES for the regimes covered."""
     if count < 1:
         raise ParameterError("count must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)

@@ -87,6 +87,14 @@ def test_r_max_outside_open_unit_interval_is_config_error(command, r_max, tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [["verify"], ["plot"]], ids=["verify", "plot"])
+def test_negative_seed_is_config_error(command, tmp_path, capsys):
+    args = [*command, "--bound", "dhk", "--map", "koebe", "--seed", "-1",
+            "--out", str(tmp_path), *PAIRS]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: seed must be >= 0")
+
+
 def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):
     desc = tmp_path / "big-omega.json"
     desc.write_text(json.dumps({"h": {"name": "identity"}, "omega": {"expr": "1.2z"}}))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.polynomial.polynomial import polyval
 
 from harmdist import series as ts
-from harmdist.errors import PrecisionError, SingularError
-from harmdist.series import TaylorSeries
+from harmdist.descriptors import parse_descriptor
+from harmdist.errors import DomainError, PrecisionError, SingularError
+from harmdist.series import _HORNER_CHUNK as K
+from harmdist.series import TaylorSeries, horner
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
@@ -85,3 +89,91 @@ def test_reliable_radius_policy():
     # geometric-type tails give a radius strictly inside
     r = ts.reliable_radius_from_coeffs(np.ones(41, dtype=complex))
     assert 0.05 <= r <= 0.95
+
+
+# --- the chunked Horner evaluator, bit for bit against numpy's polyval -------
+
+SHEAR = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}).g
+
+
+def _points(shape, seed=0, r=0.7):
+    rng = np.random.default_rng(seed)
+    return (r * np.sqrt(rng.uniform(0.0, 1.0, shape))
+            * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape)))
+
+
+def assert_same_bits(z, coeff_arrays):
+    got = horner(z, coeff_arrays)
+    assert len(got) == len(coeff_arrays)
+    for c, value in zip(coeff_arrays, got):
+        want = polyval(np.asarray(z, dtype=complex), c)
+        assert type(value) is type(want)
+        assert np.shape(value) == np.shape(want)
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, K - 1, K, K + 1, 3 * K + 7])
+def test_horner_matches_polyval_at_block_edges(n):
+    assert_same_bits(_points(n, seed=n), SHEAR._dcoeffs)
+
+
+@pytest.mark.parametrize("length", [1, 2, 122])
+def test_horner_matches_polyval_for_each_coefficient_length(length):
+    c = _points(length, seed=length, r=2.0)
+    assert_same_bits(_points(K + 3), [c])
+
+
+@pytest.mark.parametrize("z", [0.3 - 0.2j, -0.0, np.complex128(0.5j),
+                               np.asarray(0.1 + 0.6j)], ids=repr)
+def test_horner_keeps_scalar_arithmetic_at_a_point(z):
+    assert_same_bits(z, SHEAR._dcoeffs)
+
+
+def test_horner_keeps_the_shape_of_a_grid():
+    z = _points((37, 1000)).T  # 2-D and not contiguous
+    assert_same_bits(z, SHEAR._dcoeffs)
+
+
+def test_horner_matches_polyval_on_special_values():
+    z = np.array([0.0, -0.0, complex(-0.0, -0.0), np.nan, np.inf, complex(-np.inf, 1.0),
+                  1e300, -1.5, 5e-324j] * 3)
+    coeffs = [np.array([complex(-0.0, -0.0)]), np.zeros(4, complex),
+              np.array([1.0, -0.0, complex(-0.0, 2.0)])]
+    with np.errstate(all="ignore"):
+        assert_same_bits(z, coeffs)
+        assert_same_bits(z[:1], coeffs)
+
+
+@given(
+    c=st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                  allow_infinity=False), min_size=1, max_size=40),
+    z=hnp.arrays(complex, hnp.array_shapes(min_dims=0, max_dims=3, max_side=9),
+                 elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                             allow_infinity=False)),
+)
+@settings(max_examples=200, deadline=None)
+def test_horner_matches_polyval_property(c, z):
+    coeffs = np.asarray(c, dtype=complex)
+    assert_same_bits(z, [coeffs, coeffs[::-1]])
+
+
+def test_series_map_derivs_are_polyval_of_the_derivative_series():
+    z = _points(20_000, r=0.75)
+    got = SHEAR.derivs(z, 3)
+    assert len(got) == 4
+    for value, c in zip(got, SHEAR._dcoeffs):
+        assert value.tobytes() == polyval(z, c).tobytes()
+    assert SHEAR.series(z).tobytes() == polyval(z, SHEAR.series.coefficients).tobytes()
+    assert SHEAR.series(0.25j) == complex(polyval(np.asarray(0.25j), SHEAR.series.coefficients))
+
+
+def test_series_map_still_checks_disc_and_reliable_radius():
+    r = SHEAR.reliable_radius
+    assert r < 0.9
+    z = _points(100, r=0.5)
+    with pytest.raises(PrecisionError):
+        SHEAR.derivs(np.append(z, 0.9), 1)
+    with pytest.raises(DomainError):
+        SHEAR.derivs(np.append(z, 1.0), 1)
+    with pytest.raises(PrecisionError):
+        SHEAR.series(np.append(z, 0.9))

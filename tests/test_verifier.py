@@ -42,6 +42,8 @@ def test_sample_pairs_validation():
         sample_pairs("bogus", 10, 0)
     with pytest.raises(ParameterError):
         sample_pairs("uniform-in-disc", 0, 0)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        sample_pairs("uniform-in-disc", 10, -1)
 
 
 def test_registry_covers_all_bounds():
