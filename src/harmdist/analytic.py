@@ -43,16 +43,15 @@ class AnalyticMap:
         """Truncated Maclaurin series of the map."""
         raise NotImplementedError
 
-    def schwarzian_exact(self, z):
-        """Closed-form Schwarzian where the class knows one, else None.
-
-        The generic combination phi'''/phi' - (3/2)(phi''/phi')^2 cancels
-        catastrophically near the boundary when the two terms are assembled
-        from separately rounded derivatives (both grow like |1 - z|^{-2}
-        for half-plane-type maps).  Classes with an algebraic closed form
-        override this, in the same spirit as the hand-coded derivatives.
-        """
-        return None
+    # The closed-form Schwarzian, a method z -> S phi(z), where the class
+    # knows one, else None.  The generic combination
+    # phi'''/phi' - (3/2)(phi''/phi')^2 cancels catastrophically near the
+    # boundary when the two terms are assembled from separately rounded
+    # derivatives (both grow like |1 - z|^{-2} for half-plane-type maps).
+    # Classes with an algebraic closed form define the method, in the same
+    # spirit as the hand-coded derivatives; their Schwarzian then reads none
+    # of their derivatives.
+    schwarzian_exact = None
 
     def __call__(self, z):
         return self.derivs(z, 0)[0]

@@ -265,16 +265,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_plot(cfg: RunConfig) -> int:
     f = _resolve_map(cfg.map_spec)
+    if cfg.bound:  # a bad seed is rejected before any file is written
+        samples = sample_pairs(
+            "uniform-in-disc", max(1, cfg.pairs), cfg.seed,
+            min(cfg.r_max, f.reliable_radius),
+        )
     out = _outdir(cfg)
     polylines = image_polylines(f)
     write_polylines_svg(polylines, out / "image.svg")
     write_polylines_csv(polylines, out / "image.csv")
     wrote = ["image.svg", "image.csv"]
     if cfg.bound:
-        samples = sample_pairs(
-            "uniform-in-disc", max(1, cfg.pairs), cfg.seed,
-            min(cfg.r_max, f.reliable_radius),
-        )
         report = verify_bound(f, cfg.bound, _bound_params(cfg), samples)
         write_margin_scatter_csv(report, out / f"{cfg.bound}-margins.csv")
         wrote.append(f"{cfg.bound}-margins.csv")

@@ -22,7 +22,7 @@ so results do not depend on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -39,6 +39,7 @@ from .operators import (
     omega_star_of,
     pre_schwarzian_of,
     schwarzian_of,
+    schwarzian_order,
 )
 
 DEFAULT_R_MAX = 0.999
@@ -248,7 +249,8 @@ def pre_schwarzian_norm(phi, with_z=False, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRI
 
 
 def schwarzian_norm(phi: AnalyticMap, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return sup_weighted(SCHWARZIAN.at(phi), SCHWARZIAN.kind, r_max, grid)
+    fn = replace(SCHWARZIAN, order=schwarzian_order(phi))
+    return sup_weighted(fn.at(phi), fn.kind, r_max, grid)
 
 
 def harmonic_schwarzian_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):

@@ -78,11 +78,16 @@ def pre_schwarzian_of(jet: Jet):
     return jet.hd[2] / jet.hd[1]
 
 
+def schwarzian_order(h) -> int:
+    """The jet order ``schwarzian_of`` reads: 0 where h has a closed form, else 3."""
+    return 3 if getattr(h, "schwarzian_exact", None) is None else 0
+
+
 def schwarzian_of(jet: Jet):
-    """S h on a jet of order 3, or h's closed form where it has one."""
-    exact = getattr(jet.h, "schwarzian_exact", lambda _z: None)(jet.z)
+    """S h on a jet of order ``schwarzian_order(h)`` or more."""
+    exact = getattr(jet.h, "schwarzian_exact", None)
     if exact is not None:
-        return exact
+        return exact(jet.z)
     _, d1, d2, d3 = jet.hd
     _nonzero_deriv(d1, jet.h.name)
     p = d2 / d1
@@ -125,7 +130,7 @@ def pre_schwarzian(phi: AnalyticMap, z):
 
 def schwarzian(phi: AnalyticMap, z):
     """S phi(z) = phi'''/phi' - (3/2)(phi''/phi')^2."""
-    return _complex(schwarzian_of(Jet(phi, z, 3)))
+    return _complex(schwarzian_of(Jet(phi, z, schwarzian_order(phi))))
 
 
 def harmonic_pre_schwarzian(f, z):

@@ -8,6 +8,8 @@ function).
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +24,12 @@ COMPOSE_RADIUS_FACTOR = 0.7
 
 _TAIL_TARGET = 1e-12
 
-# Most points in one block of `horner`: a block of z and its accumulator
-# (2 x 256 KiB of complex128) stay in L2 cache across all of a series'
-# coefficients.
-_HORNER_CHUNK = 16384
+# Most points in one block of `horner`.  A block of z and its accumulator
+# (2 x 512 KiB of complex128) stay in a 2 MiB per-core L2 cache across all of
+# a series' coefficients, and long blocks make worker threads hand each
+# other the GIL between ufuncs less often: with two workers, 32768 ran
+# faster than 16384 (BENCH_series_threads.json).
+_HORNER_CHUNK = 32768
 
 
 def _polyval(z, c):
@@ -34,6 +38,13 @@ def _polyval(z, c):
     for ck in c[-2::-1]:
         acc = ck + acc * z
     return acc
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def horner(z, coeff_arrays) -> list:
@@ -45,6 +56,16 @@ def horner(z, coeff_arrays) -> list:
     equal blocks of at most ``_HORNER_CHUNK`` points, and each pass runs in
     place in its block of the output, so no step allocates and the block
     stays in cache.  The results have z's shape.
+
+    The blocks are dealt into interleaved shares, one per worker thread, the
+    calling thread being one of them: as many workers as the process has
+    CPUs, but at least two blocks each, so that a call of fewer than four
+    blocks runs on the calling thread alone.  numpy releases the GIL inside
+    each ufunc, so the shares run at once.  A block writes only its own
+    slice of the outputs, through the same ufunc calls on the same edges
+    whichever thread runs it, so the bits do not depend on the number of
+    workers.  Workers run in a copy of the caller's context, which carries
+    its ``np.errstate``.
 
     A z of at most one point takes the polyval expression on the value as
     given.  numpy's scalar complex arithmetic and its array loop round
@@ -58,16 +79,32 @@ def horner(z, coeff_arrays) -> list:
     flat = z.ravel()
     blocks = -(-flat.size // _HORNER_CHUNK)
     edges = [flat.size * j // blocks for j in range(blocks + 1)]
+    spans = list(zip(edges, edges[1:]))
     out = [np.empty(flat.shape, dtype=complex) for _ in coeff_arrays]
-    for lo, hi in zip(edges, edges[1:]):
-        zz = flat[lo:hi]
-        for c, res in zip(coeff_arrays, out):
-            acc = res[lo:hi]
-            np.multiply(zz, 0, out=acc)
-            acc += c[-1]
-            for ck in c[-2::-1]:
-                acc *= zz
-                acc += ck
+
+    def run(share):
+        for lo, hi in share:
+            zz = flat[lo:hi]
+            for c, res in zip(coeff_arrays, out):
+                acc = res[lo:hi]
+                np.multiply(zz, 0, out=acc)
+                acc += c[-1]
+                for ck in c[-2::-1]:
+                    acc *= zz
+                    acc += ck
+
+    workers = min(_cpus(), blocks // 2)
+    if workers < 2:
+        run(spans)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, spans[k::workers])
+                       for k in range(1, workers)]
+            run(spans[::workers])
+            for future in futures:
+                future.result()
     return [res.reshape(z.shape) for res in out]
 
 

@@ -93,6 +93,7 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
             "--out", str(tmp_path), *PAIRS]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: seed must be >= 0")
+    assert not any(tmp_path.iterdir())
 
 
 def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):

@@ -5,15 +5,18 @@ import pytest
 
 from conftest import disc_points, wirtinger_dz
 from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
-from harmdist.errors import SingularError
+from harmdist.errors import DomainError, SingularError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
+from harmdist.norms import SCHWARZIAN, schwarzian_norm, sup_weighted
 from harmdist.operators import (
+    Jet,
     distortion_quantities,
     harmonic_pre_schwarzian,
     harmonic_schwarzian,
     omega_star_at,
     pre_schwarzian,
     schwarzian,
+    schwarzian_of,
 )
 
 
@@ -39,6 +42,28 @@ def test_schwarzian_vanishes_for_mobius(rng):
     z = disc_points(rng, 25, r_hi=0.9)
     s = schwarzian(Mobius(1.0, -0.2, -0.2, 1.0), z)
     np.testing.assert_allclose(s, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, order", [
+    (HalfPlane, 0), (lambda: Mobius(1.0, -0.2, -0.2, 1.0), 0), (Koebe, 3),
+], ids=["halfplane", "mobius", "koebe"])
+def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, make, order):
+    phi = make()
+    z = disc_points(rng, 25, r_hi=0.9)
+    grid = (8, 32)
+    want = schwarzian_of(Jet(phi, z, 3))
+    want_norm = sup_weighted(SCHWARZIAN.at(phi), SCHWARZIAN.kind, grid=grid)
+    orders = []
+    derivs = type(phi).derivs
+    monkeypatch.setattr(type(phi), "derivs",
+                        lambda self, z, k=3: (orders.append(k), derivs(self, z, k))[1])
+    assert schwarzian(phi, z).tobytes() == want.tobytes()
+    assert set(orders) == {order}
+    orders.clear()
+    assert schwarzian_norm(phi, grid=grid) == want_norm
+    assert set(orders) == {order}
+    with pytest.raises(DomainError):
+        schwarzian(phi, np.append(z, 1.0))
 
 
 def test_vanishing_derivative_raises():

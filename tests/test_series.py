@@ -1,5 +1,11 @@
 """Truncated Taylor series arithmetic, against numpy polynomial evaluation."""
 
+import contextvars
+import os
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +161,100 @@ def test_horner_matches_polyval_on_special_values():
 def test_horner_matches_polyval_property(c, z):
     coeffs = np.asarray(c, dtype=complex)
     assert_same_bits(z, [coeffs, coeffs[::-1]])
+
+
+# --- the blocks on worker threads: same bits, caller's error state -----------
+
+def _fan_out(monkeypatch, cpus):
+    """Pretend the process may use ``cpus`` CPUs; count the workers started."""
+    monkeypatch.setattr(ts, "_cpus", lambda: cpus)
+    copies = []
+    copy_context = contextvars.copy_context
+
+    def counted():
+        copies.append(1)
+        return copy_context()
+
+    monkeypatch.setattr(contextvars, "copy_context", counted)
+    return copies
+
+
+@pytest.mark.parametrize("cpus, blocks, workers", [
+    (2, 3, 1),  # one point fewer than the smallest fan-out: 3K points
+    (2, 4, 2),  # the smallest fan-out: 3K + 1 points, two blocks a worker
+    (3, 7, 3),  # seven blocks dealt 3 + 2 + 2
+    (4, 5, 2),  # the worker count is capped by blocks // 2, not by the CPUs
+])
+def test_horner_threads_keep_polyval_bits(monkeypatch, cpus, blocks, workers):
+    copies = _fan_out(monkeypatch, cpus)
+    n = (blocks - 1) * K + 1 if workers > 1 else blocks * K
+    assert_same_bits(_points(n, seed=blocks), SHEAR._dcoeffs[:2])
+    assert len(copies) == workers - 1
+
+
+def test_horner_threads_keep_the_bits_of_a_strided_grid(monkeypatch):
+    copies = _fan_out(monkeypatch, 2)
+    z = _points((3 * K // 1000 + 2, 1000)).T  # 2-D, not contiguous, 4 blocks
+    assert not z.flags.c_contiguous
+    assert_same_bits(z, SHEAR._dcoeffs[:2])
+    assert len(copies) == 1
+
+
+def _overflowing(block, blocks=4):
+    """Points that overflow the series in one block of ``blocks`` only."""
+    z = _points(blocks * K, seed=block)
+    z[block * K + K // 2] = 1e200
+    return z
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_horner_threads_raise_under_the_callers_errstate(monkeypatch, block):
+    _fan_out(monkeypatch, 2)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        horner(_overflowing(block), [SHEAR.series.coefficients])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_horner_threads_stay_silent_under_the_callers_errstate(monkeypatch, block):
+    _fan_out(monkeypatch, 2)
+    z = _overflowing(block)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        assert_same_bits(z, [SHEAR.series.coefficients])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_horner_is_reentrant_across_caller_threads(monkeypatch):
+    _fan_out(monkeypatch, 2)
+    coeffs = SHEAR._dcoeffs[:2]
+    inputs = [_points(3 * K + 1 + i, seed=i) for i in range(4)]
+    results = [None] * len(inputs)
+
+    def call(i):
+        results[i] = horner(inputs[i], coeffs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for z, got in zip(inputs, results):
+        assert got is not None
+        for c, value in zip(coeffs, got):
+            assert value.tobytes() == polyval(z, c).tobytes()
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert ts._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert ts._cpus() == (os.cpu_count() or 1)
 
 
 def test_series_map_derivs_are_polyval_of_the_derivative_series():
