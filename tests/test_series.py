@@ -118,7 +118,10 @@ def assert_same_bits(z, coeff_arrays):
         assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, K - 1, K, K + 1, 3 * K + 7])
+# 16383-16385 and 49159 are the edges of the former 16384-point blocks, which
+# are edges of half a block now; K - 1 to 3K + 7 are the edges of today's.
+@pytest.mark.parametrize("n", [0, 1, 2, 16383, 16384, 16385, 49159,
+                               K - 1, K, K + 1, 3 * K + 7])
 def test_horner_matches_polyval_at_block_edges(n):
     assert_same_bits(_points(n, seed=n), SHEAR._dcoeffs)
 
