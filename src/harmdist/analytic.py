@@ -2,8 +2,9 @@
 
 Each map evaluates itself and its first three derivatives, either from
 hand-coded closed forms (catalog entries) or by term-wise differentiation
-of a truncated Taylor series.  Closed forms are exact on the whole open
-disc; series-backed maps certify a ``reliable_radius`` only.  A series map
+of a truncated Taylor series; ``derivs(z, order, first=1)`` leaves out the
+value for a caller that reads derivatives only.  Closed forms are exact on
+the whole open disc; series-backed maps certify a ``reliable_radius`` only.  A series map
 evaluates its derivative series with ``series.horner``, a cache-blocked,
 in-place Horner loop that gives the same bits as numpy's ``polyval``.
 
@@ -35,8 +36,12 @@ class AnalyticMap:
     name = "analytic"
     reliable_radius = 1.0
 
-    def derivs(self, z, order: int = 3):
-        """Return (f, f', ..., f^(order)) evaluated at z (scalar or array)."""
+    def derivs(self, z, order: int = 3, first: int = 0):
+        """Return (f^(first), ..., f^(order)) evaluated at z (scalar or array).
+
+        ``first=1`` leaves out f(z) for a caller that reads derivatives only;
+        every array returned has the bits it has when ``first=0``.
+        """
         raise NotImplementedError
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
@@ -74,11 +79,11 @@ class AnalyticMap:
 class Identity(AnalyticMap):
     name = "identity"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         one = np.ones_like(z)
         zero = np.zeros_like(z)
-        return (z, one, zero, zero)[: order + 1]
+        return (z, one, zero, zero)[first : order + 1]
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.zeros(order + 1, dtype=complex)
@@ -106,7 +111,7 @@ class Mobius(AnalyticMap):
     def name(self):
         return f"mobius({self.a},{self.b},{self.c},{self.d})"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         det = self.a * self.d - self.b * self.c
         den = self.c * z + self.d
@@ -118,7 +123,7 @@ class Mobius(AnalyticMap):
             out.append(-2.0 * self.c * det / den**3)
         if order >= 3:
             out.append(6.0 * self.c**2 * det / den**4)
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         num = TaylorSeries(
@@ -148,7 +153,7 @@ class HalfPlane(AnalyticMap):
 
     name = "halfplane"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z
         out = [z / w]
@@ -158,7 +163,7 @@ class HalfPlane(AnalyticMap):
             out.append(2.0 / w**3)
         if order >= 3:
             out.append(6.0 / w**4)
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.ones(order + 1, dtype=complex)
@@ -175,7 +180,7 @@ class Koebe(AnalyticMap):
 
     name = "koebe"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z
         out = [z / w**2]
@@ -185,7 +190,7 @@ class Koebe(AnalyticMap):
             out.append(2.0 * (2.0 + z) / w**4)
         if order >= 3:
             out.append(6.0 * (3.0 + z) / w**5)
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.arange(order + 1, dtype=complex)
@@ -206,13 +211,13 @@ class ExpMap(AnalyticMap):
     def name(self):
         return f"exp({self.c})"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         e = np.exp(self.c * z)
         out = [(e - 1.0) / self.c]
         for k in range(1, order + 1):
             out.append(self.c ** (k - 1) * e)
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         n = np.arange(order + 1)
@@ -228,7 +233,7 @@ class LogMap(AnalyticMap):
 
     name = "logtype"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z * z
         out = [0.5 * (np.log1p(z) - np.log1p(-z))]
@@ -238,7 +243,7 @@ class LogMap(AnalyticMap):
             out.append(2.0 * z / w**2)
         if order >= 3:
             out.append((2.0 + 6.0 * z * z) / w**3)
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.zeros(order + 1, dtype=complex)
@@ -258,10 +263,10 @@ class Monomial(AnalyticMap):
     def name(self):
         return f"{self.coef}*z^{self.power}"
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         out = []
-        for k in range(order + 1):
+        for k in range(first, order + 1):
             if k > self.power:
                 out.append(np.zeros_like(z))
             else:
@@ -282,7 +287,7 @@ ZERO = Monomial(0.0, 0)
 class SeriesMap(AnalyticMap):
     """A map backed by a truncated Taylor series.
 
-    ``derivs`` evaluates the series and its term-wise derivatives through
+    ``derivs`` evaluates the series' term-wise derivatives ``first`` through
     ``order`` with one ``series.horner`` call: one Horner pass per
     derivative, in cache-sized blocks, with the bits of numpy's ``polyval``.
     """
@@ -295,8 +300,8 @@ class SeriesMap(AnalyticMap):
         for _ in range(3):
             self._dcoeffs.append(np.polynomial.polynomial.polyder(self._dcoeffs[-1]))
 
-    def derivs(self, z, order: int = 3):
-        return tuple(ts.horner(self._check(z), self._dcoeffs[: order + 1]))
+    def derivs(self, z, order: int = 3, first: int = 0):
+        return tuple(ts.horner(self._check(z), self._dcoeffs[first : order + 1]))
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = self.series.coefficients
@@ -313,11 +318,11 @@ class LinearCombo(AnalyticMap):
         self.name = name or "+".join(f"{c}*{m.name}" for c, m in self.terms)
         self.reliable_radius = min(m.reliable_radius for _, m in self.terms)
 
-    def derivs(self, z, order: int = 3):
-        parts = [m.derivs(z, order) for _, m in self.terms]
+    def derivs(self, z, order: int = 3, first: int = 0):
+        parts = [m.derivs(z, order, first) for _, m in self.terms]
         return tuple(
             sum(c * p[k] for (c, _), p in zip(self.terms, parts))
-            for k in range(order + 1)
+            for k in range(order + 1 - first)
         )
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
@@ -338,7 +343,7 @@ class Compose(AnalyticMap):
         self.name = name or f"{outer.name}o({inner.name})"
         self.reliable_radius = inner.reliable_radius
 
-    def derivs(self, z, order: int = 3):
+    def derivs(self, z, order: int = 3, first: int = 0):
         iv = self.inner.derivs(z, order)
         ov = self.outer.derivs(iv[0], order)
         out = [ov[0]]
@@ -350,7 +355,7 @@ class Compose(AnalyticMap):
             out.append(
                 ov[3] * iv[1] ** 3 + 3.0 * ov[2] * iv[1] * iv[2] + ov[1] * iv[3]
             )
-        return tuple(out)
+        return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         out = ts.compose(self.outer.taylor(order), self.inner.taylor(order))
@@ -373,10 +378,10 @@ class Affine(AnalyticMap):
         self.name = name or f"affine({m.name})"
         self.reliable_radius = m.reliable_radius
 
-    def derivs(self, z, order: int = 3):
-        v = self.m.derivs(z, order)
-        out = [self.mul * v[0] + self.add]
-        out.extend(self.mul * v[k] for k in range(1, order + 1))
+    def derivs(self, z, order: int = 3, first: int = 0):
+        out = [self.mul * v for v in self.m.derivs(z, order, first)]
+        if first == 0:
+            out[0] = out[0] + self.add
         return tuple(out)
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:

@@ -121,8 +121,8 @@ def kim_minda_convex_lower(jet, p: float = 2.0, omega_inf: float | None = None) 
     [h(a), h(b)] back through the convex map h gives a path gamma with
     int_gamma |h'| |dz| = |h(a)-h(b)|, so |g(a)-g(b)| <= ||omega|| |h(a)-h(b)|.
     """
-    if p <= 1.0:
-        raise ParameterError("kim_minda_convex_lower requires p > 1")
+    if not 1.0 < p < np.inf:  # also false for NaN
+        raise ParameterError(f"kim_minda_convex_lower requires a finite p > 1, got {p}")
     if _given(omega_inf, "kim_minda_convex_lower") >= 1.0:
         raise NotSensePreservingError("kim_minda_convex_lower requires ||omega|| < 1")
     d = jet.d
@@ -165,6 +165,8 @@ def dhk_bounds(jet, alpha: float = 2.0, strict: bool = True) -> PairBound:
     ``strict=False`` admits alpha in (0, 1) for detector-sensitivity runs
     that deliberately violate the hypothesis.
     """
+    if not np.isfinite(alpha):
+        raise ParameterError(f"dhk_bounds requires a finite alpha, got {alpha}")
     if alpha < 1.0 and strict:
         raise ParameterError("dhk_bounds requires alpha >= 1")
     if alpha <= 0.0:
@@ -243,8 +245,8 @@ def linconn_bounds(
     The upper-bound exponential is read as (e^{2 beta d} - 1), consistent
     with the lower bound and the growth formula.
     """
-    if c < 1.0:
-        raise ParameterError("linconn_bounds requires c >= 1")
+    if not 1.0 <= c < np.inf:  # also false for NaN
+        raise ParameterError(f"linconn_bounds requires a finite c >= 1, got {c}")
     if not 1.0 <= beta <= 2.0:
         raise ParameterError("linconn_bounds requires beta in [1, 2]")
     if c * _given(omega_inf, "linconn_bounds") >= 1.0:
@@ -302,8 +304,8 @@ def mobius_exact(jet):
 
 def growth_sandwich(phi, z, alpha: float = 2.0):
     """Growth bounds (1/(2a))(((1+-r)/(1-+r))^a -/+ 1) for |phi(z)|, r = |z|."""
-    if alpha < 1.0:
-        raise ParameterError("growth_sandwich requires alpha >= 1")
+    if not 1.0 <= alpha < np.inf:  # also false for NaN
+        raise ParameterError(f"growth_sandwich requires a finite alpha >= 1, got {alpha}")
     r = np.abs(np.asarray(z, dtype=complex))
     lo = (1.0 - ((1.0 - r) / (1.0 + r)) ** alpha) / (2.0 * alpha)
     up = (((1.0 + r) / (1.0 - r)) ** alpha - 1.0) / (2.0 * alpha)

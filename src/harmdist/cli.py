@@ -2,8 +2,8 @@
 
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option,
-such as an --r-max outside (0, 1) or a negative --seed, map, descriptor
-or parameter);
+such as an --r-max outside (0, 1), a negative --seed or a NaN or infinite
+--alpha, --p, --c or --epsilon; or a bad map, descriptor or parameter);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).
@@ -62,7 +62,7 @@ EXIT_HYPOTHESIS = 3
 EXIT_CONFIG = 4
 EXIT_NUMERICAL = 5
 
-# The nine distinct suprema `analyze` reports or judges, on one grid jet.
+# The nine distinct suprema `analyze` reports or judges, on one jet per grid block.
 ANALYZE_FUNCTIONALS = (
     PRE_SCHWARZIAN, PRE_SCHWARZIAN_Z, HARMONIC_SCHWARZIAN, OMEGA_ABS, OMEGA_STAR,
     ORDER, BECKER_HARMONIC, SCHWARZIAN, CONVEXITY,

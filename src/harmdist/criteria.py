@@ -14,6 +14,7 @@ before any supremum is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,8 +120,8 @@ def nehari_analytic(
 
 def nehari_harmonic_verdict(epsilon: float, r_max: float, estimate: Estimate):
     """||S_f|| <= epsilon."""
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:  # also false for NaN
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     est = estimate()
     return _verdict(
         "nehari_harmonic", epsilon - est.value, est.argmax_point,
@@ -158,8 +159,9 @@ def convexity_check(
 
 def theorem_d_verdict(c: float, estimate: Estimate):
     """||omega||_inf < 1/c; ``estimate`` gives sup |omega|."""
-    if c < 1.0:
-        raise ParameterError("linear-connectivity constant c must be >= 1")
+    if not 1.0 <= c < math.inf:  # also false for NaN
+        raise ParameterError(
+            f"linear-connectivity constant c must be finite and >= 1, got {c}")
     est = estimate()
     return _verdict(
         "theorem_d", 1.0 / c - est.value, est.argmax_point,

@@ -51,9 +51,14 @@ class HarmonicMap:
         return self.h(z) + np.conj(self.g(z))
 
     def omega_derivs(self, z, order: int = 2):
-        """(omega, omega', omega'') through ``order`` from exact h, g derivatives."""
+        """(omega, omega', omega'') through ``order`` from exact h, g derivatives.
+
+        h(z) and g(z) are not evaluated: omega reads derivatives only.
+        """
         return omega_quotients(
-            self.h.derivs(z, order + 1), self.g.derivs(z, order + 1), order
+            (None,) + self.h.derivs(z, order + 1, first=1),
+            (None,) + self.g.derivs(z, order + 1, first=1),
+            order,
         )
 
     def check_sense_preserving(self, z):
@@ -181,7 +186,7 @@ def halfplane_shear_g(coef: complex) -> AnalyticMap:
     class _G(AnalyticMap):
         name = f"halfplane-shear-g({coef})"
 
-        def derivs(self, z, order: int = 3):
+        def derivs(self, z, order: int = 3, first: int = 0):
             z = self._check(z)
             w = 1.0 - z
             out = [coef * (1.0 / w + np.log(w) - 1.0)]
@@ -191,7 +196,7 @@ def halfplane_shear_g(coef: complex) -> AnalyticMap:
                 out.append(coef * (1.0 + z) / w**3)
             if order >= 3:
                 out.append(coef * 2.0 * (2.0 + z) / w**4)
-            return tuple(out)
+            return tuple(out[first:])
 
         def taylor(self, order: int = 40) -> ts.TaylorSeries:
             n = np.arange(order + 1, dtype=float)

@@ -2,13 +2,14 @@
 
 Every named functional is a ``Functional``: a formula over an operators.Jet
 of a stated order.  The grid-jet contract: a supremum evaluates the map's
-jet once on a polar grid (one h.derivs call and, if a formula reads omega,
-one g.derivs call), scans the formula on it, and refines around the argmax
-with a compass pattern search that evaluates the formula on jets of its
-own candidates.  ``GridSuprema`` shares one grid jet among several
-functionals of the same map, r_max and grid, and lives only as long as its
-caller keeps it; ``sup_weighted`` is the same engine for a single pointwise
-function of z.
+jet once per block of a polar grid (one h.derivs call per block and, if a
+formula reads omega, one g.derivs call per block), scans the formula on
+it, and refines around the argmax with a compass pattern search that
+evaluates the formula on jets of its own candidates.  ``GridSuprema``
+shares each block's jet among several functionals of the same map, r_max
+and grid, runs the blocks on every CPU the process may use, and lives
+only as long as its caller keeps it; ``sup_weighted`` is the same engine
+for a single pointwise function of z, evaluated on the whole grid at once.
 
 Estimates are sampled lower bounds on the true supremum (sampling can only
 under-estimate); the ``refined`` flag records that local refinement ran to
@@ -41,6 +42,7 @@ from .operators import (
     schwarzian_of,
     schwarzian_order,
 )
+from .series import for_each_block
 
 DEFAULT_R_MAX = 0.999
 DEFAULT_GRID = (64, 256)
@@ -215,27 +217,60 @@ CONVEXITY = Functional(
 class GridSuprema:
     """Suprema of several functionals of one map over one polar grid.
 
-    The grid jet is evaluated once, when the object is made, to the highest
-    order the given functionals read.  Each ``estimate`` scans its formula
-    on that jet, keeps only the value and argmax, and refines on jets of its
-    own candidates.  Nothing is cached beyond the object's lifetime.
+    The grid values of every functional are computed once, when the object
+    is made.  The grid is cut by ``series.for_each_block`` into equal blocks
+    of at most ``series._HORNER_CHUNK`` points, run on every CPU the process
+    may use; each block gets one jet, to the highest order the functionals
+    read, and every formula writes its values into that block's slice.  Each
+    ``estimate`` then keeps only the value and argmax of its functional, and
+    refines on jets of its own candidates.  Nothing is cached beyond the
+    object's lifetime.
+
+    The values have the bits a single jet over the whole grid gives, because
+    no block is smaller than 16384 points unless it is the whole grid.
+    numpy evaluates ``a * (b - d)`` as an in-place ``(b - d) *= a`` when the
+    temporary is at least 256 KiB (16384 complex points), and a complex
+    product is not bitwise commutative; so a formula rounds differently on
+    a block below that size than on a grid above it.  The block rule keeps
+    every block at 16384 points or more once the grid exceeds 32768 points,
+    and a smaller grid is one block.
+
+    If the blocked pass raises, the object falls back to one jet over the
+    whole grid, with each formula applied when its estimate is asked for, so
+    the error is raised where and as the whole-grid evaluation raises it.
     """
 
     def __init__(self, f, functionals, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
         self.f = f
         self.r_max = r_max
         self.grid = grid
+        self.z = polar_grid(r_max, *grid)
         order = max(fn.order for fn in functionals)
-        self.jet = Jet(f, polar_grid(r_max, *grid), order)
+        self._jet = None
+        self._values = {fn: np.empty(self.z.shape) for fn in functionals}
+
+        def scan(lo, hi):
+            jet = Jet(f, self.z[lo:hi], order)
+            for fn in functionals:
+                self._values[fn][lo:hi] = fn.formula(jet)
+
+        try:
+            for_each_block(self.z.size, scan)
+        except Exception:  # re-raised below, at the estimate that meets it
+            self._values = None
+            self._jet = Jet(f, self.z, order)
 
     def estimate(self, fn: Functional) -> NormEstimate:
-        return _estimate(self.jet.z, fn.formula(self.jet), fn.at(self.f),
-                         fn.kind, self.r_max, self.grid, refine=True)
+        """The estimate of ``fn``, one of the functionals the object was made with."""
+        v = fn.formula(self._jet) if self._values is None else self._values[fn]
+        return _estimate(self.z, v, fn.at(self.f), fn.kind, self.r_max, self.grid,
+                         refine=True)
 
     def order(self) -> OrderEstimate:
-        """order_of(h) for the analytic part h, from the grid jet when h is normalized."""
-        if not self.jet.h.is_normalized():
-            return order_of(self.jet.h, self.r_max, self.grid)
+        """order_of(h) for the analytic part h, from the grid values when h is normalized."""
+        h = self.f.h if isinstance(self.f, HarmonicMap) else self.f
+        if not h.is_normalized():
+            return order_of(h, self.r_max, self.grid)
         est = self.estimate(ORDER)
         return OrderEstimate(est.value, est.argmax_point, True)
 

@@ -35,9 +35,14 @@ class Jet:
     ``f`` is an analytic map, or a harmonic map whose omega, ...,
     omega^(order-1) come from one g.derivs call through the quotient rule.
     That call is made the first time a formula reads ``omega``, so a jet no
-    formula reads omega from never evaluates g.  h(z) and the derivatives of
-    g are not kept.  The formulas run their own checks, so formulas sharing
-    a jet raise the errors each would raise on its own, in the order they run.
+    formula reads omega from never evaluates g.  Both calls ask for
+    derivatives only (``first=1``), so neither h(z) nor g(z) is evaluated,
+    and the derivatives of g are not kept.  The formulas run their own
+    checks, so formulas sharing a jet raise the errors each would raise on
+    its own, in the order they run.
+
+    A jet holds the points it is given; ``norms.GridSuprema`` builds one
+    per block of its grid.
     """
 
     def __init__(self, f, z, order: int):
@@ -45,14 +50,14 @@ class Jet:
         self.h = f.h if isinstance(f, HarmonicMap) else f
         self.z = np.asarray(z, dtype=complex)
         self.order = order
-        self.hd = (None,) + tuple(self.h.derivs(self.z, order)[1:])
+        self.hd = (None,) + tuple(self.h.derivs(self.z, order, first=1))
         self._omega = None
 
     @property
     def omega(self):
         """(omega, omega', ...) through order - 1, from one g.derivs call."""
         if self._omega is None:
-            gd = self.f.g.derivs(self.z, self.order)
+            gd = (None,) + tuple(self.f.g.derivs(self.z, self.order, first=1))
             self._omega = omega_quotients(self.hd, gd, self.order - 1)
         return self._omega
 

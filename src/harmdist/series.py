@@ -24,7 +24,8 @@ COMPOSE_RADIUS_FACTOR = 0.7
 
 _TAIL_TARGET = 1e-12
 
-# Most points in one block of `horner`.  A block of z and its accumulator
+# Most points in one block of `for_each_block`, which cuts `horner`'s points
+# and `norms.GridSuprema`'s grid.  A block of z and its accumulator
 # (2 x 512 KiB of complex128) stay in a 2 MiB per-core L2 cache across all of
 # a series' coefficients, and long blocks make worker threads hand each
 # other the GIL between ufuncs less often: with two workers, 32768 ran
@@ -47,25 +48,54 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def for_each_block(n: int, run) -> None:
+    """Call run(lo, hi) once for each block of range(n), on every CPU the process may use.
+
+    range(n), n >= 1, is cut into equal blocks of at most ``_HORNER_CHUNK``
+    points.  The blocks are dealt into interleaved shares, one per worker
+    thread, the calling thread being one of them: as many workers as the
+    process has CPUs, but at least two blocks each, so that fewer than four
+    blocks run on the calling thread alone.  numpy releases the GIL inside
+    each ufunc, so the shares run at once.  Workers run in a copy of the
+    caller's context, which carries its ``np.errstate``; an exception in any
+    share is raised here once every share has stopped.
+
+    ``run`` must write only what belongs to its own block.  Then the result
+    does not depend on the number of workers, because each block goes
+    through the same calls on the same edges whichever thread runs it.
+    """
+    blocks = -(-n // _HORNER_CHUNK)
+    edges = [n * j // blocks for j in range(blocks + 1)]
+    spans = list(zip(edges, edges[1:]))
+
+    def share(part):
+        for lo, hi in part:
+            run(lo, hi)
+
+    workers = min(_cpus(), blocks // 2)
+    if workers < 2:
+        share(spans)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, share, spans[k::workers])
+                   for k in range(1, workers)]
+        share(spans[::workers])
+        for future in futures:
+            future.result()
+
+
 def horner(z, coeff_arrays) -> list:
     """Evaluate each coefficient array c_0..c_N at z, with numpy polyval's bits.
 
     Each array gets its own Horner pass, ``acc = c_N + z*0`` and then
     ``acc = c_k + acc*z`` for k = N-1 .. 0: the same roundings, in the same
     order, as numpy's ``polynomial.polyval``.  The flattened z is cut into
-    equal blocks of at most ``_HORNER_CHUNK`` points, and each pass runs in
-    place in its block of the output, so no step allocates and the block
-    stays in cache.  The results have z's shape.
-
-    The blocks are dealt into interleaved shares, one per worker thread, the
-    calling thread being one of them: as many workers as the process has
-    CPUs, but at least two blocks each, so that a call of fewer than four
-    blocks runs on the calling thread alone.  numpy releases the GIL inside
-    each ufunc, so the shares run at once.  A block writes only its own
-    slice of the outputs, through the same ufunc calls on the same edges
-    whichever thread runs it, so the bits do not depend on the number of
-    workers.  Workers run in a copy of the caller's context, which carries
-    its ``np.errstate``.
+    blocks by ``for_each_block``, and each pass runs in place in its block
+    of the output, so no step allocates and the block stays in cache.  A
+    block writes only its own slice of the outputs, so the bits do not
+    depend on the number of workers.  The results have z's shape.
 
     A z of at most one point takes the polyval expression on the value as
     given.  numpy's scalar complex arithmetic and its array loop round
@@ -77,34 +107,19 @@ def horner(z, coeff_arrays) -> list:
     if z.size <= 1:
         return [_polyval(z, c) for c in coeff_arrays]
     flat = z.ravel()
-    blocks = -(-flat.size // _HORNER_CHUNK)
-    edges = [flat.size * j // blocks for j in range(blocks + 1)]
-    spans = list(zip(edges, edges[1:]))
     out = [np.empty(flat.shape, dtype=complex) for _ in coeff_arrays]
 
-    def run(share):
-        for lo, hi in share:
-            zz = flat[lo:hi]
-            for c, res in zip(coeff_arrays, out):
-                acc = res[lo:hi]
-                np.multiply(zz, 0, out=acc)
-                acc += c[-1]
-                for ck in c[-2::-1]:
-                    acc *= zz
-                    acc += ck
+    def run(lo, hi):
+        zz = flat[lo:hi]
+        for c, res in zip(coeff_arrays, out):
+            acc = res[lo:hi]
+            np.multiply(zz, 0, out=acc)
+            acc += c[-1]
+            for ck in c[-2::-1]:
+                acc *= zz
+                acc += ck
 
-    workers = min(_cpus(), blocks // 2)
-    if workers < 2:
-        run(spans)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run, spans[k::workers])
-                       for k in range(1, workers)]
-            run(spans[::workers])
-            for future in futures:
-                future.result()
+    for_each_block(flat.size, run)
     return [res.reshape(z.shape) for res in out]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import disc_points
 from harmdist.analytic import (
+    Affine,
     Compose,
     ExpMap,
     HalfPlane,
@@ -18,6 +19,7 @@ from harmdist.analytic import (
     disk_automorphism_map,
     koebe_transform,
 )
+from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, PrecisionError, SingularError
 
 ALL_MAPS = [
@@ -125,3 +127,19 @@ def test_monomial_taylor_power_beyond_order():
     s = Monomial(2.0, 7).taylor(3)
     assert s.truncation_order == 3
     assert np.allclose(s.coefficients, 0.0)
+
+
+@pytest.mark.parametrize("part", ["h", "g"])
+def test_derivs_from_first_keep_the_bits_of_the_full_jet(catalog_map, part, rng):
+    """first=1 leaves out the value and changes no derivative's bits."""
+    m = getattr(catalog_map, part)
+    series = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}).g
+    z = disc_points(rng, 64, r_hi=0.7)
+    for f in (m, LinearCombo([(1.0, m), (0.3j, HalfPlane())]), Affine(m, 2.0, 0.5),
+              Compose(m, disk_automorphism_map(0.2j)), series):
+        for order in range(4):
+            full = f.derivs(z, order)
+            part_jet = f.derivs(z, order, first=1)
+            assert len(part_jet) == order
+            for got, want in zip(part_jet, full[1:]):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from harmdist import series
 from harmdist.catalog import CATALOG
 from harmdist.cli import EXIT_OK, main
 
@@ -34,18 +35,42 @@ GOLDEN = {
 }
 
 
+# map -> SHA-256 of analyze.json at --grid 128,1024 and the default r_max,
+# recorded before the grid scan was cut into blocks.  The 131,073 grid
+# points make five blocks, where the default grid is one.
+BLOCKED_GRID = "128,1024"
+GOLDEN_BLOCKED = {
+    "harmonic-mobius-halfplane-0.3":
+        "8329833e1fde87bf587e344577139edd34196b3318112aa7a975db11a8d28001",
+    "series": "b0e551e74c3debe218790b30b1c4319233d8756f7bde6fc30e6420c21e7e0f14",
+}
+
+
 def test_golden_covers_the_catalog():
     assert set(GOLDEN) == set(CATALOG) | {"series"}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_analyze_matches_golden(name, tmp_path, capsys):
+def _analyze_digest(name, tmp_path, *options):
     spec = name
     if name == "series":
         spec = str(tmp_path / "series.json")
         (tmp_path / "series.json").write_text(json.dumps(SERIES_DESCRIPTOR))
     out = tmp_path / "out"
-    assert main(["analyze", "--map", spec, "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--map", spec, *options, "--out", str(out)]) == EXIT_OK
+    return hashlib.sha256((out / "analyze.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_analyze_matches_golden(name, tmp_path, capsys):
+    assert _analyze_digest(name, tmp_path) == GOLDEN[name]
     capsys.readouterr()
-    digest = hashlib.sha256((out / "analyze.json").read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKED))
+def test_analyze_matches_golden_on_a_grid_of_blocks(name, cpus, tmp_path, capsys,
+                                                    monkeypatch):
+    """The same bytes whether the blocks run on the calling thread or on workers."""
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    assert _analyze_digest(name, tmp_path, "--grid", BLOCKED_GRID) == GOLDEN_BLOCKED[name]
+    capsys.readouterr()

@@ -128,6 +128,19 @@ def test_parameter_validation():
         B.corollary_bounds(B.pair_jet(f, 0.1, 0.2), beta_lambda=2.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda jet, v: B.dhk_bounds(jet, alpha=v),
+    lambda jet, v: B.dhk_bounds(jet, alpha=v, strict=False),
+    lambda jet, v: B.kim_minda_convex_lower(jet, p=v, omega_inf=0.3),
+    lambda jet, v: B.linconn_bounds(jet, c=v, omega_inf=0.0),  # c ||omega|| is NaN
+    lambda jet, v: B.growth_sandwich(Koebe(), 0.5, alpha=v),
+], ids=["dhk", "dhk-not-strict", "kim_minda_convex", "linconn", "growth_sandwich"])
+def test_non_finite_parameter_is_rejected(call, value):
+    with pytest.raises(ParameterError, match=f"got {value}"):
+        call(B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2), value)
+
+
 def test_mobius_exact_identity(rng):
     a = disc_points(rng, 50, r_hi=0.9)
     b = disc_points(rng, 50, r_hi=0.9)

@@ -96,6 +96,24 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--bound", "dhk", "--map", "koebe", "--alpha", "nan"],
+    ["verify", "--bound", "dhk", "--map", "koebe", "--alpha", "inf"],
+    ["verify", "--bound", "kim_minda_convex", "--map", "halfplane", "--p", "nan"],
+    ["verify", "--bound", "linconn", "--map", "shear-identity-0.3z", "--c", "nan"],
+    ["analyze", "--map", "koebe", "--epsilon", "inf"],
+    ["analyze", "--map", "koebe", "--c", "nan"],
+], ids=["dhk-alpha-nan", "dhk-alpha-inf", "kim_minda_convex-p-nan", "linconn-c-nan",
+        "analyze-epsilon-inf", "analyze-c-nan"])
+def test_non_finite_parameter_is_config_error(args, tmp_path, capsys):
+    """A NaN or infinite parameter never counts as a pass or a violation."""
+    assert main([*args, "--out", str(tmp_path), *PAIRS]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"got {args[-1]}" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):
     desc = tmp_path / "big-omega.json"
     desc.write_text(json.dumps({"h": {"name": "identity"}, "omega": {"expr": "1.2z"}}))
@@ -123,12 +141,15 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
     """h.derivs and g.derivs each see one grid-sized call per analyze."""
     f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
     sizes = {"h": [], "g": []}
+    firsts = {"h": [], "g": []}
     for part in ("h", "g"):
         m = getattr(f, part)
 
-        def counted(z, order=3, _derivs=m.derivs, _sizes=sizes[part]):
+        def counted(z, order=3, first=0, _derivs=m.derivs, _sizes=sizes[part],
+                    _firsts=firsts[part]):
             _sizes.append(int(np.size(z)))
-            return _derivs(z, order)
+            _firsts.append(first)
+            return _derivs(z, order, first=first)
 
         object.__setattr__(m, "derivs", counted)
     monkeypatch.setattr(cli, "_resolve_map", lambda spec: f)
@@ -138,6 +159,8 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
     points = grid[0] * grid[1] + 1
     assert sizes["h"].count(points) == 1
     assert sizes["g"].count(points) == 1
+    # omega = g'/h' never reads g(z), so the grid's g call leaves it out
+    assert firsts["g"][sizes["g"].index(points)] == 1
     sizes["g"].clear()
     convexity_check(f.h, grid=grid)
     assert sizes["g"] == []

@@ -11,7 +11,9 @@ from harmdist.criteria import (
     convexity_check,
     nehari_analytic,
     nehari_harmonic,
+    nehari_harmonic_verdict,
     theorem_d_harmonic,
+    theorem_d_verdict,
 )
 from harmdist.errors import ParameterError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
@@ -91,6 +93,19 @@ def test_theorem_d_margins():
     assert not v.holds  # needs ||omega|| < 1/3 but it is ~0.4
     with pytest.raises(ParameterError):
         theorem_d_harmonic(f, 0.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("verdict", [
+    lambda v, estimate: nehari_harmonic_verdict(v, 0.999, estimate),
+    lambda v, estimate: theorem_d_verdict(v, estimate),
+], ids=["nehari_harmonic", "theorem_d"])
+def test_non_finite_parameter_is_rejected_before_any_supremum(verdict, value):
+    def estimate():
+        raise AssertionError("the supremum was computed")
+
+    with pytest.raises(ParameterError, match=f"got {value}"):
+        verdict(value, estimate)
 
 
 def test_verdict_payload_shape():

@@ -1,13 +1,24 @@
 """Supremum engine and named norms, with 1-d maximization oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from harmdist import series
 from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, LogMap, Monomial
-from harmdist.errors import HarmdistError, NonFiniteError, ParameterError
-from harmdist.harmonic import shear_linear
+from harmdist.catalog import get_map
+from harmdist.cli import ANALYZE_FUNCTIONALS
+from harmdist.descriptors import parse_descriptor
+from harmdist.errors import HarmdistError, NonFiniteError, ParameterError, SingularError
+from harmdist.harmonic import HarmonicMap, shear_linear
 from harmdist.norms import (
+    DEFAULT_R_MAX,
+    HARMONIC_SCHWARZIAN,
+    PRE_SCHWARZIAN,
+    Functional,
+    GridSuprema,
     beta_lambda,
     becker_harmonic_norm,
     harmonic_schwarzian_norm,
@@ -19,6 +30,7 @@ from harmdist.norms import (
     schwarzian_norm,
     sup_weighted,
 )
+from harmdist.operators import Jet
 
 GRID = (48, 128)  # slightly coarse for speed; refinement recovers accuracy
 
@@ -148,3 +160,65 @@ def test_beta_lambda_policy():
     assert beta_lambda(2.0, Monomial(1.0, 1), grid=GRID) == 2.0  # capped
     with pytest.raises(ParameterError):
         beta_lambda(0.5, Monomial(0.3, 1))
+
+
+# --- GridSuprema's blocks: the bits of one whole-grid jet, the caller's errstate ---
+
+BLOCKED_GRID = (128, 1024)  # 131,073 points: five blocks of the grid scan
+BLOCKED_MAPS = {
+    "harmonic-mobius-halfplane-0.3": lambda: get_map("harmonic-mobius-halfplane-0.3"),
+    "series": lambda: parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", sorted(BLOCKED_MAPS))
+def test_grid_suprema_blocks_keep_the_bits_of_one_grid_jet(monkeypatch, name, cpus):
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    f = BLOCKED_MAPS[name]()
+    r_max = min(DEFAULT_R_MAX, f.reliable_radius)
+    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, BLOCKED_GRID)
+    jet = Jet(f, polar_grid(r_max, *BLOCKED_GRID), max(fn.order for fn in ANALYZE_FUNCTIONALS))
+    for fn in ANALYZE_FUNCTIONALS:
+        want = np.asarray(fn.formula(jet), dtype=float)
+        assert sups._values[fn].tobytes() == want.tobytes(), fn.kind
+
+
+def _pole_in_block(block, r_max=0.9, blocks=5):
+    """A functional that divides by zero at one grid point, in block ``block`` only."""
+    z = polar_grid(r_max, *BLOCKED_GRID)
+    edges = [z.size * j // blocks for j in range(blocks + 1)]
+    pole = z[(edges[block] + edges[block + 1]) // 2]
+    return Functional("pole", lambda jet: np.abs(1.0 / (jet.z - pole)), 1)
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_grid_suprema_blocks_raise_under_the_callers_errstate(monkeypatch, block):
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    fn = _pole_in_block(block)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        GridSuprema(Identity(), [fn], 0.9, BLOCKED_GRID).estimate(fn)
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_grid_suprema_blocks_stay_silent_under_the_callers_errstate(monkeypatch, block):
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    fn = _pole_in_block(block)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError, match="pole: functional value"):
+            GridSuprema(Identity(), [fn], 0.9, BLOCKED_GRID).estimate(fn)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_grid_suprema_raises_where_one_grid_jet_raises(monkeypatch):
+    """A block that raises leaves the error to the estimate that meets it."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    f = HarmonicMap(Identity(), Monomial(0.99, 2))  # |omega| = 1.98|z| reaches 1
+    sups = GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
+    assert sups.estimate(PRE_SCHWARZIAN).value == 0.0
+    with pytest.raises(SingularError) as blocked:
+        sups.estimate(HARMONIC_SCHWARZIAN)
+    with pytest.raises(SingularError) as whole:
+        HARMONIC_SCHWARZIAN.formula(Jet(f, polar_grid(0.999, *BLOCKED_GRID), 3))
+    assert str(blocked.value) == str(whole.value)
