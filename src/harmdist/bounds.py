@@ -17,15 +17,17 @@ jets are vectorized, so a and b may be complex arrays, in which case
 lower/upper are arrays.
 
 Constants of the map that a formula needs, such as ||omega|| = sup |omega|,
-are parameters computed once by the caller (the verifier's prepare step).
-Validity of each bound is gated elsewhere (verifier harness) on the verdict
-of its hypothesis criterion; the formulas themselves only check parameter
+are parameters.  The verifier reads them from the map's estimates (the
+``reads`` entry of its registry) unless the caller gives them, and a
+formula rejects a given ||omega|| outside [0, 1).  Validity of each bound
+is gated elsewhere (verifier harness) on the verdict of its hypothesis, a
+row of criteria.CRITERIA; the formulas themselves only check parameter
 ranges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +44,8 @@ ALL_READS = frozenset({"R", "Q", "Rh", "h", "omega0"})
 class PairBound:
     """Lower/upper bound values for |f(a)-f(b)| at one pair (or pair arrays)."""
 
-    bound_name: str
     lower: object = None  # float or ndarray, or None when the bound is one-sided
     upper: object = None
-    hypothesis: str | None = None
-    parameters: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,12 @@ def _out(x):
 
 
 def _given(omega_inf, formula: str) -> float:
-    if omega_inf is None:
-        raise ParameterError(f"{formula} requires omega_inf = sup |omega|")
+    """A caller's ||omega||; fails closed unless 0 <= omega_inf < 1."""
+    if omega_inf is None or not omega_inf >= 0.0:  # also true for NaN
+        raise ParameterError(
+            f"{formula} requires omega_inf = sup |omega| >= 0, got {omega_inf}")
+    if omega_inf >= 1.0:
+        raise NotSensePreservingError(f"{formula} requires ||omega|| < 1")
     return omega_inf
 
 
@@ -102,7 +105,7 @@ def blatter_lower(jet) -> PairBound:
     """lower^2 = sinh^2(2d) (R(a)^2 + R(b)^2) / (8 cosh(4d))."""
     d = jet.d
     lo = np.sqrt(np.sinh(2 * d) ** 2 * (jet.a.R**2 + jet.b.R**2) / (8.0 * np.cosh(4 * d)))
-    return PairBound("blatter", lower=_out(lo), hypothesis="univalent")
+    return PairBound(lower=_out(lo))
 
 
 @_reads("Rh")
@@ -123,25 +126,21 @@ def kim_minda_convex_lower(jet, p: float = 2.0, omega_inf: float | None = None) 
     """
     if not 1.0 < p < np.inf:  # also false for NaN
         raise ParameterError(f"kim_minda_convex_lower requires a finite p > 1, got {p}")
-    if _given(omega_inf, "kim_minda_convex_lower") >= 1.0:
-        raise NotSensePreservingError("kim_minda_convex_lower requires ||omega|| < 1")
+    omega_inf = _given(omega_inf, "kim_minda_convex_lower")
     d = jet.d
     lo = (
         (1.0 - omega_inf)
         * np.sinh(d) / (2.0 * np.cosh(p * d) ** (1.0 / p))
         * (jet.a.Rh**p + jet.b.Rh**p) ** (1.0 / p)
     )
-    return PairBound(
-        "kim_minda_convex", lower=_out(lo), hypothesis="convexity",
-        parameters={"p": p, "omega_inf": omega_inf},
-    )
+    return PairBound(lower=_out(lo))
 
 
 @_reads("R")
 def chuaqui_pommerenke_lower(jet) -> PairBound:
     """lower = d(a,b) sqrt(R(a) R(b)) under ||S phi|| <= 2."""
     lo = jet.d * np.sqrt(jet.a.R * jet.b.R)
-    return PairBound("chuaqui_pommerenke", lower=_out(lo), hypothesis="nehari_analytic")
+    return PairBound(lower=_out(lo))
 
 
 @_reads("R")
@@ -150,9 +149,7 @@ def mmm_upper(jet, t: float = 1.0) -> PairBound:
     if not 0.0 <= t <= 1.0:
         raise ParameterError("mmm_upper requires t in [0, 1]")
     up = np.sqrt(jet.a.R * jet.b.R / (1.0 + t)) * np.sinh(np.sqrt(1.0 + t) * jet.d)
-    return PairBound(
-        "mmm", upper=_out(up), hypothesis="nehari_analytic", parameters={"t": t}
-    )
+    return PairBound(upper=_out(up))
 
 
 @_reads("R", "Q")
@@ -174,10 +171,7 @@ def dhk_bounds(jet, alpha: float = 2.0, strict: bool = True) -> PairBound:
     d = jet.d
     lo = (1.0 - np.exp(-2.0 * alpha * d)) / (2.0 * alpha) * np.maximum(jet.a.R, jet.b.R)
     up = (np.exp(2.0 * alpha * d) - 1.0) / (2.0 * alpha) * np.minimum(jet.a.Q, jet.b.Q)
-    return PairBound(
-        "dhk", lower=_out(lo), upper=_out(up),
-        hypothesis="normalized", parameters={"alpha": alpha},
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("R")
@@ -186,9 +180,7 @@ def becker_analytic_bounds(jet) -> PairBound:
     s = np.sqrt(jet.a.R * jet.b.R)
     lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * s
     up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * s
-    return PairBound(
-        "becker_analytic", lower=_out(lo), upper=_out(up), hypothesis="becker_analytic"
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("R", "Q")
@@ -196,20 +188,15 @@ def becker_harmonic_bounds(jet) -> PairBound:
     """Harmonic Becker sandwich: R-side lower, Q-side upper."""
     lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * np.sqrt(jet.a.R * jet.b.R)
     up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * np.sqrt(jet.a.Q * jet.b.Q)
-    return PairBound(
-        "becker_harmonic", lower=_out(lo), upper=_out(up), hypothesis="becker_harmonic"
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("R", "Q")
-def nehari_harmonic_bounds(jet, epsilon: float = 0.1) -> PairBound:
+def nehari_harmonic_bounds(jet) -> PairBound:
     """lower = d sqrt(R R); upper = sqrt(Q Q / 2) sinh(sqrt(2) d)."""
     lo = jet.d * np.sqrt(jet.a.R * jet.b.R)
     up = np.sqrt(jet.a.Q * jet.b.Q / 2.0) * np.sinh(np.sqrt(2.0) * jet.d)
-    return PairBound(
-        "nehari_harmonic", lower=_out(lo), upper=_out(up),
-        hypothesis="nehari_harmonic", parameters={"epsilon": epsilon},
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("Rh")
@@ -224,16 +211,12 @@ def convex_h_bounds(jet, omega_inf: float) -> PairBound:
     already violated by the identity map (rho(R_h(a)+R_h(b))/2 < |a-b|
     whenever |a| != |b|), so it cannot serve as an upper bound.
     """
-    if omega_inf >= 1.0:
-        raise NotSensePreservingError("convex_h_bounds requires ||omega|| < 1")
+    omega_inf = _given(omega_inf, "convex_h_bounds")
     rho = jet.rho
     mean = (jet.a.Rh + jet.b.Rh) / 2.0
     lo = (1.0 - omega_inf) * rho * mean
     up = (1.0 + omega_inf) * rho / (1.0 - rho) * mean
-    return PairBound(
-        "convex_h", lower=_out(lo), upper=_out(up),
-        hypothesis="convexity", parameters={"omega_inf": omega_inf},
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("Rh")
@@ -255,10 +238,7 @@ def linconn_bounds(
     s = np.sqrt(jet.a.Rh * jet.b.Rh)
     lo = (1.0 - c * omega_inf) * (1.0 - np.exp(-2.0 * beta * d)) / (2.0 * beta) * s
     up = (1.0 + c * omega_inf) * (np.exp(2.0 * beta * d) - 1.0) / (2.0 * beta) * s
-    return PairBound(
-        "linconn", lower=_out(lo), upper=_out(up), hypothesis="theorem_d",
-        parameters={"c": c, "beta": beta, "omega_inf": omega_inf},
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("R", "Q")
@@ -278,10 +258,7 @@ def corollary_bounds(jet, beta_lambda: float = 2.0) -> PairBound:
     bl = beta_lambda
     lo = (1.0 - np.exp(-2.0 * bl * d)) / (2.0 * bl) * np.sqrt(jet.a.R * jet.b.R)
     up = (np.exp(2.0 * bl * d) - 1.0) / (2.0 * bl) * np.sqrt(jet.a.Q * jet.b.Q)
-    return PairBound(
-        "corollary", lower=_out(lo), upper=_out(up), hypothesis="theorem_d",
-        parameters={"beta_lambda": bl},
-    )
+    return PairBound(lower=_out(lo), upper=_out(up))
 
 
 @_reads("Rh", "h", "omega0")

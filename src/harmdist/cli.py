@@ -27,8 +27,6 @@ from .descriptors import load_descriptor
 from .errors import ConfigError, HarmdistError, ParameterError
 from .harmonic import HarmonicMap
 from .norms import (
-    BECKER_HARMONIC,
-    CONVEXITY,
     DEFAULT_GRID,
     DEFAULT_R_MAX,
     HARMONIC_SCHWARZIAN,
@@ -37,7 +35,6 @@ from .norms import (
     ORDER,
     PRE_SCHWARZIAN,
     PRE_SCHWARZIAN_Z,
-    SCHWARZIAN,
     GridSuprema,
 )
 from .operators import harmonic_pre_schwarzian, harmonic_schwarzian
@@ -62,11 +59,19 @@ EXIT_HYPOTHESIS = 3
 EXIT_CONFIG = 4
 EXIT_NUMERICAL = 5
 
+# The norms `analyze` reports, by report key.
+ANALYZE_NORMS = {
+    "pre_schwarzian_paper": PRE_SCHWARZIAN,
+    "pre_schwarzian_classical": PRE_SCHWARZIAN_Z,
+    "schwarzian_harmonic": HARMONIC_SCHWARZIAN,
+    "omega_inf": OMEGA_ABS,
+    "omega_star": OMEGA_STAR,
+}
 # The nine distinct suprema `analyze` reports or judges, on one jet per grid block.
-ANALYZE_FUNCTIONALS = (
-    PRE_SCHWARZIAN, PRE_SCHWARZIAN_Z, HARMONIC_SCHWARZIAN, OMEGA_ABS, OMEGA_STAR,
-    ORDER, BECKER_HARMONIC, SCHWARZIAN, CONVEXITY,
-)
+ANALYZE_FUNCTIONALS = tuple(dict.fromkeys([
+    *ANALYZE_NORMS.values(), ORDER,
+    *(row.functional for row in C.CRITERIA.values() if row.functional is not None),
+]))
 
 
 @dataclass
@@ -177,36 +182,20 @@ def cmd_analyze(cfg: RunConfig) -> int:
     ]
 
     sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, grid)
-    norms = {
-        "pre_schwarzian_paper": sups.estimate(PRE_SCHWARZIAN),
-        "pre_schwarzian_classical": sups.estimate(PRE_SCHWARZIAN_Z),
-        "schwarzian_harmonic": sups.estimate(HARMONIC_SCHWARZIAN),
-        "omega_inf": sups.estimate(OMEGA_ABS),
-        "omega_star": sups.estimate(OMEGA_STAR),
-    }
-    report["norms"] = {
-        k: dict(value=v.value, r_max=v.r_max, refined=v.refined,
-                argmax=[v.argmax_point.real, v.argmax_point.imag])
-        for k, v in norms.items()
-    }
+    report["norms"] = {}
+    for key, fn in ANALYZE_NORMS.items():
+        v = sups.estimate(fn)
+        report["norms"][key] = dict(value=v.value, r_max=v.r_max, refined=v.refined,
+                                    argmax=[v.argmax_point.real, v.argmax_point.imag])
     oe = sups.order()
     report["order"] = dict(alpha=oe.alpha, normalized=oe.normalized,
                            argmax=[oe.argmax_point.real, oe.argmax_point.imag])
 
-    # Each distinct supremum is estimated once; the criteria reuse the norms.
-    verdicts = [
-        C.becker_analytic_verdict(
-            "paper", r_max, lambda: norms["pre_schwarzian_paper"]),
-        C.becker_analytic_verdict(
-            "classical", r_max, lambda: norms["pre_schwarzian_classical"]),
-        C.becker_harmonic_verdict(r_max, lambda: sups.estimate(BECKER_HARMONIC)),
-        C.nehari_analytic_verdict(cfg.t, r_max, lambda: sups.estimate(SCHWARZIAN)),
-        C.nehari_harmonic_verdict(
-            cfg.epsilon, r_max, lambda: norms["schwarzian_harmonic"]),
-        C.convexity_verdict(r_max, lambda: sups.estimate(CONVEXITY)),
-        C.theorem_d_verdict(cfg.c, lambda: norms["omega_inf"]),
+    # Each distinct supremum is estimated once; the criteria read the map's estimates.
+    report["criteria"] = [
+        _jsonable(C.verdict(name, sups, _bound_params(cfg)))
+        for name, row in C.CRITERIA.items() if row.functional is not None
     ]
-    report["criteria"] = [_jsonable(v) for v in verdicts]
 
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     if cfg.out:

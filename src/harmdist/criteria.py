@@ -4,12 +4,11 @@ Each criterion reduces to a disc supremum (or infimum) computed by the
 norms engine and is reported as a verdict with a signed margin: positive
 margin means the criterion holds with that much slack.
 
-Each criterion's parameter check, threshold and margin rule is written
-once, in a ``*_verdict`` function that takes a thunk for its estimate.  The
-public criterion passes the norm it computes itself; a caller that already
-holds the estimate, such as ``harmdist analyze``, passes that.  The thunk is
-called after the parameters are checked, so a bad parameter is reported
-before any supremum is computed.
+Every criterion is one row of ``CRITERIA``, and ``verdict`` applies a row:
+it checks the criterion's parameter, then reads the supremum of the row's
+functional through a ``norms.GridSuprema``, which on a harmonic map is
+the estimate the map already holds if any caller made it.  A bad parameter
+is therefore reported before any supremum is computed.
 """
 
 from __future__ import annotations
@@ -22,16 +21,17 @@ from .analytic import AnalyticMap
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import (
+    BECKER_HARMONIC,
     CONVEXITY,
     DEFAULT_GRID,
     DEFAULT_R_MAX,
-    NormEstimate,
-    becker_harmonic_norm,
-    harmonic_schwarzian_norm,
-    omega_inf_norm,
-    pre_schwarzian_norm,
-    schwarzian_norm,
-    sup_weighted,
+    HARMONIC_SCHWARZIAN,
+    OMEGA_ABS,
+    PRE_SCHWARZIAN,
+    PRE_SCHWARZIAN_Z,
+    SCHWARZIAN,
+    Functional,
+    GridSuprema,
 )
 
 # Conservative default for the (non-constructive) harmonic Nehari threshold.
@@ -40,8 +40,6 @@ DEFAULT_NEHARI_EPSILON = 0.1
 # Boundary cases sit exactly on their thresholds; sup estimates carry a few
 # ulps of float noise, which must not flip a verdict.
 MARGIN_TOL = 1e-12
-
-Estimate = Callable[[], NormEstimate]
 
 
 @dataclass(frozen=True)
@@ -53,21 +51,82 @@ class CriterionVerdict:
     parameters: dict = field(default_factory=dict)
 
 
-def _verdict(name, margin, witness, **params) -> CriterionVerdict:
-    return CriterionVerdict(
-        name, margin >= -MARGIN_TOL, float(margin), witness, dict(params)
-    )
+@dataclass(frozen=True)
+class Criterion:
+    """Holds when the supremum of ``functional`` is at most ``threshold``.
+
+    The margin is threshold - supremum.  ``param`` names the criterion's
+    parameter, if it has one: ``threshold`` is then a function of it,
+    ``default`` its value when the caller gives none, and ``valid`` its
+    range check, with ``invalid`` the ParameterError message.  ``fixed``
+    parameters are only recorded, and ``reports`` names the recorded
+    supremum (convexity records the infimum, minus the supremum).  A row
+    without a functional is judged on the map alone: ``threshold(f)`` is
+    its margin.
+    """
+
+    functional: Functional | None
+    threshold: float | Callable
+    param: str | None = None
+    default: float = 1.0
+    valid: Callable[[float], bool] = lambda value: True
+    invalid: str = ""
+    fixed: dict = field(default_factory=dict)
+    reports: Callable[[float], dict] = lambda s: {"supremum": s}
 
 
-def becker_analytic_verdict(variant: str, r_max: float, estimate: Estimate):
-    """sup (1-|z|^2)|P phi| <= 1; ``estimate`` gives the sup of ``variant``."""
-    if variant not in ("paper", "classical"):
-        raise ParameterError(f"unknown becker variant {variant!r}")
-    est = estimate()
-    return _verdict(
-        f"becker_analytic[{variant}]", 1.0 - est.value, est.argmax_point,
-        variant=variant, supremum=est.value, r_max=r_max,
-    )
+# `harmdist analyze` reports the rows with a functional, in this order.
+CRITERIA: dict[str, Criterion] = {
+    # sup (1-|z|^2)|P phi| <= 1, and with a |z| factor
+    "becker_analytic[paper]": Criterion(PRE_SCHWARZIAN, 1.0, fixed={"variant": "paper"}),
+    "becker_analytic[classical]": Criterion(
+        PRE_SCHWARZIAN_Z, 1.0, fixed={"variant": "classical"}),
+    # the harmonic Becker functional stays <= 1
+    "becker_harmonic": Criterion(BECKER_HARMONIC, 1.0),
+    # ||S phi|| <= 2t for t in [0, 1]
+    "nehari_analytic": Criterion(
+        SCHWARZIAN, lambda t: 2.0 * t, "t", 1.0, lambda t: 0.0 <= t <= 1.0,
+        "t must lie in [0, 1]"),
+    # ||S_f|| <= epsilon; epsilon is caller-supplied (it is non-constructive)
+    "nehari_harmonic": Criterion(
+        HARMONIC_SCHWARZIAN, lambda epsilon: epsilon, "epsilon", DEFAULT_NEHARI_EPSILON,
+        lambda epsilon: 0.0 < epsilon < math.inf,  # also false for NaN
+        "epsilon must be positive and finite, got {}"),
+    # inf Re(1 + z h''/h') >= 0, the classical convexity characterization
+    "convexity": Criterion(CONVEXITY, 0.0, reports=lambda s: {"infimum": -s}),
+    # ||omega||_inf < 1/c for h(D) a c-linearly connected domain; read up to
+    # the reliable radius, which the verdict records as its r_max
+    "theorem_d": Criterion(
+        OMEGA_ABS, lambda c: 1.0 / c, "c", 1.0, lambda c: 1.0 <= c < math.inf,
+        "linear-connectivity constant c must be finite and >= 1, got {}",
+        reports=lambda s: {"omega_inf": s}),
+    # gates of bounds that need no supremum
+    "normalized": Criterion(None, lambda f: 0.0 if f.normalized else -1.0),
+    "assumed": Criterion(None, lambda f: 0.0),
+}
+
+
+def verdict(name: str, sups: GridSuprema, params: dict | None = None) -> CriterionVerdict:
+    """The row ``name`` of CRITERIA applied to the map of ``sups``, over its grid.
+
+    ``params`` may hold the row's parameter, and any other entries, which
+    are ignored.
+    """
+    row = CRITERIA[name]
+    witness, recorded = 0j, dict(row.fixed)
+    if row.functional is None:
+        margin = row.threshold(sups.f)
+    else:
+        threshold = row.threshold
+        if row.param is not None:
+            value = (params or {}).get(row.param, row.default)
+            if not row.valid(value):
+                raise ParameterError(row.invalid.format(value))
+            threshold, recorded[row.param] = threshold(value), value
+        est = sups.estimate(row.functional)
+        margin, witness = threshold - est.value, est.argmax_point
+        recorded.update(row.reports(est.value), r_max=est.r_max)
+    return CriterionVerdict(name, margin >= -MARGIN_TOL, float(margin), witness, recorded)
 
 
 def becker_analytic(
@@ -77,56 +136,23 @@ def becker_analytic(
     grid=DEFAULT_GRID,
 ) -> CriterionVerdict:
     """sup (1-|z|^2)|P phi| <= 1 ("paper") or with a |z| factor ("classical")."""
-    return becker_analytic_verdict(variant, r_max, lambda: pre_schwarzian_norm(
-        phi, with_z=(variant == "classical"), r_max=r_max, grid=grid))
-
-
-def becker_harmonic_verdict(r_max: float, estimate: Estimate):
-    """The harmonic Becker functional stays <= 1."""
-    est = estimate()
-    return _verdict(
-        "becker_harmonic", 1.0 - est.value, est.argmax_point,
-        supremum=est.value, r_max=r_max,
-    )
+    if variant not in ("paper", "classical"):
+        raise ParameterError(f"unknown becker variant {variant!r}")
+    return verdict(f"becker_analytic[{variant}]", GridSuprema(phi, (), r_max, grid))
 
 
 def becker_harmonic(
     f, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """Harmonic Becker criterion: the combined functional stays <= 1."""
-    f = as_harmonic(f)
-    return becker_harmonic_verdict(
-        r_max, lambda: becker_harmonic_norm(f, r_max=r_max, grid=grid))
-
-
-def nehari_analytic_verdict(t: float, r_max: float, estimate: Estimate):
-    """||S phi|| <= 2t for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
-    est = estimate()
-    return _verdict(
-        "nehari_analytic", 2.0 * t - est.value, est.argmax_point,
-        t=t, supremum=est.value, r_max=r_max,
-    )
+    return verdict("becker_harmonic", GridSuprema(as_harmonic(f), (), r_max, grid))
 
 
 def nehari_analytic(
     phi: AnalyticMap, t: float = 1.0, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """||S phi|| <= 2t for t in [0, 1]."""
-    return nehari_analytic_verdict(
-        t, r_max, lambda: schwarzian_norm(phi, r_max=r_max, grid=grid))
-
-
-def nehari_harmonic_verdict(epsilon: float, r_max: float, estimate: Estimate):
-    """||S_f|| <= epsilon."""
-    if not 0.0 < epsilon < math.inf:  # also false for NaN
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    est = estimate()
-    return _verdict(
-        "nehari_harmonic", epsilon - est.value, est.argmax_point,
-        epsilon=epsilon, supremum=est.value, r_max=r_max,
-    )
+    return verdict("nehari_analytic", GridSuprema(phi, (), r_max, grid), {"t": t})
 
 
 def nehari_harmonic(
@@ -136,42 +162,19 @@ def nehari_harmonic(
     grid=DEFAULT_GRID,
 ) -> CriterionVerdict:
     """||S_f|| <= epsilon; epsilon is caller-supplied (it is non-constructive)."""
-    return nehari_harmonic_verdict(epsilon, r_max, lambda: harmonic_schwarzian_norm(
-        as_harmonic(f), r_max=r_max, grid=grid))
-
-
-def convexity_verdict(r_max: float, estimate: Estimate):
-    """inf Re(1 + z h''/h') >= 0; ``estimate`` gives the sup of its negative."""
-    est = estimate()
-    infimum = -est.value
-    return _verdict(
-        "convexity", infimum, est.argmax_point, infimum=infimum, r_max=r_max
-    )
+    return verdict("nehari_harmonic", GridSuprema(as_harmonic(f), (), r_max, grid),
+                   {"epsilon": epsilon})
 
 
 def convexity_check(
     h: AnalyticMap, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """inf Re(1 + z h''/h') >= 0, the classical convexity characterization."""
-    return convexity_verdict(
-        r_max, lambda: sup_weighted(CONVEXITY.at(h), CONVEXITY.kind, r_max, grid))
-
-
-def theorem_d_verdict(c: float, estimate: Estimate):
-    """||omega||_inf < 1/c; ``estimate`` gives sup |omega|."""
-    if not 1.0 <= c < math.inf:  # also false for NaN
-        raise ParameterError(
-            f"linear-connectivity constant c must be finite and >= 1, got {c}")
-    est = estimate()
-    return _verdict(
-        "theorem_d", 1.0 / c - est.value, est.argmax_point,
-        c=c, omega_inf=est.value, r_max=est.r_max,
-    )
+    return verdict("convexity", GridSuprema(h, (), r_max, grid))
 
 
 def theorem_d_harmonic(
     f, c: float = 1.0, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """||omega||_inf < 1/c for h(D) a c-linearly connected domain."""
-    return theorem_d_verdict(
-        c, lambda: omega_inf_norm(as_harmonic(f), r_max=r_max, grid=grid))
+    return verdict("theorem_d", GridSuprema(as_harmonic(f), (), r_max, grid), {"c": c})

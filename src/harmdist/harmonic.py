@@ -42,6 +42,8 @@ class HarmonicMap:
         self.normalized = (
             abs(h0) < 1e-12 and abs(g0) < 1e-12 and abs(h1 - 1.0) < 1e-12
         )
+        # NormEstimates of this map per (functional, r_max, grid); see norms.GridSuprema.
+        self.estimates: dict = {}
 
     @property
     def is_analytic(self) -> bool:

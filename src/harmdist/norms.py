@@ -7,9 +7,11 @@ formula reads omega, one g.derivs call per block), scans the formula on
 it, and refines around the argmax with a compass pattern search that
 evaluates the formula on jets of its own candidates.  ``GridSuprema``
 shares each block's jet among several functionals of the same map, r_max
-and grid, runs the blocks on every CPU the process may use, and lives
-only as long as its caller keeps it; ``sup_weighted`` is the same engine
-for a single pointwise function of z, evaluated on the whole grid at once.
+and grid, runs the blocks on every CPU the process may use, and keeps
+each estimate on a harmonic map, so that every later reader of the same
+supremum gets it without a second grid pass; ``sup_weighted`` is the same
+engine for a bare pointwise function of z, evaluated on the whole grid at
+once.
 
 Estimates are sampled lower bounds on the true supremum (sampling can only
 under-estimate); the ``refined`` flag records that local refinement ran to
@@ -23,7 +25,7 @@ so results do not depend on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -158,15 +160,29 @@ def sup_weighted(
 
 @dataclass(frozen=True)
 class Functional:
-    """A real pointwise functional: ``formula`` over a Jet of ``order``."""
+    """A real pointwise functional: ``formula`` over a Jet of ``order``.
+
+    ``order_on(h)``, if given, is the order that suffices on analytic part
+    h.  A ``capped`` functional is boundary-dominated: its supremum is read
+    up to the map's reliable radius, which its estimate records as r_max.
+    """
 
     kind: str
     formula: Callable[[Jet], np.ndarray]
     order: int
+    capped: bool = False
+    order_on: Callable[[AnalyticMap], int] | None = None
+
+    def jet_order(self, f) -> int:
+        """The jet order the formula reads on the map f."""
+        if self.order_on is None:
+            return self.order
+        return self.order_on(f.h if isinstance(f, HarmonicMap) else f)
 
     def at(self, f) -> Callable[[np.ndarray], np.ndarray]:
         """The functional of the map f as a function of z, one jet per call."""
-        return lambda z: self.formula(Jet(f, z, self.order))
+        order = self.jet_order(f)
+        return lambda z: self.formula(Jet(f, z, order))
 
 
 def _pre_schwarzian_weighted(jet, with_z=False):
@@ -192,13 +208,14 @@ PRE_SCHWARZIAN_Z = Functional(
 SCHWARZIAN = Functional(
     "schwarzian_norm",
     lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(schwarzian_of(jet)), 3,
+    order_on=schwarzian_order,
 )
 HARMONIC_SCHWARZIAN = Functional(
     "schwarzian_norm",
     lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(harmonic_schwarzian_of(jet)), 3,
 )
-OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1)
-OMEGA_STAR = Functional("omega_star", omega_star_of, 2)
+OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1, capped=True)
+OMEGA_STAR = Functional("omega_star", omega_star_of, 2, capped=True)
 BECKER_HARMONIC = Functional("becker_functional", _becker_harmonic, 2)
 # |(1/2)(1-|z|^2) P phi(z) - conj(z)|, whose supremum is the order.
 ORDER = Functional(
@@ -215,16 +232,23 @@ CONVEXITY = Functional(
 
 
 class GridSuprema:
-    """Suprema of several functionals of one map over one polar grid.
+    """Suprema of functionals of one map over one polar grid.
 
-    The grid values of every functional are computed once, when the object
-    is made.  The grid is cut by ``series.for_each_block`` into equal blocks
-    of at most ``series._HORNER_CHUNK`` points, run on every CPU the process
-    may use; each block gets one jet, to the highest order the functionals
-    read, and every formula writes its values into that block's slice.  Each
-    ``estimate`` then keeps only the value and argmax of its functional, and
-    refines on jets of its own candidates.  Nothing is cached beyond the
-    object's lifetime.
+    A harmonic map keeps each estimate made of it in ``f.estimates``, per
+    (functional, r_max, grid), so that every gate, prepare step, norm and
+    report that asks for a supremum reads the one estimate.  The map keeps
+    estimates, never grid values; an analytic map keeps none.
+
+    When the object is made, it computes the grid values of each of its
+    functionals that the map has no estimate of.  The grid is cut by
+    ``series.for_each_block`` into equal blocks of at most
+    ``series._HORNER_CHUNK`` points, run on every CPU the process may use;
+    each block gets one jet, to the highest order the functionals read, and
+    every formula writes its values into that block's slice.  ``estimate``
+    makes an estimate from those values, refined on jets of its own
+    candidates, stores it and frees the values.  Any other functional, or
+    a capped one whose r_max the reliable radius lowers, gets a grid of its
+    own.
 
     The values have the bits a single jet over the whole grid gives, because
     no block is smaller than 16384 points unless it is the whole grid.
@@ -238,20 +262,26 @@ class GridSuprema:
     If the blocked pass raises, the object falls back to one jet over the
     whole grid, with each formula applied when its estimate is asked for, so
     the error is raised where and as the whole-grid evaluation raises it.
+    An estimate that raises is not stored, and raises again when asked for.
     """
 
-    def __init__(self, f, functionals, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
+    def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
         self.f = f
         self.r_max = r_max
-        self.grid = grid
-        self.z = polar_grid(r_max, *grid)
-        order = max(fn.order for fn in functionals)
+        self.grid = tuple(grid)
+        self._memo = f.estimates if isinstance(f, HarmonicMap) else {}
+        self._scanned = [fn for fn in functionals
+                         if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
+        if not self._scanned:
+            return
+        self.z = polar_grid(r_max, *self.grid)
+        order = max(fn.jet_order(f) for fn in self._scanned)
         self._jet = None
-        self._values = {fn: np.empty(self.z.shape) for fn in functionals}
+        self._values = {fn: np.empty(self.z.shape) for fn in self._scanned}
 
         def scan(lo, hi):
             jet = Jet(f, self.z[lo:hi], order)
-            for fn in functionals:
+            for fn in self._scanned:
                 self._values[fn][lo:hi] = fn.formula(jet)
 
         try:
@@ -260,11 +290,23 @@ class GridSuprema:
             self._values = None
             self._jet = Jet(f, self.z, order)
 
+    def _key(self, fn: Functional):
+        r_max = min(self.r_max, self.f.reliable_radius) if fn.capped else self.r_max
+        return fn, r_max, self.grid
+
     def estimate(self, fn: Functional) -> NormEstimate:
-        """The estimate of ``fn``, one of the functionals the object was made with."""
+        """The map's estimate of ``fn`` over this grid, made now if it has none."""
+        key = self._key(fn)
+        if key in self._memo:
+            return self._memo[key]
+        if fn not in self._scanned:
+            return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
         v = fn.formula(self._jet) if self._values is None else self._values[fn]
-        return _estimate(self.z, v, fn.at(self.f), fn.kind, self.r_max, self.grid,
-                         refine=True)
+        self._memo[key] = _estimate(self.z, v, fn.at(self.f), fn.kind, self.r_max,
+                                    self.grid, refine=True)
+        if self._values is not None:
+            del self._values[fn]
+        return self._memo[key]
 
     def order(self) -> OrderEstimate:
         """order_of(h) for the analytic part h, from the grid values when h is normalized."""
@@ -276,34 +318,33 @@ class GridSuprema:
 
 
 # ---------------------------------------------------------------------------
-# Norms and orders.
+# Norms and orders: each an estimate of the map (on a harmonic map, its
+# stored one), or of a bare function of z through sup_weighted.
 
 def pre_schwarzian_norm(phi, with_z=False, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
     fn = PRE_SCHWARZIAN_Z if with_z else PRE_SCHWARZIAN
-    return sup_weighted(fn.at(phi), fn.kind, r_max, grid)
+    return GridSuprema(phi, (), r_max, grid).estimate(fn)
 
 
 def schwarzian_norm(phi: AnalyticMap, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    fn = replace(SCHWARZIAN, order=schwarzian_order(phi))
-    return sup_weighted(fn.at(phi), fn.kind, r_max, grid)
+    return GridSuprema(phi, (), r_max, grid).estimate(SCHWARZIAN)
 
 
 def harmonic_schwarzian_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    fn = HARMONIC_SCHWARZIAN
-    return sup_weighted(fn.at(as_harmonic(f)), fn.kind, r_max, grid)
+    return GridSuprema(as_harmonic(f), (), r_max, grid).estimate(HARMONIC_SCHWARZIAN)
 
 
 def omega_inf_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
     """sup |omega|; boundary-dominated, so the r_max cap is part of the result."""
-    r_max = min(r_max, getattr(omega, "reliable_radius", 1.0))
     if isinstance(omega, HarmonicMap):
-        func = OMEGA_ABS.at(omega)
-    else:
-        func = lambda z: np.abs(omega(z))  # noqa: E731
-    return sup_weighted(func, OMEGA_ABS.kind, r_max, grid)
+        return GridSuprema(omega, (), r_max, grid).estimate(OMEGA_ABS)
+    r_max = min(r_max, getattr(omega, "reliable_radius", 1.0))
+    return sup_weighted(lambda z: np.abs(omega(z)), OMEGA_ABS.kind, r_max, grid)
 
 
 def omega_star_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
+    if isinstance(omega, HarmonicMap):
+        return GridSuprema(omega, (), r_max, grid).estimate(OMEGA_STAR)
     rr = getattr(omega, "reliable_radius", 1.0)
     return sup_weighted(
         lambda z: omega_star_at(omega, z), OMEGA_STAR.kind, min(r_max, rr), grid
@@ -311,8 +352,7 @@ def omega_star_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
 
 
 def becker_harmonic_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    fn = BECKER_HARMONIC
-    return sup_weighted(fn.at(as_harmonic(f)), fn.kind, r_max, grid)
+    return GridSuprema(as_harmonic(f), (), r_max, grid).estimate(BECKER_HARMONIC)
 
 
 def order_of(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import criteria as C
 from .disk import automorphism
 from .errors import ParameterError
 from .harmonic import as_harmonic
-from .norms import DEFAULT_R_MAX, beta_lambda, omega_inf_norm
+from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
 
 REL_TOL = 1e-9
 
@@ -69,78 +69,37 @@ def sample_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Bound registry: formula, hypothesis gate and optional prepare step per bound.
-
-def _hyp_normalized(f, params, r_max):
-    f = as_harmonic(f)
-    margin = 0.0 if f.normalized else -1.0
-    return C.CriterionVerdict("normalized", f.normalized, margin, 0j, {})
-
-
-def _hyp_none(f, params, r_max):
-    return C.CriterionVerdict("assumed", True, 0.0, 0j, {})
-
-
-def _hyp_convex(f, params, r_max):
-    return C.convexity_check(as_harmonic(f).h, r_max=r_max)
-
-
-def _hyp_theorem_d(f, params, r_max):
-    return C.theorem_d_harmonic(f, params.get("c", 1.0), r_max=r_max)
-
-
-def _with_omega_inf(f, params, r_max):
-    if "omega_inf" not in params:
-        params = dict(params)
-        params["omega_inf"] = omega_inf_norm(as_harmonic(f), r_max=r_max).value
-    return params
-
-
-def _with_beta_lambda(f, params, r_max):
-    if "beta_lambda" not in params:
-        beta = params.get("beta", 1.0)
-        params = {**params, "beta_lambda": beta_lambda(beta, as_harmonic(f), r_max=r_max)}
-    return params
-
-
+# Bound registry: formula, hypothesis and the map supremum a formula reads.
+#
+# ``hypothesis`` names the bound's row of criteria.CRITERIA; ``fixes`` holds
+# any criterion parameter the bound fixes; ``reads`` names the map supremum
+# the formula takes as a parameter, computed unless the caller gives it.
 # A formula is called with the entries of params that it names.
 BOUND_REGISTRY: dict[str, dict] = {
-    "blatter": dict(formula=B.blatter_lower, hypothesis=_hyp_none),
-    "kim_minda_convex": dict(formula=B.kim_minda_convex_lower, hypothesis=_hyp_convex,
-                             prepare=_with_omega_inf),
-    "chuaqui_pommerenke": dict(
-        formula=B.chuaqui_pommerenke_lower,
-        hypothesis=lambda f, p, r: C.nehari_analytic(as_harmonic(f).h, 1.0, r_max=r),
-    ),
-    "mmm": dict(
-        formula=B.mmm_upper,
-        hypothesis=lambda f, p, r: C.nehari_analytic(
-            as_harmonic(f).h, p.get("t", 1.0), r_max=r
-        ),
-    ),
-    "dhk": dict(formula=B.dhk_bounds, hypothesis=_hyp_normalized),
-    "becker_analytic": dict(
-        formula=B.becker_analytic_bounds,
-        hypothesis=lambda f, p, r: C.becker_analytic(as_harmonic(f).h, "paper", r_max=r),
-    ),
-    "becker_harmonic": dict(
-        formula=B.becker_harmonic_bounds,
-        hypothesis=lambda f, p, r: C.becker_harmonic(f, r_max=r),
-    ),
-    "nehari_harmonic": dict(
-        formula=B.nehari_harmonic_bounds,
-        hypothesis=lambda f, p, r: C.nehari_harmonic(
-            f, p.get("epsilon", C.DEFAULT_NEHARI_EPSILON), r_max=r
-        ),
-    ),
-    "convex_h": dict(formula=B.convex_h_bounds, hypothesis=_hyp_convex,
-                     prepare=_with_omega_inf),
-    "linconn": dict(formula=B.linconn_bounds, hypothesis=_hyp_theorem_d,
-                    prepare=_with_omega_inf),
-    "corollary": dict(formula=B.corollary_bounds, hypothesis=_hyp_theorem_d,
-                      prepare=_with_beta_lambda),
-    "mobius_exact": dict(formula=B.mobius_exact, hypothesis=_hyp_none),
+    "blatter": dict(formula=B.blatter_lower, hypothesis="assumed"),
+    "kim_minda_convex": dict(formula=B.kim_minda_convex_lower, hypothesis="convexity",
+                             reads="omega_inf"),
+    "chuaqui_pommerenke": dict(formula=B.chuaqui_pommerenke_lower,
+                               hypothesis="nehari_analytic", fixes={"t": 1.0}),
+    "mmm": dict(formula=B.mmm_upper, hypothesis="nehari_analytic"),
+    "dhk": dict(formula=B.dhk_bounds, hypothesis="normalized"),
+    "becker_analytic": dict(formula=B.becker_analytic_bounds,
+                            hypothesis="becker_analytic[paper]"),
+    "becker_harmonic": dict(formula=B.becker_harmonic_bounds, hypothesis="becker_harmonic"),
+    "nehari_harmonic": dict(formula=B.nehari_harmonic_bounds, hypothesis="nehari_harmonic"),
+    "convex_h": dict(formula=B.convex_h_bounds, hypothesis="convexity", reads="omega_inf"),
+    "linconn": dict(formula=B.linconn_bounds, hypothesis="theorem_d", reads="omega_inf"),
+    "corollary": dict(formula=B.corollary_bounds, hypothesis="theorem_d",
+                      reads="beta_lambda"),
+    "mobius_exact": dict(formula=B.mobius_exact, hypothesis="assumed"),
 }
+
+
+def _read(f, name: str, params: dict, r_max: float) -> float:
+    """The map supremum ``name``: ||omega||, or beta_lambda = min(2, beta + ||omega*||)."""
+    if name == "omega_inf":
+        return omega_inf_norm(f, r_max=r_max).value
+    return beta_lambda(params.get("beta", 1.0), f, r_max=r_max)
 
 
 def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> dict:
@@ -220,10 +179,7 @@ def _jsonable(x):
     if isinstance(x, np.ndarray):
         return _jsonable(list(x))
     if isinstance(x, C.CriterionVerdict):
-        return _jsonable(
-            dict(criterion=x.criterion, holds=x.holds, margin=x.margin,
-                 witness=x.witness, parameters=x.parameters)
-        )
+        return _jsonable(asdict(x))
     return x
 
 
@@ -240,7 +196,8 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     params = dict(params or {})
     f = as_harmonic(f)
     r_eff = min(samples.r_max, f.reliable_radius)
-    verdict = spec["hypothesis"](f, params, r_eff)
+    verdict = C.verdict(spec["hypothesis"], GridSuprema(f, (), r_eff),
+                        {**params, **spec.get("fixes", {})})
 
     report = BoundReport(
         bound_name=bound_name,
@@ -256,8 +213,9 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
         report.parameters = _jsonable(params)
         return report, params
 
-    if "prepare" in spec:
-        params = spec["prepare"](f, params, r_eff)
+    reads = spec.get("reads")
+    if reads and reads not in params:
+        params[reads] = _read(f, reads, params, r_eff)
     report.parameters = _jsonable({k: v for k, v in params.items() if k != "force"})
 
     a, b = samples.a, samples.b

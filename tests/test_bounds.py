@@ -141,6 +141,29 @@ def test_non_finite_parameter_is_rejected(call, value):
         call(B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2), value)
 
 
+OMEGA_INF_FORMULAS = {
+    "kim_minda_convex": lambda jet, w: B.kim_minda_convex_lower(jet, p=2.0, omega_inf=w),
+    "convex_h": lambda jet, w: B.convex_h_bounds(jet, omega_inf=w),
+    "linconn": lambda jet, w: B.linconn_bounds(jet, c=1.0, beta=1.5, omega_inf=w),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, -0.5], ids=["nan", "-inf", "negative"])
+@pytest.mark.parametrize("bound", sorted(OMEGA_INF_FORMULAS))
+def test_bad_omega_inf_is_a_parameter_error(bound, value):
+    jet = B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2)
+    with pytest.raises(ParameterError, match=f"got {value}"):
+        OMEGA_INF_FORMULAS[bound](jet, value)
+
+
+@pytest.mark.parametrize("value", [1.0, np.inf], ids=["one", "inf"])
+@pytest.mark.parametrize("bound", sorted(OMEGA_INF_FORMULAS))
+def test_omega_inf_at_or_beyond_one_is_not_sense_preserving(bound, value):
+    jet = B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2)
+    with pytest.raises(NotSensePreservingError):
+        OMEGA_INF_FORMULAS[bound](jet, value)
+
+
 def test_mobius_exact_identity(rng):
     a = disc_points(rng, 50, r_hi=0.9)
     b = disc_points(rng, 50, r_hi=0.9)

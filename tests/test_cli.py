@@ -166,6 +166,25 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
     assert sizes["g"] == []
 
 
+def test_verify_reads_sup_omega_once_across_suites(monkeypatch, tmp_path, capsys):
+    """linconn's gate and prepare step read one sup |omega| for all three suites."""
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    sizes = []
+
+    def counted(z, order=3, first=0, _derivs=f.g.derivs):
+        sizes.append(int(np.size(z)))
+        return _derivs(z, order, first=first)
+
+    object.__setattr__(f.g, "derivs", counted)
+    monkeypatch.setattr(cli, "_resolve_map", lambda spec: f)
+    code = main(["verify", "--bound", "linconn", "--map", "series",
+                 "--out", str(tmp_path), *PAIRS])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    grid_points = 64 * 256 + 1  # the default grid
+    assert sizes.count(grid_points) == 1
+
+
 def test_verify_descriptor_map(tmp_path):
     desc = tmp_path / "m.json"
     desc.write_text(json.dumps({"h": {"name": "identity"}, "omega": {"expr": "0.3z"}}))

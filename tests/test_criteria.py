@@ -11,12 +11,12 @@ from harmdist.criteria import (
     convexity_check,
     nehari_analytic,
     nehari_harmonic,
-    nehari_harmonic_verdict,
     theorem_d_harmonic,
-    theorem_d_verdict,
 )
-from harmdist.errors import ParameterError
+from harmdist.descriptors import parse_descriptor
+from harmdist.errors import ParameterError, PrecisionError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
+from harmdist.norms import GridSuprema
 
 GRID = (48, 128)
 
@@ -95,17 +95,28 @@ def test_theorem_d_margins():
         theorem_d_harmonic(f, 0.5)
 
 
+def test_only_theorem_d_caps_r_max_at_the_reliable_radius():
+    """sup |omega| is read up to the reliable radius; the weighted norms refuse it."""
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    assert f.reliable_radius == pytest.approx(0.7958, abs=1e-4)
+    v = theorem_d_harmonic(f, 1.0, r_max=0.999, grid=(16, 64))
+    assert v.holds
+    assert v.parameters["r_max"] == f.reliable_radius
+    for criterion in (becker_harmonic, nehari_harmonic):
+        with pytest.raises(PrecisionError, match="beyond reliable radius"):
+            criterion(f, r_max=0.999, grid=(16, 64))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("verdict", [
-    lambda v, estimate: nehari_harmonic_verdict(v, 0.999, estimate),
-    lambda v, estimate: theorem_d_verdict(v, estimate),
-], ids=["nehari_harmonic", "theorem_d"])
-def test_non_finite_parameter_is_rejected_before_any_supremum(verdict, value):
-    def estimate():
+@pytest.mark.parametrize("criterion", [nehari_harmonic, theorem_d_harmonic],
+                         ids=["nehari_harmonic", "theorem_d"])
+def test_non_finite_parameter_is_rejected_before_any_supremum(monkeypatch, criterion, value):
+    def estimate(self, fn):
         raise AssertionError("the supremum was computed")
 
+    monkeypatch.setattr(GridSuprema, "estimate", estimate)
     with pytest.raises(ParameterError, match=f"got {value}"):
-        verdict(value, estimate)
+        criterion(shear_linear(HalfPlane(), 0.4), value)
 
 
 def test_verdict_payload_shape():

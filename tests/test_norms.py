@@ -162,6 +162,47 @@ def test_beta_lambda_policy():
         beta_lambda(0.5, Monomial(0.3, 1))
 
 
+# --- the estimates a harmonic map keeps: one per (functional, r_max, grid) ---
+
+def _count_estimates(monkeypatch):
+    import harmdist.norms as norms
+
+    made = []
+
+    def counted(*args, _orig=norms._estimate, **kwargs):
+        made.append(args[3])
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_estimate", counted)
+    return made
+
+
+def test_an_estimate_is_kept_per_map_r_max_and_grid(monkeypatch):
+    made = _count_estimates(monkeypatch)
+    f = shear_linear(Identity(), 0.3)
+    first = omega_inf_norm(f, 0.9, GRID)
+    assert omega_inf_norm(f, 0.9, GRID) is first
+    assert len(made) == 1
+    omega_inf_norm(f, 0.8, GRID)
+    omega_inf_norm(f, 0.9, (16, 64))
+    again = omega_inf_norm(shear_linear(Identity(), 0.3), 0.9, GRID)
+    assert len(made) == 4
+    assert again == first and again is not first
+    assert len(f.estimates) == 3
+
+
+def test_an_estimate_that_raised_is_not_kept(monkeypatch):
+    made = _count_estimates(monkeypatch)
+    f = HarmonicMap(Identity(), Monomial(0.99, 2))  # |omega| = 1.98|z| reaches 1
+    for _ in range(2):
+        with pytest.raises(SingularError):
+            harmonic_schwarzian_norm(f, 0.9, GRID)
+    assert f.estimates == {}
+    assert made == []
+    assert harmonic_schwarzian_norm(f, 0.45, GRID).value >= 0.0
+    assert len(f.estimates) == 1
+
+
 # --- GridSuprema's blocks: the bits of one whole-grid jet, the caller's errstate ---
 
 BLOCKED_GRID = (128, 1024)  # 131,073 points: five blocks of the grid scan

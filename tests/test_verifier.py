@@ -99,6 +99,34 @@ def test_prepare_injects_norm_parameters():
     assert 1.0 <= r.parameters["beta_lambda"] <= 2.0
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, -0.5], ids=["nan", "-inf", "negative"])
+@pytest.mark.parametrize("bound", ["kim_minda_convex", "convex_h", "linconn"])
+def test_bad_caller_omega_inf_is_rejected_not_scored(bound, value):
+    """A NaN, -inf or negative ||omega|| is a bad parameter, not a violation."""
+    s = sample_pairs("uniform-in-disc", 200, seed=0)
+    with pytest.raises(ParameterError, match="omega_inf"):
+        verify_bound(get_map("shear-halfplane-0.4z"), bound, {"omega_inf": value}, s)
+
+
+def test_corollary_estimates_each_supremum_once(monkeypatch):
+    """The gate's sup |omega| and the prepare step's ||omega*|| are made once per map."""
+    from harmdist import norms
+
+    kinds = []
+
+    def counted(z, v, func, kind, *args, _orig=norms._estimate, **kwargs):
+        kinds.append(kind)
+        return _orig(z, v, func, kind, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "_estimate", counted)
+    f = get_map("shear-halfplane-0.4z")
+    for strategy in ("uniform-in-disc", "boundary-biased", "near-diagonal"):
+        r = verify_bound(f, "corollary", {"c": 1.0, "beta": 1.0},
+                         sample_pairs(strategy, 100, seed=0))
+        assert r.hypothesis_met and r.pairs == 100
+    assert sorted(kinds) == ["omega_inf", "omega_star"]
+
+
 def test_becker_harmonic_logs_proof_form_comparison():
     f = shear_linear(Identity(), 0.3)
     r = verify_bound(f, "becker_harmonic", {}, sample_pairs("uniform-in-disc", 500, 0))
