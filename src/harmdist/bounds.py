@@ -191,6 +191,16 @@ def becker_harmonic_bounds(jet) -> PairBound:
     return PairBound(lower=_out(lo), upper=_out(up))
 
 
+def becker_harmonic_proof_upper(d, upper):
+    """The proof form of becker_harmonic_bounds' upper side; its display ends squared.
+
+    sqrt((e^{3d} - 1)/3) sqrt(sqrt(Q(a)Q(b))), with sqrt(Q(a)Q(b)) read back
+    from the statement form ``upper`` at hyperbolic distance ``d``.
+    """
+    qq = (3.0 * upper) / np.maximum(np.exp(3.0 * d) - 1.0, 1e-300)  # sqrt(QaQb)
+    return np.sqrt((np.exp(3.0 * d) - 1.0) / 3.0) * np.sqrt(qq)
+
+
 @_reads("R", "Q")
 def nehari_harmonic_bounds(jet) -> PairBound:
     """lower = d sqrt(R R); upper = sqrt(Q Q / 2) sinh(sqrt(2) d)."""

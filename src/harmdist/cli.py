@@ -1,9 +1,13 @@
 """Command-line front end: catalog, analyze, verify, plot.
 
+Each subcommand takes only the options it reads; see `harmdist <command> -h`.
+
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
-not met (without --allow-unmet); 4 = configuration error (a bad option,
-such as an --r-max outside (0, 1), a negative --seed or a NaN or infinite
---alpha, --p, --c or --epsilon; or a bad map, descriptor or parameter);
+not met (without --allow-unmet); 4 = configuration error (a bad option or
+one the subcommand does not take, such as an --r-max outside (0, 1), a
+negative --seed or a NaN or infinite --alpha, --p, --c or --epsilon; or a
+bad map, descriptor or parameter, also on a map that fails numerically,
+since every parameter is checked before a sampled point is evaluated);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ from .norms import (
     PRE_SCHWARZIAN_Z,
     GridSuprema,
 )
-from .operators import harmonic_pre_schwarzian, harmonic_schwarzian
+from .operators import Jet, harmonic_pre_schwarzian_of, harmonic_schwarzian_of
 from .plotting import (
     image_polylines,
     write_margin_scatter_csv,
@@ -74,25 +77,6 @@ ANALYZE_FUNCTIONALS = tuple(dict.fromkeys([
 ]))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    map_spec: str | None = None
-    bound: str | None = None
-    epsilon: float = DEFAULT_NEHARI_EPSILON
-    t: float = 1.0
-    p: float = 2.0
-    alpha: float = 2.0
-    beta: float = 2.0
-    c: float = 1.0
-    r_max: float = DEFAULT_R_MAX
-    grid: tuple[int, int] = DEFAULT_GRID
-    seed: int = 0
-    pairs: int = 10_000
-    out: Path | None = None
-    allow_unmet: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); config errors are exit 4
         raise ConfigError(message)
@@ -102,34 +86,41 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="harmdist", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, need_map=True):
-        if need_map:
-            sp.add_argument("--map", required=True, dest="map_spec",
-                            help="catalog name or path to a JSON mapping descriptor")
+    sub.add_parser("catalog", help="list built-in maps and their known properties"
+                   ).set_defaults(run=lambda ns: cmd_catalog())
+    analyze = sub.add_parser("analyze", help="norms, order and criterion verdicts")
+    analyze.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
+                         help="radial,angular grid counts, e.g. 64,256")
+    verify = sub.add_parser("verify", help="verify a two-point distortion bound")
+    verify.add_argument("--bound", required=True, choices=sorted(BOUND_REGISTRY))
+    verify.add_argument("--allow-unmet", action="store_true")
+    plot = sub.add_parser("plot", help="emit SVG/CSV image data")
+    plot.add_argument("--bound", default=None, choices=sorted(BOUND_REGISTRY))
+    for sp, run in ((analyze, cmd_analyze), (verify, cmd_verify), (plot, cmd_plot)):
+        sp.set_defaults(run=run)
+        sp.add_argument("--map", required=True,
+                        help="catalog name or path to a JSON mapping descriptor")
+        sp.add_argument("--r-max", type=_parse_r_max, default=DEFAULT_R_MAX)
+        sp.add_argument("--out", type=Path, default=None)
+        # the criterion parameters
         sp.add_argument("--epsilon", type=float, default=DEFAULT_NEHARI_EPSILON)
         sp.add_argument("--t", type=float, default=1.0)
+        sp.add_argument("--c", type=float, default=1.0)
+    for sp in (verify, plot):  # the bound parameters and the pair sample
         sp.add_argument("--p", type=float, default=2.0)
         sp.add_argument("--alpha", type=float, default=2.0)
         sp.add_argument("--beta", type=float, default=2.0)
-        sp.add_argument("--c", type=float, default=1.0)
-        sp.add_argument("--r-max", type=float, default=DEFAULT_R_MAX, dest="r_max")
-        sp.add_argument("--grid", type=str, default="64,256",
-                        help="radial,angular grid counts, e.g. 64,256")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--pairs", type=int, default=10_000)
-        sp.add_argument("--out", type=Path, default=None)
-        sp.add_argument("--allow-unmet", action="store_true", dest="allow_unmet")
-
-    sub.add_parser("catalog", help="list built-in maps and their known properties")
-    common(sub.add_parser("analyze", help="norms, order and criterion verdicts"))
-    vp = sub.add_parser("verify", help="verify a two-point distortion bound")
-    vp.add_argument("--bound", required=True, choices=sorted(BOUND_REGISTRY))
-    common(vp)
-    pp = sub.add_parser("plot", help="emit SVG/CSV image data")
-    pp.add_argument("--bound", default=None, choices=sorted(BOUND_REGISTRY))
-    common(pp)
     return parser
+
+
+# argparse passes on an option type's ConfigError, which is no ValueError.
+def _parse_r_max(text: str) -> float:
+    r_max = float(text)
+    if not 0.0 < r_max < 1.0:  # also false for NaN
+        raise ConfigError(f"--r-max must lie in the open interval (0, 1), got {r_max}")
+    return r_max
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -151,10 +142,16 @@ def _resolve_map(spec: str) -> HarmonicMap:
     raise ConfigError(f"--map {spec!r} is neither a catalog name nor an existing file")
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = cfg.out or Path.cwd()
+def _outdir(ns: argparse.Namespace) -> Path:
+    out = ns.out or Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _params(ns: argparse.Namespace) -> dict:
+    """The criterion and bound parameters the subcommand takes."""
+    return {k: v for k, v in vars(ns).items()
+            if k in ("epsilon", "t", "p", "alpha", "beta", "c")}
 
 
 def cmd_catalog() -> int:
@@ -162,26 +159,25 @@ def cmd_catalog() -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    f = _resolve_map(cfg.map_spec)
-    r_max = min(cfg.r_max, f.reliable_radius)
-    grid = cfg.grid
-    report: dict = {"map": f.name, "r_max": r_max, "grid": list(grid)}
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    f = _resolve_map(ns.map)
+    params = _params(ns)
+    for name in C.CRITERIA:  # a bad parameter is reported before any point is evaluated
+        C.parameter(name, params)
+    r_max = min(ns.r_max, f.reliable_radius)
+    report: dict = {"map": f.name, "r_max": r_max, "grid": list(ns.grid)}
 
-    # pointwise operator values on a coarse grid
+    # pointwise operator values on a coarse grid, from one order-3 jet per point
     radii = np.array([0.0, 0.25, 0.5, 0.7]) * min(r_max, 1.0)
     angles = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
     zs = np.array([r * w for r in radii for w in angles][:: 4])
-    report["pointwise"] = [
-        {
-            "z": [z.real, z.imag],
-            "P_f": _c(harmonic_pre_schwarzian(f, z)),
-            "S_f": _c(harmonic_schwarzian(f, z)),
-        }
-        for z in zs
-    ]
+    report["pointwise"] = []
+    for z in zs:
+        jet = Jet(f, z, 3)
+        report["pointwise"].append(dict(z=_c(z), P_f=_c(harmonic_pre_schwarzian_of(jet)),
+                                        S_f=_c(harmonic_schwarzian_of(jet))))
 
-    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, grid)
+    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, ns.grid)
     report["norms"] = {}
     for key, fn in ANALYZE_NORMS.items():
         v = sups.estimate(fn)
@@ -193,13 +189,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # Each distinct supremum is estimated once; the criteria read the map's estimates.
     report["criteria"] = [
-        _jsonable(C.verdict(name, sups, _bound_params(cfg)))
+        _jsonable(C.verdict(name, sups, params))
         for name, row in C.CRITERIA.items() if row.functional is not None
     ]
 
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
-    if cfg.out:
-        out = _outdir(cfg) / "analyze.json"
+    if ns.out:
+        out = _outdir(ns) / "analyze.json"
         out.write_text(text + "\n")
         print(f"wrote {out}")
     else:
@@ -207,34 +203,28 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _c(z: complex):
+def _c(z) -> list[float]:
+    z = complex(z)
     return [z.real, z.imag]
 
 
-def _bound_params(cfg: RunConfig) -> dict:
-    return {
-        "epsilon": cfg.epsilon, "t": cfg.t, "p": cfg.p,
-        "alpha": cfg.alpha, "beta": cfg.beta, "c": cfg.c,
-    }
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    f = _resolve_map(cfg.map_spec)
-    out = _outdir(cfg)
-    params = _bound_params(cfg)
-    r_max = min(cfg.r_max, f.reliable_radius)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    f = _resolve_map(ns.map)
+    out = _outdir(ns)
+    params = _params(ns)
+    r_max = min(ns.r_max, f.reliable_radius)
     suites = [
-        ("uniform-in-disc", cfg.pairs),
-        ("boundary-biased", max(1, cfg.pairs // 10)),
-        ("near-diagonal", max(1, cfg.pairs // 10)),
+        ("uniform-in-disc", ns.pairs),
+        ("boundary-biased", max(1, ns.pairs // 10)),
+        ("near-diagonal", max(1, ns.pairs // 10)),
     ]
     total_violations = 0
     unmet = False
     summaries = []
     for strategy, count in suites:
-        samples = sample_pairs(strategy, count, cfg.seed, r_max)
-        report = verify_bound(f, cfg.bound, params, samples)
-        stem = f"{cfg.bound}-{strategy}"
+        samples = sample_pairs(strategy, count, ns.seed, r_max)
+        report = verify_bound(f, ns.bound, params, samples)
+        stem = f"{ns.bound}-{strategy}"
         write_report_json(report, out / f"{stem}.json")
         write_pairs_csv(report, out / f"{stem}.csv")
         total_violations += report.violations
@@ -245,29 +235,29 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
     for line in summaries:
         print(line)
-    if unmet and not cfg.allow_unmet:
+    if unmet and not ns.allow_unmet:
         return EXIT_HYPOTHESIS
     if total_violations:
         return EXIT_VIOLATIONS
     return EXIT_OK
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    f = _resolve_map(cfg.map_spec)
-    if cfg.bound:  # a bad seed is rejected before any file is written
+def cmd_plot(ns: argparse.Namespace) -> int:
+    f = _resolve_map(ns.map)
+    if ns.bound:  # a bad seed is rejected before any file is written
         samples = sample_pairs(
-            "uniform-in-disc", max(1, cfg.pairs), cfg.seed,
-            min(cfg.r_max, f.reliable_radius),
+            "uniform-in-disc", max(1, ns.pairs), ns.seed,
+            min(ns.r_max, f.reliable_radius),
         )
-    out = _outdir(cfg)
+    out = _outdir(ns)
     polylines = image_polylines(f)
     write_polylines_svg(polylines, out / "image.svg")
     write_polylines_csv(polylines, out / "image.csv")
     wrote = ["image.svg", "image.csv"]
-    if cfg.bound:
-        report = verify_bound(f, cfg.bound, _bound_params(cfg), samples)
-        write_margin_scatter_csv(report, out / f"{cfg.bound}-margins.csv")
-        wrote.append(f"{cfg.bound}-margins.csv")
+    if ns.bound:
+        report = verify_bound(f, ns.bound, _params(ns), samples)
+        write_margin_scatter_csv(report, out / f"{ns.bound}-margins.csv")
+        wrote.append(f"{ns.bound}-margins.csv")
     print("wrote " + ", ".join(str(out / w) for w in wrote))
     return EXIT_OK
 
@@ -275,27 +265,7 @@ def cmd_plot(cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        if ns.command == "catalog":
-            return cmd_catalog()
-        if not 0.0 < ns.r_max < 1.0:  # also false for NaN
-            raise ConfigError(f"--r-max must lie in the open interval (0, 1), "
-                              f"got {ns.r_max}")
-        cfg = RunConfig(
-            command=ns.command,
-            map_spec=ns.map_spec,
-            bound=getattr(ns, "bound", None),
-            epsilon=ns.epsilon, t=ns.t, p=ns.p, alpha=ns.alpha,
-            beta=ns.beta, c=ns.c, r_max=ns.r_max,
-            grid=_parse_grid(ns.grid), seed=ns.seed, pairs=ns.pairs,
-            out=ns.out, allow_unmet=ns.allow_unmet,
-        )
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "plot":
-            return cmd_plot(cfg)
-        raise ConfigError(f"unknown command {cfg.command!r}")
+        return ns.run(ns)
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,10 +5,12 @@ norms engine and is reported as a verdict with a signed margin: positive
 margin means the criterion holds with that much slack.
 
 Every criterion is one row of ``CRITERIA``, and ``verdict`` applies a row:
-it checks the criterion's parameter, then reads the supremum of the row's
-functional through a ``norms.GridSuprema``, which on a harmonic map is
-the estimate the map already holds if any caller made it.  A bad parameter
-is therefore reported before any supremum is computed.
+it checks the criterion's parameter through ``parameter``, then reads the
+supremum of the row's functional through a ``norms.GridSuprema``, which on
+a harmonic map is the estimate the map already holds if any caller made
+it.  A bad parameter is therefore reported before any supremum is
+computed; a caller that evaluates the map before its verdicts calls
+``parameter`` on every row first.
 """
 
 from __future__ import annotations
@@ -106,22 +108,36 @@ CRITERIA: dict[str, Criterion] = {
 }
 
 
+def parameter(name: str, params: dict | None = None) -> float | None:
+    """The parameter of the row ``name``: its entry in ``params``, or its default.
+
+    None for a row without a parameter; ParameterError for a value outside
+    the row's range.  ``params`` may hold any other entries, which are
+    ignored.
+    """
+    row = CRITERIA[name]
+    if row.param is None:
+        return None
+    value = (params or {}).get(row.param, row.default)
+    if not row.valid(value):
+        raise ParameterError(row.invalid.format(value))
+    return value
+
+
 def verdict(name: str, sups: GridSuprema, params: dict | None = None) -> CriterionVerdict:
     """The row ``name`` of CRITERIA applied to the map of ``sups``, over its grid.
 
-    ``params`` may hold the row's parameter, and any other entries, which
-    are ignored.
+    The row's parameter is read from ``params`` and checked, by
+    ``parameter``, before any supremum is read.
     """
     row = CRITERIA[name]
+    value = parameter(name, params)
     witness, recorded = 0j, dict(row.fixed)
     if row.functional is None:
         margin = row.threshold(sups.f)
     else:
         threshold = row.threshold
         if row.param is not None:
-            value = (params or {}).get(row.param, row.default)
-            if not row.valid(value):
-                raise ParameterError(row.invalid.format(value))
             threshold, recorded[row.param] = threshold(value), value
         est = sups.estimate(row.functional)
         margin, witness = threshold - est.value, est.argmax_point

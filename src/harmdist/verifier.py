@@ -219,6 +219,9 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     report.parameters = _jsonable({k: v for k, v in params.items() if k != "force"})
 
     a, b = samples.a, samples.b
+    # The formula checks its parameters on no pairs first, so a bad parameter
+    # is reported as such even where the map fails at a sampled point.
+    _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     ok = (np.abs(a) < r_eff) & (np.abs(b) < r_eff)
     report.skipped = int((~ok).sum())
     a, b = a[ok], b[ok]
@@ -251,11 +254,9 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
         )
 
     if bound_name == "becker_harmonic" and len(a):
-        # Statement form vs proof form of the upper bound: the proof display
-        # ends squared; record which is tighter, pair by pair.
-        d = v["d"]
-        qq = (3.0 * upper) / np.maximum(np.exp(3.0 * d) - 1.0, 1e-300)  # sqrt(QaQb)
-        proof_upper = np.sqrt((np.exp(3.0 * d) - 1.0) / 3.0) * np.sqrt(qq)
+        # Statement form vs proof form of the upper bound: record which is
+        # tighter, pair by pair.
+        proof_upper = B.becker_harmonic_proof_upper(v["d"], upper)
         report.extra["proof_form_tighter_pairs"] = int((proof_upper < upper).sum())
 
     nan = np.full(len(a), np.nan)

@@ -196,3 +196,12 @@ def test_convex_h_upper_exceeds_identity_displacement(rng):
     pb = B.convex_h_bounds(B.pair_jet(f, a, b), omega_inf=0.0)
     assert np.all(pb.upper >= np.abs(a - b) - 1e-12)
     assert np.all(pb.lower <= np.abs(a - b) + 1e-12)
+
+
+def test_becker_harmonic_proof_form_reads_the_statement_form(rng):
+    """The proof form reads sqrt(Q(a)Q(b)) back from becker_harmonic_bounds' upper side."""
+    f = shear_linear(Identity(), 0.3)
+    jet = B.pair_jet(f, disc_points(rng, 50, r_hi=0.9), disc_points(rng, 50, r_hi=0.9))
+    proof = B.becker_harmonic_proof_upper(jet.d, B.becker_harmonic_bounds(jet).upper)
+    direct = np.sqrt((np.exp(3.0 * jet.d) - 1.0) / 3.0 * np.sqrt(jet.a.Q * jet.b.Q))
+    np.testing.assert_allclose(proof, direct, rtol=1e-12)

@@ -81,7 +81,8 @@ def test_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--bound", "dhk"]],
                          ids=["analyze", "verify"])
 def test_r_max_outside_open_unit_interval_is_config_error(command, r_max, tmp_path, capsys):
-    args = [*command, "--map", "koebe", "--r-max", r_max, "--out", str(tmp_path), *PAIRS]
+    pairs = PAIRS if command[0] == "verify" else []
+    args = [*command, "--map", "koebe", "--r-max", r_max, "--out", str(tmp_path), *pairs]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: --r-max")
     assert not any(tmp_path.iterdir())
@@ -107,11 +108,49 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
         "analyze-epsilon-inf", "analyze-c-nan"])
 def test_non_finite_parameter_is_config_error(args, tmp_path, capsys):
     """A NaN or infinite parameter never counts as a pass or a violation."""
-    assert main([*args, "--out", str(tmp_path), *PAIRS]) == EXIT_CONFIG
+    pairs = PAIRS if args[0] == "verify" else []
+    assert main([*args, "--out", str(tmp_path), *pairs]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert f"got {args[-1]}" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--seed", "1"],
+    ["analyze", "--pairs", "400"],
+    ["analyze", "--allow-unmet"],
+    ["analyze", "--p", "2"],
+    ["analyze", "--alpha", "2"],
+    ["analyze", "--beta", "2"],
+    ["verify", "--bound", "dhk", *PAIRS, "--grid", "16,48"],
+    ["plot", *PAIRS, "--grid", "16,48"],
+    ["plot", *PAIRS, "--allow-unmet"],
+], ids=["analyze-seed", "analyze-pairs", "analyze-allow-unmet", "analyze-p",
+        "analyze-alpha", "analyze-beta", "verify-grid", "plot-grid", "plot-allow-unmet"])
+def test_option_the_subcommand_does_not_take_is_config_error(args, tmp_path, capsys):
+    """An option the subcommand does not read fails closed, before any file is written."""
+    assert main([*args, "--map", "identity", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: unrecognized arguments")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, named", [
+    (["verify", "--bound", "dhk", "--alpha", "nan", "--pairs", "200"], "alpha"),
+    (["verify", "--bound", "kim_minda_convex", "--p", "0.5", "--pairs", "200"], "p > 1"),
+    (["analyze", "--t", "2"], "t must lie"),
+], ids=["dhk-alpha-nan", "kim_minda_convex-p", "analyze-t"])
+def test_bad_parameter_on_a_numerically_failing_map_is_config_error(
+        args, named, tmp_path, capsys):
+    """omega = 1.98 z leaves the disc, but the parameter is checked first."""
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps({"h": {"name": "identity"}, "g": {"expr": "0.99z^2"}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*args, "--map", str(desc), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not any(out.iterdir())
 
 
 def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):
@@ -154,7 +193,7 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
         object.__setattr__(m, "derivs", counted)
     monkeypatch.setattr(cli, "_resolve_map", lambda spec: f)
     grid = (16, 64)
-    assert cli.cmd_analyze(cli.RunConfig("analyze", map_spec="series", grid=grid)) == EXIT_OK
+    assert main(["analyze", "--map", "series", "--grid", "16,64"]) == EXIT_OK
     capsys.readouterr()
     points = grid[0] * grid[1] + 1
     assert sizes["h"].count(points) == 1
@@ -164,6 +203,33 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
     sizes["g"].clear()
     convexity_check(f.h, grid=grid)
     assert sizes["g"] == []
+
+
+def test_analyze_evaluates_each_pointwise_sample_once(monkeypatch, capsys):
+    """P_f and S_f at each of the eight pointwise samples share one jet."""
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    calls = {"h": 0, "g": 0}
+    for part in ("h", "g"):
+        m = getattr(f, part)
+
+        def counted(z, order=3, first=0, _derivs=m.derivs, _part=part):
+            calls[_part] += 1
+            return _derivs(z, order, first=first)
+
+        object.__setattr__(m, "derivs", counted)
+
+    class GridScan(Exception):
+        pass
+
+    def grid_scan(*args, **kwargs):
+        raise GridScan
+
+    monkeypatch.setattr(cli, "_resolve_map", lambda spec: f)
+    monkeypatch.setattr(cli, "GridSuprema", grid_scan)  # stop after the pointwise values
+    with pytest.raises(GridScan):
+        main(["analyze", "--map", "series"])
+    capsys.readouterr()
+    assert calls == {"h": 8, "g": 8}
 
 
 def test_verify_reads_sup_omega_once_across_suites(monkeypatch, tmp_path, capsys):
