@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import hyperbolic_from_pseudo, pseudo_hyperbolic
+from .disk import hyperbolic_from_pseudo, pseudo_hyperbolic_in_disc, require_in_disk
 from .errors import NotSensePreservingError, ParameterError
 from .harmonic import as_harmonic
 from .operators import PointJet, point_jet
@@ -67,8 +67,14 @@ def pair_jet(f, a, b, reads=ALL_READS) -> PairJet:
     for a point outside the disc and NotSensePreservingError where
     |omega| >= 1.
     """
+    require_in_disk(a, b)
+    return pair_jet_in_disc(f, a, b, reads)
+
+
+def pair_jet_in_disc(f, a, b, reads=ALL_READS) -> PairJet:
+    """pair_jet for pairs the caller has checked lie in the disc."""
     f = as_harmonic(f)
-    rho = pseudo_hyperbolic(a, b)  # the one disc-membership check
+    rho = pseudo_hyperbolic_in_disc(a, b)
     return PairJet(
         point_jet(f, a, reads), point_jet(f, b, reads), rho, hyperbolic_from_pseudo(rho),
         complex(f.omega_derivs(0.0, 0)[0]) if "omega0" in reads else None,

@@ -35,6 +35,11 @@ def require_in_disk(*points, name: str = "point") -> None:
 def pseudo_hyperbolic(a, b):
     """rho(a, b) = |(a - b) / (1 - conj(a) b)|, in [0, 1)."""
     require_in_disk(a, b)
+    return pseudo_hyperbolic_in_disc(a, b)
+
+
+def pseudo_hyperbolic_in_disc(a, b):
+    """pseudo_hyperbolic for points the caller has checked lie in the disc."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     out = np.abs((a - b) / (1.0 - np.conj(a) * b))

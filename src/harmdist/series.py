@@ -24,12 +24,12 @@ COMPOSE_RADIUS_FACTOR = 0.7
 
 _TAIL_TARGET = 1e-12
 
-# Most points in one block of `for_each_block`, which cuts `horner`'s points
-# and `norms.GridSuprema`'s grid.  A block of z and its accumulator
-# (2 x 512 KiB of complex128) stay in a 2 MiB per-core L2 cache across all of
-# a series' coefficients, and long blocks make worker threads hand each
-# other the GIL between ufuncs less often: with two workers, 32768 ran
-# faster than 16384 (BENCH_series_threads.json).
+# Most points in one block of `for_each_block`, which cuts `horner`'s points,
+# `norms.GridSuprema`'s grid and the verifier's pairs.  A block of z and its
+# accumulator (2 x 512 KiB of complex128) stay in a 2 MiB per-core L2 cache
+# across all of a series' coefficients, and long blocks make worker threads
+# hand each other the GIL between ufuncs less often: with two workers, 32768
+# ran faster than 16384 (BENCH_series_threads.json).
 _HORNER_CHUNK = 32768
 
 
@@ -63,6 +63,9 @@ def for_each_block(n: int, run) -> None:
     ``run`` must write only what belongs to its own block.  Then the result
     does not depend on the number of workers, because each block goes
     through the same calls on the same edges whichever thread runs it.
+
+    Its users: ``horner``, ``norms.GridSuprema``'s grid scan, and the
+    verifier's pair evaluation and point sampler.
     """
     blocks = -(-n // _HORNER_CHUNK)
     edges = [n * j // blocks for j in range(blocks + 1)]

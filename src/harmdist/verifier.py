@@ -5,7 +5,15 @@ the directly evaluated |f(a) - f(b)| (the ground truth; never a series of
 the difference).  A single relative tolerance constant governs all
 comparisons: a pair counts as a violation when it fails by more than
 REL_TOL * max(1, |f(a) - f(b)|), or when its bound or |f(a) - f(b)| is not
-finite.  Each sample point is evaluated once, through bounds.pair_jet.
+finite.  Each sample point is evaluated once, through a pair jet.
+
+The pairs are checked to lie in the disc once, and then evaluated block by
+block (``series.for_each_block``), on every CPU the process may use: each
+block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
+slice of the report's full-length columns and counts its own violations,
+with the bits one evaluation of all the pairs gives.  The sampler draws
+each uniform array whole, which fixes the generator's stream, and maps it
+to points block by block.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import numpy as np
 
 from . import bounds as B
 from . import criteria as C
-from .disk import automorphism
+from .disk import automorphism, require_in_disk
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
+from .series import for_each_block
 
 REL_TOL = 1e-9
 
@@ -48,12 +57,22 @@ def sample_pairs(
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
+    if not 0.0 < r_max < 1.0:  # also false for NaN
+        raise ParameterError(f"r_max must lie in the open interval (0, 1), got {r_max}")
     rng = np.random.default_rng(seed)
 
     def disc(n, lo=0.0, hi=r_max):
-        r = np.sqrt(rng.uniform(lo**2, hi**2, n))  # area measure
+        # Each uniform array is drawn whole, which fixes the generator's
+        # stream; the points are mapped from them block by block.
+        u = rng.uniform(lo**2, hi**2, n)  # area measure
         th = rng.uniform(0.0, 2.0 * np.pi, n)
-        return r * np.exp(1j * th)
+        z = np.empty(n, dtype=complex)
+
+        def run(i, j):
+            z[i:j] = np.sqrt(u[i:j]) * np.exp(1j * th[i:j])
+
+        for_each_block(n, run)
+        return z
 
     if strategy == "uniform-in-disc":
         a, b = disc(count), disc(count)
@@ -107,10 +126,11 @@ def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> dict:
 
     Each point is evaluated once, through one pair jet.  A formula returns
     a PairBound, or an exact value that is both its lower and upper side;
-    a side the bound lacks, and its margin, are None.
+    a side the bound lacks, and its margin, are None.  The caller checks
+    that the pairs lie in the disc.
     """
     formula = BOUND_REGISTRY[bound_name]["formula"]
-    jet = B.pair_jet(f, a, b, formula.reads)
+    jet = B.pair_jet_in_disc(f, a, b, formula.reads)
     names = inspect.signature(formula).parameters
     out = formula(jet, **{k: v for k, v in params.items() if k in names})
     lower, upper = (out.lower, out.upper) if isinstance(out, B.PairBound) else (out, out)
@@ -122,6 +142,20 @@ def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> dict:
         lower_margin=None if lower is None else actual - lower,
         upper_margin=None if upper is None else upper - actual,
     )
+
+
+def _violations(v: dict) -> int:
+    """How many pairs of _evaluate_pairs' values v fail.
+
+    Fail closed: a pair whose bound or true distance is not finite is a violation.
+    """
+    actual = v["actual"]
+    tol = REL_TOL * np.maximum(1.0, actual)
+    viol = ~np.isfinite(actual)
+    for side in ("lower", "upper"):
+        if v[side] is not None:
+            viol |= ~np.isfinite(v[side]) | (v[f"{side}_margin"] < -tol)
+    return int(viol.sum())
 
 
 def _margin(v: dict) -> np.ndarray:
@@ -219,32 +253,24 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     report.parameters = _jsonable({k: v for k, v in params.items() if k != "force"})
 
     a, b = samples.a, samples.b
-    # The formula checks its parameters on no pairs first, so a bad parameter
-    # is reported as such even where the map fails at a sampled point.
-    _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     ok = (np.abs(a) < r_eff) & (np.abs(b) < r_eff)
     report.skipped = int((~ok).sum())
-    a, b = a[ok], b[ok]
-
-    v = _evaluate_pairs(f, bound_name, params, a, b)
+    if report.skipped:
+        a, b = a[ok], b[ok]
+    v, violations = _evaluate_blocks(f, bound_name, params, a, b)
     actual, lower, upper = v["actual"], v["lower"], v["upper"]
-    tol = REL_TOL * np.maximum(1.0, actual)
 
-    # Fail closed: a pair whose bound or true distance is not finite is a violation.
-    viol = ~np.isfinite(actual)
     worst, worst_margin = None, np.inf
     for side in ("lower", "upper"):
         margin = v[f"{side}_margin"]
-        if margin is None:
+        if margin is None or not len(a):
             continue
-        viol |= ~np.isfinite(v[side]) | (margin < -tol)
-        if len(a):
-            k = int(np.argmin(margin))
-            setattr(report, f"min_{side}_margin", float(margin.min()))
-            if margin[k] < worst_margin:
-                worst, worst_margin = k, float(margin[k])
+        k = int(np.argmin(margin))
+        setattr(report, f"min_{side}_margin", float(margin.min()))
+        if margin[k] < worst_margin:
+            worst, worst_margin = k, float(margin[k])
     report.pairs = int(len(a))
-    report.violations = int(viol.sum())
+    report.violations = violations
     if worst is not None:
         report.worst_pair = (complex(a[worst]), complex(b[worst]))
     if lower is not None and len(a):
@@ -263,6 +289,49 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     report.table = dict(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag,
                         **{k: nan if x is None else x for k, x in v.items()})
     return report, params
+
+
+def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
+    """_evaluate_pairs' values at pairs (a, b), and how many of the pairs fail.
+
+    The formula checks its parameters on no pairs first, so a bad parameter
+    is reported as such even where the map fails at a sampled point; that
+    call also gives the sides the bound has.  Then the pairs are checked
+    to lie in the disc, once, on the calling thread.  They are cut by
+    ``series.for_each_block`` and run on every CPU the process may use:
+    each block evaluates its own pair jet, writes its slice of full-length
+    columns and counts its own violations, so no jet outlives its block.
+    The columns have the bits of one evaluation over all pairs, because no
+    block is below 16384 pairs unless it holds them all (see
+    norms.GridSuprema).
+
+    Fewer than two pairs, or a blocked pass that raises, take that one
+    evaluation over all pairs, so an error is raised as it raises it.
+    """
+    empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
+    require_in_disk(a, b)
+
+    def whole():
+        v = _evaluate_pairs(f, bound_name, params, a, b)
+        return v, _violations(v)
+
+    if len(a) < 2:
+        return whole()
+    v = {k: None if x is None else np.empty(len(a)) for k, x in empty.items()}
+    counts = {}
+
+    def run(lo, hi):
+        block = _evaluate_pairs(f, bound_name, params, a[lo:hi], b[lo:hi])
+        for k, x in block.items():
+            if x is not None:
+                v[k][lo:hi] = x
+        counts[lo] = _violations(block)
+
+    try:
+        for_each_block(len(a), run)
+    except Exception:  # re-raised below, by the evaluation over all pairs
+        return whole()
+    return v, sum(counts.values())
 
 
 def counterexample_search(

@@ -1,17 +1,27 @@
 """Verification harness: sampling, gating, reports, counterexample search."""
 
 import json
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from harmdist import series
 from harmdist.analytic import HalfPlane, Identity, Koebe
 from harmdist.catalog import get_map
-from harmdist.errors import ParameterError
-from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
+from harmdist.errors import DomainError, NotSensePreservingError, ParameterError
+from harmdist.harmonic import (
+    SENSE_TOL,
+    analytic_as_harmonic,
+    harmonic_mobius,
+    shear_linear,
+)
 from harmdist.verifier import (
     BOUND_REGISTRY,
     REL_TOL,
+    PairSet,
     sample_pairs,
     counterexample_search,
     verify_bound,
@@ -20,6 +30,7 @@ from harmdist.verifier import (
 )
 
 N = 2000  # desk-scale pair counts keep the suite fast
+BLOCKED = 100_003  # four blocks of series.for_each_block, enough for two threads
 
 
 def test_sample_pairs_deterministic_and_in_range():
@@ -44,6 +55,13 @@ def test_sample_pairs_validation():
         sample_pairs("uniform-in-disc", 0, 0)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         sample_pairs("uniform-in-disc", 10, -1)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -0.5, 1.0, 1.5, np.nan, np.inf])
+def test_sample_pairs_rejects_r_max_outside_the_open_unit_interval(r_max):
+    """No vacuous pass on an empty sample, no silent skips, no bare OverflowError."""
+    with pytest.raises(ParameterError, match=r"r_max must lie in the open interval \(0, 1\)"):
+        sample_pairs("uniform-in-disc", 1000, 0, r_max)
 
 
 def test_registry_covers_all_bounds():
@@ -206,6 +224,26 @@ def test_each_sample_point_is_evaluated_once():
     assert seen == {"h": 2 * r.pairs, "g": 2 * r.pairs}
 
 
+def test_each_sample_point_is_evaluated_once_in_blocks(monkeypatch):
+    """The same on pairs that span several blocks, evaluated on worker threads."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    f = get_map("shear-identity-0.3z")
+    seen = {"h": [], "g": []}  # list.append is atomic, unlike += across threads
+    for part in ("h", "g"):
+        m = getattr(f, part)
+
+        def counted(z, order=3, _derivs=m.derivs, _part=part):
+            seen[_part].append(int(np.size(z)))
+            return _derivs(z, order)
+
+        object.__setattr__(m, "derivs", counted)
+    s = sample_pairs("uniform-in-disc", BLOCKED, seed=2)
+    r = verify_bound(f, "dhk", {"alpha": 2.0}, s)
+    assert r.pairs == BLOCKED
+    assert max(seen["h"]) <= series._HORNER_CHUNK
+    assert {k: sum(v) for k, v in seen.items()} == {"h": 2 * r.pairs, "g": 2 * r.pairs}
+
+
 def test_non_finite_pairs_count_as_violations():
     """A NaN or infinite bound value fails closed.
 
@@ -223,6 +261,70 @@ def test_non_finite_pairs_count_as_violations():
     with np.errstate(invalid="ignore"):
         failing = t["lower_margin"] < -REL_TOL * np.maximum(1.0, t["actual"])
     assert r.violations == int((non_finite | failing).sum())
+
+
+def test_caller_errstate_reaches_the_block_workers(monkeypatch):
+    """The multi-block form of the test above: the workers run under the caller's errstate."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    params = {"epsilon": 0.1, "t": 1.0, "p": 1000.0, "alpha": 2.0, "beta": 2.0, "c": 1.0}
+    f = get_map("halfplane")
+    s = sample_pairs("uniform-in-disc", BLOCKED, 0, 0.999)
+    with pytest.warns(RuntimeWarning):  # numpy's default errstate warns
+        verify_bound(f, "kim_minda_convex", params, s)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = verify_bound(f, "kim_minda_convex", params, s)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    t = r.table
+    last_block = slice(-BLOCKED // 4, None)
+    assert np.isnan(t["lower"][last_block]).sum() > 0
+    non_finite = ~(np.isfinite(t["lower"]) & np.isfinite(t["actual"]))
+    with np.errstate(invalid="ignore"):
+        failing = t["lower_margin"] < -REL_TOL * np.maximum(1.0, t["actual"])
+    assert r.violations == int((non_finite | failing).sum())
+
+
+def test_block_workers_lose_no_violation(monkeypatch):
+    """More workers than cores and a short switch interval: every block's count is kept."""
+    monkeypatch.setattr(series, "_cpus", lambda: 4)
+    f = analytic_as_harmonic(Koebe())
+    s = sample_pairs("uniform-in-disc", 8 * series._HORNER_CHUNK + 1, seed=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = verify_bound(f, "dhk", {"alpha": 0.5, "strict": False}, s)
+    finally:
+        sys.setswitchinterval(interval)
+    t = r.table
+    failing = np.zeros(r.pairs, dtype=bool)
+    for side in ("lower", "upper"):
+        failing |= t[f"{side}_margin"] < -REL_TOL * np.maximum(1.0, t["actual"])
+    assert 0 < r.violations == int(failing.sum())
+
+
+def _with_point(samples: PairSet, k: int, z: complex, r_max: float) -> PairSet:
+    a = samples.a.copy()
+    a[k] = z
+    return PairSet(a, samples.b, samples.strategy, samples.seed, r_max)
+
+
+def test_point_outside_the_disc_in_a_late_block_raises(monkeypatch):
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    f = get_map("shear-halfplane-0.4z")
+    f.reliable_radius = 1.5  # so that no pair is skipped before the disc check
+    s = _with_point(sample_pairs("uniform-in-disc", BLOCKED, 0), BLOCKED - 10, 1.2, 1.5)
+    with pytest.raises(DomainError, match="outside the open unit disc"):
+        verify_bound(f, "blatter", {"force": True}, s)
+
+
+def test_non_sense_preserving_block_raises_the_whole_array_error(monkeypatch):
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    f = shear_linear(Identity(), 2.0)  # omega = 2z, so |omega| >= 1 from |z| = 1/2
+    s = _with_point(sample_pairs("uniform-in-disc", BLOCKED, 0, 0.45), BLOCKED // 2, 0.7, 0.9)
+    message = f"{f.name}: |omega| >= 1 - {SENSE_TOL} at a queried point"
+    with pytest.raises(NotSensePreservingError, match=re.escape(message)):
+        verify_bound(f, "blatter", {"force": True}, s)
 
 
 def test_unknown_bound_rejected():
