@@ -4,23 +4,27 @@ Every named functional is a ``Functional``: a formula over an operators.Jet
 of a stated order.  The grid-jet contract: a supremum evaluates the map's
 jet once per block of a polar grid (one h.derivs call per block and, if a
 formula reads omega, one g.derivs call per block), scans the formula on
-it, and refines around the argmax with a compass pattern search that
-evaluates the formula on jets of its own candidates.  ``GridSuprema``
-shares each block's jet among several functionals of the same map, r_max
-and grid, runs the blocks on every CPU the process may use, and keeps
-each estimate on a harmonic map, so that every later reader of the same
+it, and reduces the block's values to what an estimate reads of them: the
+first non-finite value, else the maximum and its argmax.  The blocks'
+reductions are combined in grid order, so no grid of values is kept.  The
+grid argmax is then refined by a compass pattern search, ``_refine``.
+``GridSuprema`` shares each block's jet among several functionals of the
+same map, r_max and grid, runs the blocks on every CPU the process may use,
+refines all their argmaxes in lockstep on one jet per step, and keeps each
+estimate on a harmonic map, so that every later reader of the same
 supremum gets it without a second grid pass; ``sup_weighted`` is the same
-engine for a bare pointwise function of z, evaluated on the whole grid at
-once.
+engine, with a single search, for a bare pointwise function of z,
+evaluated on the whole grid at once.
 
-Estimates are sampled lower bounds on the true supremum (sampling can only
-under-estimate); the ``refined`` flag records that local refinement ran to
-convergence.  A NaN or infinite functional value raises NonFiniteError
-instead of being skipped.
+Estimates are sampled lower estimates of the true supremum (sampling can
+only under-estimate it, and nothing bounds the shortfall); the ``refined``
+flag records that local refinement ran to convergence.  A NaN or infinite
+functional value raises NonFiniteError instead of being skipped.
 
 The grid always contains z = 0, and the argmax is selected
-deterministically (ties broken by smallest |z|, then smallest argument),
-so results do not depend on evaluation order.
+deterministically (ties broken by smallest |z|, then smallest argument,
+then grid order), so results do not depend on evaluation order or on how
+the grid is cut into blocks.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ REFINE_CONVERGED_STEP = 1e-4
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A sampled-and-refined lower bound on a disc supremum."""
+    """A sampled-and-refined lower estimate of a disc supremum."""
 
     value: float
     kind: str
@@ -95,52 +99,131 @@ def _require_finite(z: np.ndarray, v: np.ndarray, kind: str) -> None:
         raise NonFiniteError(f"{kind}: functional value {v[k]} at z = {complex(z[k])}")
 
 
-def _deterministic_argmax(z: np.ndarray, v: np.ndarray) -> int:
-    m = v.max()
-    idx = np.flatnonzero(v == m)
-    if len(idx) == 1:
-        return int(idx[0])
-    zz = z[idx]
-    ang = np.mod(np.angle(zz), 2.0 * np.pi)
-    order = np.lexsort((ang, np.round(np.abs(zz), 15)))
-    return int(idx[order[0]])
+def _least_key(z: np.ndarray) -> int:
+    """The position of the point of z first by (|z| to 15 decimals, argument in [0, 2 pi), position)."""
+    r = np.round(np.abs(z), 15)
+    near = np.flatnonzero(r == r.min())
+    if len(near) == 1:
+        return int(near[0])
+    return int(near[np.argmin(np.mod(np.angle(z[near]), 2.0 * np.pi))])
 
 
-def _pattern_search(func, z0: complex, step: float, r_max: float, kind: str):
-    """Compass maximization of func around z0 within |z| <= r_max."""
-    z = np.array([z0])
-    v = np.asarray(func(z), dtype=float)
-    _require_finite(z, v, kind)
-    best_z, best_v = complex(z0), float(v[0])
-    for _ in range(REFINE_ITERS):
-        cand = best_z + step * np.array([1, -1, 1j, -1j])
-        mod = np.maximum(np.abs(cand), 1e-300)
-        cand = np.where(mod >= r_max, cand / mod * r_max, cand)
-        vals = np.asarray(func(cand), dtype=float)
-        _require_finite(cand, vals, kind)
-        k = int(np.argmax(vals))
-        if vals[k] > best_v:
-            best_z, best_v = complex(cand[k]), float(vals[k])
-        else:
-            step *= REFINE_CONTRACTION
-    return best_z, best_v, step < REFINE_CONVERGED_STEP
+def _peak(z: np.ndarray, v, kind: str, lo: int = 0):
+    """What an estimate reads of the values v at the points z, which start at grid index lo.
 
-
-def _estimate(z, v, func, kind, r_max, grid, refine) -> NormEstimate:
-    """The estimate from the values v of func on the polar grid z."""
-    nr, ntheta = grid
+    That is the maximum and the grid index of its point first by
+    ``_least_key``, or the NonFiniteError of the first non-finite value.
+    """
     v = np.asarray(v, dtype=float)
-    _require_finite(z, v, kind)
-    i = _deterministic_argmax(z, v)
-    best_z, best_v = complex(z[i]), float(v[i])
-    refined = False
-    if refine:
-        # initial step = local grid spacing near the argmax
-        step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
-        rz, rv, refined = _pattern_search(func, best_z, step, r_max, kind)
+    try:
+        _require_finite(z, v, kind)
+    except NonFiniteError as exc:
+        return exc
+    top = v.max()
+    at = np.flatnonzero(v == top)
+    return float(top), lo + int(at[_least_key(z[at])])
+
+
+def _grid_peak(z: np.ndarray, peaks):
+    """The grid maximum and argmax from the ``_peak`` of each block, in grid order.
+
+    Or the first block's exception.  The key of ``_least_key`` is a total
+    order, so the least of the blocks' argmaxes is the whole grid's.
+    """
+    for peak in peaks:
+        if isinstance(peak, Exception):
+            return peak
+    top = max(t for t, _ in peaks)
+    at = np.array([i for t, i in peaks if t == top])
+    return top, int(at[_least_key(z[at])])
+
+
+def _attempt(compute):
+    """compute() as a float array, or the exception it raised."""
+    try:
+        return np.asarray(compute(), dtype=float)
+    except Exception as exc:  # the search that owns the points meets it
+        return exc
+
+
+_COMPASS = np.array([1, -1, 1j, -1j])
+
+
+def _refine(starts, values, r_max: float) -> list:
+    """Compass maximizations within |z| <= r_max, all in lockstep.
+
+    ``starts`` holds a (kind, z0, step) per search.  Each of the
+    REFINE_ITERS + 1 steps evaluates the points of every search still
+    running with one call ``values(z, spans)``: z is their points end to
+    end, spans holds (search, lo, hi) per search, and the call returns per
+    span the float values at z[lo:hi] or the exception that raised there.
+    A search evaluates z0 first, then four compass points a step away from
+    its best point, and halves the step when none of them is higher.  It
+    stops at the first exception or non-finite value and returns it, and
+    otherwise returns (best z, its value, converged).
+    """
+    best = [(complex(z0), None) for _, z0, _ in starts]
+    steps = [step for _, _, step in starts]
+    out = [None] * len(starts)
+    for it in range(REFINE_ITERS + 1):
+        live = [k for k in range(len(starts)) if out[k] is None]
+        if not live:
+            break
+        points = []
+        for k in live:
+            if it == 0:
+                points.append(np.array([best[k][0]]))
+                continue
+            cand = best[k][0] + steps[k] * _COMPASS
+            mod = np.maximum(np.abs(cand), 1e-300)
+            points.append(np.where(mod >= r_max, cand / mod * r_max, cand))
+        edges = np.cumsum([0] + [len(p) for p in points]).tolist()
+        spans = list(zip(live, edges, edges[1:]))
+        for k, cand, vals in zip(live, points, values(np.concatenate(points), spans)):
+            if not isinstance(vals, Exception):
+                try:
+                    _require_finite(cand, vals, starts[k][0])
+                except NonFiniteError as exc:
+                    vals = exc
+            if isinstance(vals, Exception):
+                out[k] = vals
+            elif it == 0:
+                best[k] = (best[k][0], float(vals[0]))
+            else:
+                i = int(np.argmax(vals))
+                if vals[i] > best[k][1]:
+                    best[k] = (complex(cand[i]), float(vals[i]))
+                else:
+                    steps[k] *= REFINE_CONTRACTION
+    return [(*best[k], steps[k] < REFINE_CONVERGED_STEP) if out[k] is None else out[k]
+            for k in range(len(starts))]
+
+
+def _estimates(z, peaks, kinds, values, r_max, grid, refine=True) -> list:
+    """Per functional, its NormEstimate from its block peaks, or the exception it raised.
+
+    ``peaks`` holds per functional the ``_peak`` of each block of the polar
+    grid z, in grid order.  The grid argmaxes of all the functionals are
+    refined together by ``_refine``, which evaluates them through ``values``.
+    """
+    nr, ntheta = grid
+    out = [_grid_peak(z, blocks) for blocks in peaks]
+    found = {k: (complex(z[peak[1]]), peak[0]) for k, peak in enumerate(out)
+             if not isinstance(peak, Exception)}
+    # initial step = local grid spacing near the argmax
+    starts = [(kinds[k], bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta))
+              for k, (bz, _) in found.items()] if refine else []
+    refined = dict(zip(found, _refine(starts, values, r_max)))
+    for k, (best_z, best_v) in found.items():
+        result = refined.get(k, (best_z, best_v, False))
+        if isinstance(result, Exception):
+            out[k] = result
+            continue
+        rz, rv, converged = result
         if rv > best_v:  # refinement may only improve the estimate
             best_z, best_v = rz, rv
-    return NormEstimate(best_v, kind, r_max, (nr, ntheta), refined, best_z)
+        out[k] = NormEstimate(best_v, kinds[k], r_max, (nr, ntheta), converged, best_z)
+    return out
 
 
 def sup_weighted(
@@ -152,7 +235,12 @@ def sup_weighted(
 ) -> NormEstimate:
     """Sampled supremum of a pointwise functional over |z| <= r_max."""
     z = polar_grid(r_max, *grid)
-    return _estimate(z, func(z), func, kind, r_max, grid, refine)
+    (est,) = _estimates(z, [[_peak(z, func(z), kind)]], [kind],
+                        lambda points, spans: [_attempt(lambda: func(points))],
+                        r_max, grid, refine)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +319,18 @@ CONVEXITY = Functional(
 )
 
 
+def _whole_grid_peaks(f, z, functionals, order) -> list:
+    """Each formula's ``_peak`` on one jet over the whole grid z, or the exception it raised."""
+    jet = Jet(f, z, order)
+    peaks = []
+    for fn in functionals:
+        try:
+            peaks.append([_peak(z, fn.formula(jet), fn.kind)])
+        except Exception as exc:  # raised at this functional's estimate
+            peaks.append([exc])
+    return peaks
+
+
 class GridSuprema:
     """Suprema of functionals of one map over one polar grid.
 
@@ -239,16 +339,18 @@ class GridSuprema:
     report that asks for a supremum reads the one estimate.  The map keeps
     estimates, never grid values; an analytic map keeps none.
 
-    When the object is made, it computes the grid values of each of its
-    functionals that the map has no estimate of.  The grid is cut by
-    ``series.for_each_block`` into equal blocks of at most
-    ``series._HORNER_CHUNK`` points, run on every CPU the process may use;
-    each block gets one jet, to the highest order the functionals read, and
-    every formula writes its values into that block's slice.  ``estimate``
-    makes an estimate from those values, refined on jets of its own
-    candidates, stores it and frees the values.  Any other functional, or
-    a capped one whose r_max the reliable radius lowers, gets a grid of its
-    own.
+    When the object is made, it estimates each of its functionals that the
+    map has no estimate of.  The grid is cut by ``series.for_each_block``
+    into equal blocks of at most ``series._HORNER_CHUNK`` points, run on
+    every CPU the process may use; each block gets one jet, to the highest
+    order the functionals read, and the worker reduces each formula's values
+    on the block to their ``_peak``: the first non-finite value, or the
+    maximum and its argmax.  The peaks are combined in grid order, so no
+    grid of values is kept.  Then the grid argmaxes are refined in lockstep
+    by ``_refine``: each step builds one jet over the candidates of every
+    search, and each formula reads its own points through a ``Jet.view``.
+    Any other functional, or a capped one whose r_max the reliable radius
+    lowers, is estimated on a grid of its own when it is asked for.
 
     The values have the bits a single jet over the whole grid gives, because
     no block is smaller than 16384 points unless it is the whole grid.
@@ -257,12 +359,16 @@ class GridSuprema:
     product is not bitwise commutative; so a formula rounds differently on
     a block below that size than on a grid above it.  The block rule keeps
     every block at 16384 points or more once the grid exceeds 32768 points,
-    and a smaller grid is one block.
+    and a smaller grid is one block.  Below that size a point's bits do not
+    depend on the length of its array, so a search reads the values it
+    would read on a jet of its own candidates.
 
-    If the blocked pass raises, the object falls back to one jet over the
-    whole grid, with each formula applied when its estimate is asked for, so
-    the error is raised where and as the whole-grid evaluation raises it.
-    An estimate that raises is not stored, and raises again when asked for.
+    If the blocked pass raises, the object evaluates each formula on one
+    jet over the whole grid, one at a time, so that each error is raised as
+    the whole-grid evaluation raises it.  A functional whose formula raises,
+    on the grid or at a refinement candidate, leaves the others as they
+    are; its error is not stored on the map, and is raised each time its
+    estimate is asked for.
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
@@ -270,25 +376,35 @@ class GridSuprema:
         self.r_max = r_max
         self.grid = tuple(grid)
         self._memo = f.estimates if isinstance(f, HarmonicMap) else {}
-        self._scanned = [fn for fn in functionals
-                         if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
-        if not self._scanned:
+        self._errors = {}
+        scanned = [fn for fn in functionals
+                   if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
+        if not scanned:
             return
-        self.z = polar_grid(r_max, *self.grid)
-        order = max(fn.jet_order(f) for fn in self._scanned)
-        self._jet = None
-        self._values = {fn: np.empty(self.z.shape) for fn in self._scanned}
+        z = polar_grid(r_max, *self.grid)
+        order = max(fn.jet_order(f) for fn in scanned)
+        blocks = {}
 
         def scan(lo, hi):
-            jet = Jet(f, self.z[lo:hi], order)
-            for fn in self._scanned:
-                self._values[fn][lo:hi] = fn.formula(jet)
+            jet = Jet(f, z[lo:hi], order)
+            blocks[lo] = [_peak(jet.z, fn.formula(jet), fn.kind, lo) for fn in scanned]
 
         try:
-            for_each_block(self.z.size, scan)
-        except Exception:  # re-raised below, at the estimate that meets it
-            self._values = None
-            self._jet = Jet(f, self.z, order)
+            for_each_block(z.size, scan)
+            peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
+        except Exception:  # each formula meets its own error on the whole grid
+            peaks = _whole_grid_peaks(f, z, scanned, order)
+
+        def values(points, spans):
+            jet = Jet(f, points, order)
+            return [_attempt(lambda: scanned[k].formula(jet.view(lo, hi))) for k, lo, hi in spans]
+
+        kinds = [fn.kind for fn in scanned]
+        for fn, est in zip(scanned, _estimates(z, peaks, kinds, values, r_max, self.grid)):
+            if isinstance(est, Exception):
+                self._errors[fn] = est
+            else:
+                self._memo[self._key(fn)] = est
 
     def _key(self, fn: Functional):
         r_max = min(self.r_max, self.f.reliable_radius) if fn.capped else self.r_max
@@ -299,14 +415,9 @@ class GridSuprema:
         key = self._key(fn)
         if key in self._memo:
             return self._memo[key]
-        if fn not in self._scanned:
-            return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
-        v = fn.formula(self._jet) if self._values is None else self._values[fn]
-        self._memo[key] = _estimate(self.z, v, fn.at(self.f), fn.kind, self.r_max,
-                                    self.grid, refine=True)
-        if self._values is not None:
-            del self._values[fn]
-        return self._memo[key]
+        if fn in self._errors:
+            raise self._errors[fn]
+        return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
 
     def order(self) -> OrderEstimate:
         """order_of(h) for the analytic part h, from the grid values when h is normalized."""

@@ -42,7 +42,8 @@ class Jet:
     its own, in the order they run.
 
     A jet holds the points it is given; ``norms.GridSuprema`` builds one
-    per block of its grid.
+    per block of its grid, and one per refinement step, which each search
+    reads through its ``view``.
     """
 
     def __init__(self, f, z, order: int):
@@ -60,6 +61,31 @@ class Jet:
             gd = (None,) + tuple(self.f.g.derivs(self.z, self.order, first=1))
             self._omega = omega_quotients(self.hd, gd, self.order - 1)
         return self._omega
+
+    def view(self, lo: int, hi: int) -> "Jet":
+        """The jet of points lo:hi, on slices of this jet's derivatives and omega."""
+        return _JetView(self, lo, hi)
+
+
+class _JetView(Jet):
+    """Points lo:hi of a parent jet; its omega is a slice of the parent's.
+
+    numpy's array arithmetic gives a point the same bits whatever the length
+    of its array, so a formula reads the same values on a view as on a jet
+    of the view's points alone, and runs its checks on those points only.
+    The parent's derivatives and omega are shared, so an error in making
+    them reaches every view that reads them.
+    """
+
+    def __init__(self, parent: Jet, lo: int, hi: int):
+        self.f, self.h, self.order = parent.f, parent.h, parent.order
+        self.z = parent.z[lo:hi]
+        self.hd = (None,) + tuple(d[lo:hi] for d in parent.hd[1:])
+        self._parent, self._span = parent, slice(lo, hi)
+
+    @property
+    def omega(self):
+        return tuple(w[self._span] for w in self._parent.omega)
 
 
 def _nonzero_deriv(d1, name: str):

@@ -40,11 +40,25 @@ STRATEGIES = ("uniform-in-disc", "boundary-biased", "near-diagonal")
 
 @dataclass(frozen=True)
 class PairSet:
+    """Pairs (a[k], b[k]) drawn from |z| < r_max, with 0 < r_max < 1.
+
+    An r_max outside (0, 1) is refused: at or below 0, or NaN, every pair
+    would be skipped, and the bound would pass on no evidence.
+    """
+
     a: np.ndarray
     b: np.ndarray
     strategy: str
     seed: int
     r_max: float
+
+    def __post_init__(self):
+        self.require_r_max(self.r_max)
+
+    @staticmethod
+    def require_r_max(r_max: float) -> None:
+        if not 0.0 < r_max < 1.0:  # also false for NaN
+            raise ParameterError(f"r_max must lie in the open interval (0, 1), got {r_max}")
 
 
 def sample_pairs(
@@ -57,8 +71,7 @@ def sample_pairs(
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
-    if not 0.0 < r_max < 1.0:  # also false for NaN
-        raise ParameterError(f"r_max must lie in the open interval (0, 1), got {r_max}")
+    PairSet.require_r_max(r_max)
     rng = np.random.default_rng(seed)
 
     def disc(n, lo=0.0, hi=r_max):

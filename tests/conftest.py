@@ -34,3 +34,20 @@ def wirtinger_dz(func, z, h=1e-5):
     fx = (func(z + h) - func(z - h)) / (2.0 * h)
     fy = (func(z + 1j * h) - func(z - 1j * h)) / (2.0 * h)
     return 0.5 * (fx - 1j * fy)
+
+
+@pytest.fixture
+def estimates_made(monkeypatch):
+    """The kinds of the NormEstimates the sup engine makes from now on, in order."""
+    from harmdist import norms
+    from harmdist.norms import NormEstimate
+
+    made = []
+
+    def counted(*args, _orig=norms._estimates, **kwargs):
+        out = _orig(*args, **kwargs)
+        made.extend(est.kind for est in out if isinstance(est, NormEstimate))
+        return out
+
+    monkeypatch.setattr(norms, "_estimates", counted)
+    return made

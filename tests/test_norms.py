@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from harmdist import series
+from harmdist import norms, series
 from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, LogMap, Monomial
-from harmdist.catalog import get_map
+from harmdist.catalog import CATALOG, get_map
 from harmdist.cli import ANALYZE_FUNCTIONALS
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import HarmdistError, NonFiniteError, ParameterError, SingularError
@@ -164,21 +164,8 @@ def test_beta_lambda_policy():
 
 # --- the estimates a harmonic map keeps: one per (functional, r_max, grid) ---
 
-def _count_estimates(monkeypatch):
-    import harmdist.norms as norms
-
-    made = []
-
-    def counted(*args, _orig=norms._estimate, **kwargs):
-        made.append(args[3])
-        return _orig(*args, **kwargs)
-
-    monkeypatch.setattr(norms, "_estimate", counted)
-    return made
-
-
-def test_an_estimate_is_kept_per_map_r_max_and_grid(monkeypatch):
-    made = _count_estimates(monkeypatch)
+def test_an_estimate_is_kept_per_map_r_max_and_grid(estimates_made):
+    made = estimates_made
     f = shear_linear(Identity(), 0.3)
     first = omega_inf_norm(f, 0.9, GRID)
     assert omega_inf_norm(f, 0.9, GRID) is first
@@ -191,8 +178,8 @@ def test_an_estimate_is_kept_per_map_r_max_and_grid(monkeypatch):
     assert len(f.estimates) == 3
 
 
-def test_an_estimate_that_raised_is_not_kept(monkeypatch):
-    made = _count_estimates(monkeypatch)
+def test_an_estimate_that_raised_is_not_kept(estimates_made):
+    made = estimates_made
     f = HarmonicMap(Identity(), Monomial(0.99, 2))  # |omega| = 1.98|z| reaches 1
     for _ in range(2):
         with pytest.raises(SingularError):
@@ -215,14 +202,29 @@ BLOCKED_MAPS = {
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("name", sorted(BLOCKED_MAPS))
 def test_grid_suprema_blocks_keep_the_bits_of_one_grid_jet(monkeypatch, name, cpus):
+    """Each block's values, as the workers reduce them, are the whole-grid jet's bits."""
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    reduced = []  # (lo, values) per formula and block, in each block's formula order
+
+    def peak(z, v, kind, lo=0, _orig=norms._peak):
+        reduced.append((lo, np.array(v, dtype=float)))
+        return _orig(z, v, kind, lo)
+
+    monkeypatch.setattr(norms, "_peak", peak)
     f = BLOCKED_MAPS[name]()
     r_max = min(DEFAULT_R_MAX, f.reliable_radius)
-    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, BLOCKED_GRID)
-    jet = Jet(f, polar_grid(r_max, *BLOCKED_GRID), max(fn.order for fn in ANALYZE_FUNCTIONALS))
-    for fn in ANALYZE_FUNCTIONALS:
+    z = polar_grid(r_max, *BLOCKED_GRID)
+    GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, BLOCKED_GRID)
+    by_block = {}
+    for lo, v in reduced:
+        by_block.setdefault(lo, []).append(v)
+    assert len(by_block) == 5
+    assert all(len(vs) == len(ANALYZE_FUNCTIONALS) for vs in by_block.values())
+    jet = Jet(f, z, max(fn.order for fn in ANALYZE_FUNCTIONALS))
+    for k, fn in enumerate(ANALYZE_FUNCTIONALS):
+        got = np.concatenate([by_block[lo][k] for lo in sorted(by_block)])
         want = np.asarray(fn.formula(jet), dtype=float)
-        assert sups._values[fn].tobytes() == want.tobytes(), fn.kind
+        assert got.tobytes() == want.tobytes(), fn.kind
 
 
 def _pole_in_block(block, r_max=0.9, blocks=5):
@@ -263,3 +265,141 @@ def test_grid_suprema_raises_where_one_grid_jet_raises(monkeypatch):
     with pytest.raises(SingularError) as whole:
         HARMONIC_SCHWARZIAN.formula(Jet(f, polar_grid(0.999, *BLOCKED_GRID), 3))
     assert str(blocked.value) == str(whole.value)
+
+
+# --- block peaks and lockstep refinement: the estimates of one search per functional ---
+
+def _one_search_estimate(f, fn, r_max, grid, order):
+    """fn's estimate as a search of its own makes it: the grid values of one
+    jet, the first grid argmax by (|z| to 15 decimals, argument), then a
+    compass search on a jet of its own candidates at each step."""
+    nr, ntheta = grid
+    z = polar_grid(r_max, *grid)
+    v = np.asarray(fn.formula(Jet(f, z, order)), dtype=float)
+    at = np.flatnonzero(v == v.max())
+    i = at[np.lexsort((np.mod(np.angle(z[at]), 2.0 * np.pi), np.round(np.abs(z[at]), 15)))[0]]
+    best_z, best_v = complex(z[i]), float(v[i])
+    step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
+    func = fn.at(f)
+    sz, sv = best_z, float(func(np.array([best_z]))[0])
+    for _ in range(norms.REFINE_ITERS):
+        cand = sz + step * np.array([1, -1, 1j, -1j])
+        mod = np.maximum(np.abs(cand), 1e-300)
+        cand = np.where(mod >= r_max, cand / mod * r_max, cand)
+        vals = np.asarray(func(cand), dtype=float)
+        k = int(np.argmax(vals))
+        if vals[k] > sv:
+            sz, sv = complex(cand[k]), float(vals[k])
+        else:
+            step *= norms.REFINE_CONTRACTION
+    if sv > best_v:
+        best_z, best_v = sz, sv
+    return repr((best_v, best_z, step < norms.REFINE_CONVERGED_STEP))
+
+
+ALL_MAPS = {**{name: (lambda name=name: get_map(name)) for name in CATALOG},
+            "series": BLOCKED_MAPS["series"]}
+
+
+@pytest.mark.parametrize("grid", [(24, 64), BLOCKED_GRID], ids=["one-block", "five-blocks"])
+@pytest.mark.parametrize("name", sorted(ALL_MAPS))
+def test_lockstep_refinement_keeps_the_bits_of_one_search_per_functional(name, grid):
+    f = ALL_MAPS[name]()
+    r_max = min(DEFAULT_R_MAX, f.reliable_radius)
+    sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, grid)
+    order = max(fn.jet_order(f) for fn in ANALYZE_FUNCTIONALS)
+    for fn in ANALYZE_FUNCTIONALS:
+        est = sups.estimate(fn)
+        assert repr((est.value, est.argmax_point, est.refined)) == \
+            _one_search_estimate(f, fn, r_max, grid, order), fn.kind
+
+
+def _off_grid_traps(r_max, grid):
+    """Two functionals, finite on the grid, that fail at the first refinement candidates."""
+    on_grid = polar_grid(r_max, *grid)
+
+    def boom(jet):
+        if not np.isin(jet.z, on_grid).all():
+            raise SingularError("boom: a point off the grid")
+        return np.abs(jet.z)
+
+    nan = Functional("nan", lambda jet: np.where(np.isin(jet.z, on_grid), np.abs(jet.z), np.nan), 1)
+    return nan, Functional("boom", boom, 1)
+
+
+def test_a_refinement_that_raises_leaves_the_other_estimates_as_they_are(grid=GRID):
+    name = "shear-halfplane-0.4z"
+    traps = _off_grid_traps(DEFAULT_R_MAX, grid)
+    f = get_map(name)
+    sups = GridSuprema(f, [traps[0], *ANALYZE_FUNCTIONALS, traps[1]], DEFAULT_R_MAX, grid)
+    alone = GridSuprema(get_map(name), ANALYZE_FUNCTIONALS, DEFAULT_R_MAX, grid)
+    for fn in ANALYZE_FUNCTIONALS:
+        assert repr(sups.estimate(fn)) == repr(alone.estimate(fn)), fn.kind
+    for trap, error in zip(traps, (NonFiniteError, SingularError)):
+        with pytest.raises(error) as own:
+            GridSuprema(get_map(name), [trap], DEFAULT_R_MAX, grid).estimate(trap)
+        for _ in range(2):
+            with pytest.raises(error) as shared:
+                sups.estimate(trap)
+            assert str(shared.value) == str(own.value)
+    assert {key[0] for key in f.estimates} == set(ANALYZE_FUNCTIONALS)
+
+
+def _lexsort_argmax(z, v):
+    at = np.flatnonzero(v == v.max())
+    return int(at[np.lexsort((np.mod(np.angle(z[at]), 2.0 * np.pi), np.round(np.abs(z[at]), 15)))[0]])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_block_peaks_pick_the_argmax_of_the_whole_lexsort(seed):
+    """Ties inside and across blocks, on points in any order, rounded radii included."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    radii = np.array([0.3, 0.3 + 4e-16, 0.3 + 1e-15, 0.5, 0.0])
+    angles = np.array([0.0, 1.0, -1.0, np.pi, -np.pi / 2])
+    z = rng.choice(radii, n) * np.exp(1j * rng.choice(angles, n))
+    v = rng.choice([0.0, 1.0, 2.0], n, p=[0.2, 0.3, 0.5])
+    edges = np.unique(np.concatenate([[0, n], rng.integers(1, n, rng.integers(0, 6))]))
+    peaks = [norms._peak(z[lo:hi], v[lo:hi], "toy", int(lo)) for lo, hi in zip(edges, edges[1:])]
+    assert norms._grid_peak(z, peaks) == (v.max(), _lexsort_argmax(z, v))
+
+
+def _blocked_tie(jet):
+    return np.floor(4.0 * np.abs(jet.z)) % 2.0  # 1 on the annuli 1/4 <= |z| < 1/2 and |z| >= 3/4
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("formula", [lambda jet: np.zeros(jet.z.shape), _blocked_tie],
+                         ids=["whole-grid", "across-blocks"])
+def test_a_tie_picks_the_point_of_the_whole_grid_lexsort(monkeypatch, formula, cpus):
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    fn = Functional("tie", formula, 1)
+    z = polar_grid(0.999, *BLOCKED_GRID)
+    v = np.asarray(formula(Jet(Identity(), z, 1)))
+    edges = [z.size * j // 5 for j in range(6)]
+    assert len({j for j in range(5) if (v[edges[j]:edges[j + 1]] == v.max()).any()}) > 1
+    est = GridSuprema(Identity(), [fn], 0.999, BLOCKED_GRID).estimate(fn)
+    assert est.argmax_point == z[_lexsort_argmax(z, v)]
+    assert est.value == v.max()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_first_non_finite_value_across_blocks_names_its_point(monkeypatch, cpus):
+    """NaN and inf in three of five blocks: the message of the first, in grid order."""
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    z = polar_grid(0.9, *BLOCKED_GRID)
+    bad = {z[100_000]: np.inf, z[60_000]: -np.inf, z[90_000]: np.nan}
+
+    def formula(jet):
+        v = np.abs(jet.z)
+        for point, value in bad.items():
+            v[jet.z == point] = value
+        return v
+
+    fn = Functional("spiky", formula, 1)
+    whole = formula(Jet(Identity(), z, 1))
+    k = np.flatnonzero(~np.isfinite(whole))[0]
+    with pytest.raises(NonFiniteError) as blocked:
+        GridSuprema(Identity(), [fn], 0.9, BLOCKED_GRID).estimate(fn)
+    assert str(blocked.value) == f"spiky: functional value {whole[k]} at z = {complex(z[k])}"
+    assert str(blocked.value).startswith("spiky: functional value -inf at z = ")

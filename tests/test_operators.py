@@ -134,3 +134,19 @@ def test_distortion_quantities(rng):
     R, Q, Rh = distortion_quantities(analytic_as_harmonic(Koebe()), z)
     np.testing.assert_allclose(R, Q, rtol=1e-14)
     np.testing.assert_allclose(R, Rh, rtol=1e-14)
+
+
+def test_a_jet_view_reads_the_bits_of_a_jet_of_its_own_points(rng):
+    """A view shares its parent's derivatives and omega, with the values a jet of its points has."""
+    from harmdist.descriptors import parse_descriptor
+    from harmdist.operators import harmonic_schwarzian_of, omega_star_of
+
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    z = disc_points(rng, 40, r_hi=0.7)
+    parent = Jet(f, z, 3)
+    for lo, hi in ((0, 1), (3, 7), (7, 40)):
+        part, own = parent.view(lo, hi), Jet(f, z[lo:hi], 3)
+        for formula in (harmonic_schwarzian_of, omega_star_of):
+            assert formula(part).tobytes() == formula(own).tobytes()
+    assert all(np.shares_memory(w, parent.omega[k]) for k, w in enumerate(part.omega))
+

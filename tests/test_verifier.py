@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from harmdist import series
+from harmdist import series, verifier
 from harmdist.analytic import HalfPlane, Identity, Koebe
 from harmdist.catalog import get_map
 from harmdist.errors import DomainError, NotSensePreservingError, ParameterError
@@ -126,17 +126,9 @@ def test_bad_caller_omega_inf_is_rejected_not_scored(bound, value):
         verify_bound(get_map("shear-halfplane-0.4z"), bound, {"omega_inf": value}, s)
 
 
-def test_corollary_estimates_each_supremum_once(monkeypatch):
+def test_corollary_estimates_each_supremum_once(estimates_made):
     """The gate's sup |omega| and the prepare step's ||omega*|| are made once per map."""
-    from harmdist import norms
-
-    kinds = []
-
-    def counted(z, v, func, kind, *args, _orig=norms._estimate, **kwargs):
-        kinds.append(kind)
-        return _orig(z, v, func, kind, *args, **kwargs)
-
-    monkeypatch.setattr(norms, "_estimate", counted)
+    kinds = estimates_made
     f = get_map("shear-halfplane-0.4z")
     for strategy in ("uniform-in-disc", "boundary-biased", "near-diagonal"):
         r = verify_bound(f, "corollary", {"c": 1.0, "beta": 1.0},
@@ -310,12 +302,24 @@ def _with_point(samples: PairSet, k: int, z: complex, r_max: float) -> PairSet:
 
 
 def test_point_outside_the_disc_in_a_late_block_raises(monkeypatch):
+    """A PairSet keeps r_max below 1, so the pairs reach the disc check directly."""
     monkeypatch.setattr(series, "_cpus", lambda: 3)
     f = get_map("shear-halfplane-0.4z")
-    f.reliable_radius = 1.5  # so that no pair is skipped before the disc check
-    s = _with_point(sample_pairs("uniform-in-disc", BLOCKED, 0), BLOCKED - 10, 1.2, 1.5)
+    s = sample_pairs("uniform-in-disc", BLOCKED, 0)
+    a = s.a.copy()
+    a[BLOCKED - 10] = 1.2
     with pytest.raises(DomainError, match="outside the open unit disc"):
-        verify_bound(f, "blatter", {"force": True}, s)
+        verifier._evaluate_blocks(f, "blatter", {}, a, s.b)
+
+
+@pytest.mark.parametrize("r_max", [-0.5, np.nan, 0.0, 1.5], ids=["negative", "nan", "zero", "big"])
+def test_a_hand_built_pair_set_is_refused_outside_the_open_unit_interval(r_max):
+    """No vacuous pass: the sampler's r_max rule holds for every PairSet."""
+    z = np.full(1000, 0.3 + 0.1j)
+    with pytest.raises(ParameterError, match=re.escape(
+            f"r_max must lie in the open interval (0, 1), got {r_max}")):
+        verify_bound(get_map("shear-halfplane-0.4z"), "dhk", {},
+                     PairSet(z, -z, "uniform-in-disc", 0, r_max))
 
 
 def test_non_sense_preserving_block_raises_the_whole_array_error(monkeypatch):
