@@ -118,7 +118,7 @@ def _peak(z: np.ndarray, v, kind: str, lo: int = 0):
     try:
         _require_finite(z, v, kind)
     except NonFiniteError as exc:
-        return exc
+        return exc.with_traceback(None)  # keeps no frame, so no grid
     top = v.max()
     at = np.flatnonzero(v == top)
     return float(top), lo + int(at[_least_key(z[at])])
@@ -143,7 +143,7 @@ def _attempt(compute):
     try:
         return np.asarray(compute(), dtype=float)
     except Exception as exc:  # the search that owns the points meets it
-        return exc
+        return exc.with_traceback(None)
 
 
 _COMPASS = np.array([1, -1, 1j, -1j])
@@ -152,19 +152,20 @@ _COMPASS = np.array([1, -1, 1j, -1j])
 def _refine(starts, values, r_max: float) -> list:
     """Compass maximizations within |z| <= r_max, all in lockstep.
 
-    ``starts`` holds a (kind, z0, step) per search.  Each of the
-    REFINE_ITERS + 1 steps evaluates the points of every search still
-    running with one call ``values(z, spans)``: z is their points end to
-    end, spans holds (search, lo, hi) per search, and the call returns per
-    span the float values at z[lo:hi] or the exception that raised there.
-    A search evaluates z0 first, then four compass points a step away from
-    its best point, and halves the step when none of them is higher.  It
-    stops at the first exception or non-finite value and returns it, and
-    otherwise returns (best z, its value, converged).
+    ``starts`` holds per search a (kind, z0, step), or the exception that
+    has already ended it.  Each of the REFINE_ITERS + 1 steps evaluates the
+    points of every search still running with one call ``values(z, spans)``:
+    z is their points end to end, spans holds (search, lo, hi) per search,
+    numbered as in ``starts``, and the call returns per span the float
+    values at z[lo:hi] or the exception that raised there.  A search
+    evaluates z0 first, then four compass points a step away from its best
+    point, and halves the step when none of them is higher.  It stops at
+    the first exception or non-finite value and returns it, and otherwise
+    returns (best z, its value, converged).
     """
-    best = [(complex(z0), None) for _, z0, _ in starts]
-    steps = [step for _, _, step in starts]
-    out = [None] * len(starts)
+    out = [s if isinstance(s, Exception) else None for s in starts]
+    best = [(complex(s[1]), None) if o is None else None for s, o in zip(starts, out)]
+    steps = [s[2] if o is None else None for s, o in zip(starts, out)]
     for it in range(REFINE_ITERS + 1):
         live = [k for k in range(len(starts)) if out[k] is None]
         if not live:
@@ -184,7 +185,7 @@ def _refine(starts, values, r_max: float) -> list:
                 try:
                     _require_finite(cand, vals, starts[k][0])
                 except NonFiniteError as exc:
-                    vals = exc
+                    vals = exc.with_traceback(None)
             if isinstance(vals, Exception):
                 out[k] = vals
             elif it == 0:
@@ -204,25 +205,31 @@ def _estimates(z, peaks, kinds, values, r_max, grid, refine=True) -> list:
 
     ``peaks`` holds per functional the ``_peak`` of each block of the polar
     grid z, in grid order.  The grid argmaxes of all the functionals are
-    refined together by ``_refine``, which evaluates them through ``values``.
+    refined together by ``_refine``, which evaluates them through ``values``;
+    search k of ``_refine`` is functional k.
     """
     nr, ntheta = grid
-    out = [_grid_peak(z, blocks) for blocks in peaks]
-    found = {k: (complex(z[peak[1]]), peak[0]) for k, peak in enumerate(out)
-             if not isinstance(peak, Exception)}
-    # initial step = local grid spacing near the argmax
-    starts = [(kinds[k], bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta))
-              for k, (bz, _) in found.items()] if refine else []
-    refined = dict(zip(found, _refine(starts, values, r_max)))
-    for k, (best_z, best_v) in found.items():
-        result = refined.get(k, (best_z, best_v, False))
-        if isinstance(result, Exception):
-            out[k] = result
+    tops = [_grid_peak(z, blocks) for blocks in peaks]
+    starts = []
+    for kind, top in zip(kinds, tops):
+        if isinstance(top, Exception):
+            starts.append(top)
             continue
+        bz = complex(z[top[1]])
+        # initial step = local grid spacing near the argmax
+        starts.append((kind, bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta)))
+    results = _refine(starts, values, r_max) if refine else [  # no search, so no gain
+        s if isinstance(s, Exception) else (s[1], -np.inf, False) for s in starts]
+    out = []
+    for kind, top, result in zip(kinds, tops, results):
+        if isinstance(result, Exception):
+            out.append(result)
+            continue
+        best_z, best_v = complex(z[top[1]]), top[0]
         rz, rv, converged = result
         if rv > best_v:  # refinement may only improve the estimate
             best_z, best_v = rz, rv
-        out[k] = NormEstimate(best_v, kinds[k], r_max, (nr, ntheta), converged, best_z)
+        out.append(NormEstimate(best_v, kind, r_max, (nr, ntheta), converged, best_z))
     return out
 
 
@@ -327,7 +334,7 @@ def _whole_grid_peaks(f, z, functionals, order) -> list:
         try:
             peaks.append([_peak(z, fn.formula(jet), fn.kind)])
         except Exception as exc:  # raised at this functional's estimate
-            peaks.append([exc])
+            peaks.append([exc.with_traceback(None)])  # keeps no frame, so no jet
     return peaks
 
 
@@ -368,7 +375,9 @@ class GridSuprema:
     the whole-grid evaluation raises it.  A functional whose formula raises,
     on the grid or at a refinement candidate, leaves the others as they
     are; its error is not stored on the map, and is raised each time its
-    estimate is asked for.
+    estimate is asked for.  The object keeps the error without its
+    traceback, whose frames would hold the grid, and raises it with a fresh
+    one each time.
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
@@ -391,9 +400,12 @@ class GridSuprema:
 
         try:
             for_each_block(z.size, scan)
-            peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
-        except Exception:  # each formula meets its own error on the whole grid
+        except Exception:  # each formula meets its own error on the whole grid, below
+            blocks = None
+        if blocks is None:
             peaks = _whole_grid_peaks(f, z, scanned, order)
+        else:
+            peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
 
         def values(points, spans):
             jet = Jet(f, points, order)
@@ -416,7 +428,7 @@ class GridSuprema:
         if key in self._memo:
             return self._memo[key]
         if fn in self._errors:
-            raise self._errors[fn]
+            raise self._errors[fn].with_traceback(None)  # a fresh traceback per call
         return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
 
     def order(self) -> OrderEstimate:

@@ -1,5 +1,6 @@
 """Supremum engine and named norms, with 1-d maximization oracles."""
 
+import traceback
 import warnings
 
 import numpy as np
@@ -343,6 +344,37 @@ def test_a_refinement_that_raises_leaves_the_other_estimates_as_they_are(grid=GR
                 sups.estimate(trap)
             assert str(shared.value) == str(own.value)
     assert {key[0] for key in f.estimates} == set(ANALYZE_FUNCTIONALS)
+
+
+NAN_ON_GRID = Functional("nan", lambda jet: np.where(jet.z == 0, np.nan, np.abs(jet.z)), 1)
+
+
+@pytest.mark.parametrize("make, first", [
+    (lambda: HarmonicMap(Identity(), Monomial(0.99, 2)), []),  # |omega| = 1.98|z| reaches 1
+    (lambda: get_map("shear-halfplane-0.4z"), [NAN_ON_GRID]),
+], ids=["singular-on-the-grid", "non-finite-first"])
+def test_a_functional_that_fails_on_the_grid_leaves_the_others_as_they_are(make, first):
+    """Each estimate is the one a fresh map gives the functional alone; each error its own."""
+    f = make()
+    fns = [*first, *ANALYZE_FUNCTIONALS]
+    sups = GridSuprema(f, fns, 0.9, GRID)
+    failed = []
+    for fn in fns:
+        try:
+            alone = repr(GridSuprema(make(), [fn], 0.9, GRID).estimate(fn))
+        except HarmdistError as own:
+            frames = []
+            for _ in range(2):
+                with pytest.raises(type(own)) as shared:
+                    sups.estimate(fn)
+                assert str(shared.value) == str(own), fn.kind
+                frames.append([frame.name for frame in traceback.extract_tb(shared.tb)])
+            assert frames[0] == frames[1] and frames[0][-1] == "estimate", fn.kind
+            failed.append(fn)
+            continue
+        assert repr(sups.estimate(fn)) == alone, fn.kind
+    assert failed and fns.index(failed[0]) < max(fns.index(fn) for fn in fns if fn not in failed)
+    assert {key[0] for key in f.estimates} == set(fns) - set(failed)
 
 
 def _lexsort_argmax(z, v):
