@@ -5,9 +5,10 @@ Each subcommand takes only the options it reads; see `harmdist <command> -h`.
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option or
 one the subcommand does not take, such as an --r-max outside (0, 1), a
-negative --seed or a NaN or infinite --alpha, --p, --c or --epsilon; or a
-bad map, descriptor or parameter, also on a map that fails numerically,
-since every parameter is checked before a sampled point is evaluated);
+negative --seed or a NaN or infinite --alpha, --p, --c or --epsilon; an
+--out that cannot be made a directory, checked before any work; or a bad
+map, descriptor or parameter, also on a map that fails numerically, since
+every parameter is checked before a sampled point is evaluated);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).
@@ -143,8 +144,12 @@ def _resolve_map(spec: str) -> HarmonicMap:
 
 
 def _outdir(ns: argparse.Namespace) -> Path:
+    """The output directory, made if missing, before any work: else a ConfigError."""
     out = ns.out or Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place or on its path, or no permission
+        raise ConfigError(f"--out {str(out)!r} is not a usable directory: {exc}") from exc
     return out
 
 
@@ -164,6 +169,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     params = _params(ns)
     for name in C.CRITERIA:  # a bad parameter is reported before any point is evaluated
         C.parameter(name, params)
+    out = _outdir(ns) if ns.out else None
     r_max = min(ns.r_max, f.reliable_radius)
     report: dict = {"map": f.name, "r_max": r_max, "grid": list(ns.grid)}
 
@@ -194,10 +200,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     ]
 
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
-    if ns.out:
-        out = _outdir(ns) / "analyze.json"
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
+    if out:
+        path = out / "analyze.json"
+        path.write_text(text + "\n")
+        print(f"wrote {path}")
     else:
         print(text)
     return EXIT_OK
@@ -244,12 +250,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_plot(ns: argparse.Namespace) -> int:
     f = _resolve_map(ns.map)
+    out = _outdir(ns)
     if ns.bound:  # a bad seed is rejected before any file is written
         samples = sample_pairs(
             "uniform-in-disc", max(1, ns.pairs), ns.seed,
             min(ns.r_max, f.reliable_radius),
         )
-    out = _outdir(ns)
     polylines = image_polylines(f)
     write_polylines_svg(polylines, out / "image.svg")
     write_polylines_csv(polylines, out / "image.csv")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import bounds as B
 from . import criteria as C
+from . import csvrows, series
 from .disk import automorphism, require_in_disk
 from .errors import ParameterError
 from .harmonic import as_harmonic
@@ -407,22 +409,88 @@ def write_pairs_csv(report: BoundReport, path: str | Path) -> None:
     write_float_csv(path, report.table, CSV_COLUMNS)
 
 
-# Rows formatted per write: one chunk's text is in memory, never the whole file.
-_CSV_CHUNK_ROWS = 4096
-
-
 def write_float_csv(path: str | Path, table: dict, columns: list[str]) -> None:
     """A table's named float columns as CSV; an empty table gives the header only.
 
     The bytes are those of csv.writer writing the header, then each row as
     repr(float(v)) fields: "," between fields and "\\r\\n" after each line.
-    No column name or float repr needs quoting.  The text is formatted a
-    column at a time, _CSV_CHUNK_ROWS rows per write.
+    No column name or float repr needs quoting.  Columns of different
+    lengths are a ValueError.
+
+    The rows are cut into contiguous shares, one per CPU the process may
+    use, but no share below ``csvrows.CHUNK_ROWS`` rows.  The calling process
+    formats the first share (``csvrows.write_rows``) and writes it straight
+    to the file.  Each other share goes to a helper process that imports
+    the standard library only and runs ``csvrows`` on the share's raw
+    float64 bytes, with unlinked temporary files as its stdin and stdout;
+    its text is appended in order.  A share whose helper cannot start, hits
+    an OSError or exits non-zero is formatted by the caller, so the bytes
+    never depend on a helper.  On one CPU, below two chunks of rows, or
+    where ``sys.executable`` is unknown, no helper starts.  Every helper
+    has exited when this returns.
     """
     cols = [np.asarray(table[c], dtype=float) for c in columns] if table else []
-    rows = min((len(c) for c in cols), default=0)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        for i in range(0, rows, _CSV_CHUNK_ROWS):
-            text = [map(repr, c[i:i + _CSV_CHUNK_ROWS].tolist()) for c in cols]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*text)]))
+    rows = len(cols[0]) if cols else 0
+    if any(len(c) != rows for c in cols):
+        raise ValueError(f"columns of different lengths: {sorted({len(c) for c in cols})}")
+    # an embedded interpreter may not know its executable: then no helper starts
+    shares = min(series._cpus(), rows // csvrows.CHUNK_ROWS) if sys.executable else 1
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\r\n").encode())
+        if shares < 2:
+            csvrows.write_rows(fh.write, cols, 0, rows)
+        else:
+            _write_shares(fh, cols, [rows * k // shares for k in range(shares + 1)])
+
+
+def _write_shares(fh, cols: list, cuts: list[int]) -> None:
+    """Rows cuts[0]..cuts[-1] to fh: the first share here, each other on a helper."""
+    import shutil
+    import subprocess
+    import tempfile
+    from contextlib import ExitStack
+
+    def start(files, lo, hi):
+        """The stdout file and process of a helper formatting rows lo..hi."""
+        stdin = files.enter_context(tempfile.TemporaryFile())
+        stdout = files.enter_context(tempfile.TemporaryFile())
+        for c in cols:  # a chunk at a time: no copy of the whole share
+            for i in range(lo, hi, csvrows.CHUNK_ROWS):
+                stdin.write(c[i:min(i + csvrows.CHUNK_ROWS, hi)].tobytes())
+        stdin.seek(0)
+        return stdout, subprocess.Popen(
+            [sys.executable, "-I", "-S", csvrows.__file__, str(len(cols))],
+            stdin=stdin, stdout=stdout, stderr=subprocess.DEVNULL)
+
+    def appended(stdout) -> bool:
+        """Whether the helper's text was copied to fh.
+
+        On an OSError fh is put back where the copy began, so the rows
+        written there next overwrite the part copied, a prefix of their text.
+        """
+        before = fh.tell()
+        try:
+            stdout.seek(0)
+            shutil.copyfileobj(stdout, fh)
+            return True
+        except OSError:
+            fh.seek(before)
+            return False
+
+    helpers = []  # (lo, hi, the stdout and process of its helper, or None)
+    with ExitStack() as files:
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                try:
+                    helpers.append((lo, hi, start(files, lo, hi)))
+                except OSError:
+                    helpers.append((lo, hi, None))
+            csvrows.write_rows(fh.write, cols, cuts[0], cuts[1])
+            for lo, hi, helper in helpers:
+                if helper is None or helper[1].wait() != 0 or not appended(helper[0]):
+                    csvrows.write_rows(fh.write, cols, lo, hi)  # the same bytes, made here
+        finally:
+            for _, _, helper in helpers:
+                if helper is not None and helper[1].poll() is None:
+                    helper[1].kill()
+                    helper[1].wait()

@@ -88,6 +88,26 @@ def test_r_max_outside_open_unit_interval_is_config_error(command, r_max, tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", ["file", "file/x"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", [["analyze", "--grid", "16,48"],
+                                     ["verify", "--bound", "dhk", *PAIRS],
+                                     ["plot", "--bound", "dhk", *PAIRS]],
+                         ids=["analyze", "verify", "plot"])
+def test_unusable_out_is_config_error_before_any_work(command, out, tmp_path, capsys,
+                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for name in ("GridSuprema", "Jet", "verify_bound", "image_polylines"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "file").write_text("kept\n")
+    args = [*command, "--map", "koebe", "--out", str(tmp_path / out)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: --out")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", [["verify"], ["plot"]], ids=["verify", "plot"])
 def test_negative_seed_is_config_error(command, tmp_path, capsys):
     args = [*command, "--bound", "dhk", "--map", "koebe", "--seed", "-1",

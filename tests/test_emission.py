@@ -1,20 +1,32 @@
-"""The float-CSV writer against csv.writer, at chunk edges and on special values."""
+"""The float-CSV writer against csv.writer, at chunk edges and on special values.
+
+On two CPUs or more a table of at least two chunks is formatted in shares,
+all but the first by helper processes.  The ``helpers`` fixture makes the
+process see 1, 2 or 3 CPUs; each case checks how many helpers started and
+how they exited, and the fixture that every one was reaped.
+"""
 
 import csv
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from harmdist import csvrows, series
 from harmdist.catalog import get_map
 from harmdist.criteria import DEFAULT_NEHARI_EPSILON
+from harmdist.csvrows import CHUNK_ROWS as K
 from harmdist.plotting import write_margin_scatter_csv
 from harmdist.verifier import (
-    _CSV_CHUNK_ROWS as K,
     CSV_COLUMNS,
     BoundReport,
     sample_pairs,
     verify_bound,
+    write_float_csv,
     write_pairs_csv,
 )
 
@@ -35,6 +47,28 @@ def oracle_csv(table: dict, columns: list[str], path) -> None:
                 w.writerow([repr(float(v)) for v in row])
 
 
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"cpus{n}")
+def helpers(request, monkeypatch):
+    """The process sees request.param CPUs; yields the helpers started meanwhile."""
+    monkeypatch.setattr(series, "_cpus", lambda: request.param)
+    started = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    yield started
+    with pytest.raises(ChildProcessError):  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def expected_helpers(rows: int) -> int:
+    """The helpers a table of this many rows starts: one per share but the first."""
+    return max(0, min(series._cpus(), rows // K) - 1)
+
+
 def report_with(table: dict) -> BoundReport:
     return BoundReport(bound_name="x", map_id="x", hypothesis_met=True,
                        hypothesis_verdict={}, parameters={}, strategy="x",
@@ -53,22 +87,34 @@ def assert_matches_oracle(report: BoundReport, tmp_path) -> bytes:
     return got[write_pairs_csv]
 
 
-@pytest.mark.parametrize("rows", [0, 1, K - 1, K, K + 1, 3 * K + 7])
-def test_chunk_edges_match_csv_writer(rows, tmp_path):
+def random_table(rows: int) -> dict:
     rng = np.random.default_rng(rows)
-    table = {c: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
-             for c in CSV_COLUMNS}
-    data = assert_matches_oracle(report_with(table), tmp_path)
+    return {c: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+            for c in CSV_COLUMNS}
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 3 * K + 7, 5 * K + 3])
+def test_chunk_edges_match_csv_writer(rows, helpers, tmp_path):
+    data = assert_matches_oracle(report_with(random_table(rows)), tmp_path)
     assert data.count(b"\r\n") == rows + 1
+    # one run for each of the two writers
+    assert len(helpers) == 2 * expected_helpers(rows)
+    assert all(proc.returncode == 0 for proc in helpers)
 
 
-def test_special_values_match_csv_writer(tmp_path):
+@pytest.mark.parametrize("rows", [K + 3, 5 * K + 3])  # across chunk and share edges
+def test_special_values_match_csv_writer(rows, helpers, tmp_path):
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, -1e-05, 0.1]
-    rows = K + 3  # the values cross a chunk boundary
     values = np.resize(np.array(special), rows)
     table = {c: np.roll(values, k) for k, c in enumerate(CSV_COLUMNS)}
     table["upper"] = table["upper_margin"] = np.full(rows, np.nan)  # a missing side
+    strided = np.empty((rows, 2))
+    strided[:, 0] = table["re_a"]
+    table["re_a"] = strided[:, 0]  # as a complex array's .real is
     data = assert_matches_oracle(report_with(table), tmp_path)
+    assert len(helpers) == 2 * expected_helpers(rows)
+    assert all(proc.returncode == 0 for proc in helpers)
     fields = set(b",".join(data.split(b"\r\n")[1:-1]).split(b","))
     assert fields == {b"nan", b"inf", b"-inf", b"-0.0", b"0.0", b"5e-324", b"1e+16",
                       b"1e-05", b"-1e-05", b"0.1"}
@@ -83,7 +129,59 @@ def test_empty_table_when_hypothesis_unmet(tmp_path):
     assert data == (",".join(CSV_COLUMNS) + "\r\n").encode()
 
 
-def test_multi_chunk_pair_csv_bytes_pinned(tmp_path):
+@pytest.fixture
+def failing_executable(tmp_path):
+    """An executable that writes a partial row and exits 3."""
+    path = tmp_path / "fails"
+    path.write_text("#!/bin/sh\nprintf '0.5,'\nexit 3\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.parametrize("helpers", [2, 3], indirect=True, ids=lambda n: f"cpus{n}")
+@pytest.mark.parametrize("helper", ["missing", "exits-non-zero", "unknown", "copy-fails"])
+def test_a_failed_helper_leaves_the_bytes(helper, helpers, failing_executable, tmp_path,
+                                          monkeypatch):
+    def copy_fails(src, dst):
+        dst.write(src.read(10))
+        raise OSError("the helper's text could not be read")
+
+    if helper == "copy-fails":
+        monkeypatch.setattr(shutil, "copyfileobj", copy_fails)
+    else:
+        monkeypatch.setattr(sys, "executable", {
+            "missing": str(tmp_path / "missing"), "unknown": None,
+            "exits-non-zero": failing_executable}[helper])
+    rows = 5 * K + 3
+    assert_matches_oracle(report_with(random_table(rows)), tmp_path)
+    if helper in ("missing", "unknown"):
+        assert not helpers
+    else:
+        assert len(helpers) == 2 * expected_helpers(rows)
+        assert all(proc.returncode == (3 if helper == "exits-non-zero" else 0)
+                   for proc in helpers)
+
+
+@pytest.mark.parametrize("helpers", [2, 3], indirect=True, ids=lambda n: f"cpus{n}")
+def test_an_error_in_the_callers_share_stops_every_helper(helpers, tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(csvrows, "write_rows", interrupted)
+    rows = 5 * K + 3
+    with pytest.raises(KeyboardInterrupt):
+        write_float_csv(tmp_path / "t.csv", random_table(rows), CSV_COLUMNS)
+    assert len(helpers) == expected_helpers(rows)
+    assert all(proc.returncode is not None for proc in helpers)
+
+
+def test_ragged_columns_raise(tmp_path):
+    table = {"x": np.arange(5.0), "y": np.arange(3.0)}
+    with pytest.raises(ValueError, match="different lengths"):
+        write_float_csv(tmp_path / "t.csv", table, ["x", "y"])
+
+
+def test_multi_chunk_pair_csv_bytes_pinned(helpers, tmp_path):
     # Pinned from the row-by-row csv.writer before the chunked writer.
     f = get_map("shear-halfplane-0.4z")
     report = verify_bound(f, "convex_h", dict(CLI_PARAMS),
@@ -92,3 +190,4 @@ def test_multi_chunk_pair_csv_bytes_pinned(tmp_path):
     write_pairs_csv(report, tmp_path / "pairs.csv")
     digest = hashlib.sha256((tmp_path / "pairs.csv").read_bytes()).hexdigest()
     assert digest == "50925dd812a6af6a454b7dc20e3f0c8112c1182627a43bb4cff39a061f4fcd00"
+    assert len(helpers) == expected_helpers(report.pairs)
