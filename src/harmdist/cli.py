@@ -251,10 +251,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_plot(ns: argparse.Namespace) -> int:
     f = _resolve_map(ns.map)
     out = _outdir(ns)
-    if ns.bound:  # a bad seed is rejected before any file is written
+    if ns.bound:  # a bad seed or pair count is rejected before any file is written
         samples = sample_pairs(
-            "uniform-in-disc", max(1, ns.pairs), ns.seed,
-            min(ns.r_max, f.reliable_radius),
+            "uniform-in-disc", ns.pairs, ns.seed, min(ns.r_max, f.reliable_radius),
         )
     polylines = image_polylines(f)
     write_polylines_svg(polylines, out / "image.svg")

@@ -5,8 +5,9 @@ of a stated order.  The grid-jet contract: a supremum evaluates the map's
 jet once per block of a polar grid (one h.derivs call per block and, if a
 formula reads omega, one g.derivs call per block), scans the formula on
 it, and reduces the block's values to what an estimate reads of them: the
-first non-finite value, else the maximum and its argmax.  The blocks'
-reductions are combined in grid order, so no grid of values is kept.  The
+error the formula raised, else the first non-finite value, else the
+maximum and its argmax.  The blocks' reductions are combined in grid
+order, so no grid of values is kept and an error is the first block's.  The
 grid argmax is then refined by a compass pattern search, ``_refine``.
 ``GridSuprema`` shares each block's jet among several functionals of the
 same map, r_max and grid, runs the blocks on every CPU the process may use,
@@ -113,7 +114,10 @@ def _peak(z: np.ndarray, v, kind: str, lo: int = 0):
 
     That is the maximum and the grid index of its point first by
     ``_least_key``, or the NonFiniteError of the first non-finite value.
+    v may be the exception that computing the values raised: it is the peak.
     """
+    if isinstance(v, Exception):
+        return v
     v = np.asarray(v, dtype=float)
     try:
         _require_finite(z, v, kind)
@@ -200,7 +204,7 @@ def _refine(starts, values, r_max: float) -> list:
             for k in range(len(starts))]
 
 
-def _estimates(z, peaks, kinds, values, r_max, grid, refine=True) -> list:
+def _estimates(z, peaks, kinds, values, r_max, grid) -> list:
     """Per functional, its NormEstimate from its block peaks, or the exception it raised.
 
     ``peaks`` holds per functional the ``_peak`` of each block of the polar
@@ -218,10 +222,8 @@ def _estimates(z, peaks, kinds, values, r_max, grid, refine=True) -> list:
         bz = complex(z[top[1]])
         # initial step = local grid spacing near the argmax
         starts.append((kind, bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta)))
-    results = _refine(starts, values, r_max) if refine else [  # no search, so no gain
-        s if isinstance(s, Exception) else (s[1], -np.inf, False) for s in starts]
     out = []
-    for kind, top, result in zip(kinds, tops, results):
+    for kind, top, result in zip(kinds, tops, _refine(starts, values, r_max)):
         if isinstance(result, Exception):
             out.append(result)
             continue
@@ -238,13 +240,12 @@ def sup_weighted(
     kind: str = "functional",
     r_max: float = DEFAULT_R_MAX,
     grid: tuple[int, int] = DEFAULT_GRID,
-    refine: bool = True,
 ) -> NormEstimate:
     """Sampled supremum of a pointwise functional over |z| <= r_max."""
     z = polar_grid(r_max, *grid)
     (est,) = _estimates(z, [[_peak(z, func(z), kind)]], [kind],
                         lambda points, spans: [_attempt(lambda: func(points))],
-                        r_max, grid, refine)
+                        r_max, grid)
     if isinstance(est, Exception):
         raise est
     return est
@@ -326,18 +327,6 @@ CONVEXITY = Functional(
 )
 
 
-def _whole_grid_peaks(f, z, functionals, order) -> list:
-    """Each formula's ``_peak`` on one jet over the whole grid z, or the exception it raised."""
-    jet = Jet(f, z, order)
-    peaks = []
-    for fn in functionals:
-        try:
-            peaks.append([_peak(z, fn.formula(jet), fn.kind)])
-        except Exception as exc:  # raised at this functional's estimate
-            peaks.append([exc.with_traceback(None)])  # keeps no frame, so no jet
-    return peaks
-
-
 class GridSuprema:
     """Suprema of functionals of one map over one polar grid.
 
@@ -370,14 +359,15 @@ class GridSuprema:
     depend on the length of its array, so a search reads the values it
     would read on a jet of its own candidates.
 
-    If the blocked pass raises, the object evaluates each formula on one
-    jet over the whole grid, one at a time, so that each error is raised as
-    the whole-grid evaluation raises it.  A functional whose formula raises,
-    on the grid or at a refinement candidate, leaves the others as they
-    are; its error is not stored on the map, and is raised each time its
-    estimate is asked for.  The object keeps the error without its
-    traceback, whose frames would hold the grid, and raises it with a fresh
-    one each time.
+    A formula that raises on a block makes its error that block's peak, so
+    a functional's grid error is that of its first failing block in grid
+    order, on any number of CPUs; an error in making a block's jet is
+    raised here, the first failing block's (``for_each_block``).  A
+    functional whose formula raises, on the grid or at a refinement
+    candidate, leaves the others as they are; its error is not stored on
+    the map, and is raised each time its estimate is asked for.  The object
+    keeps the error without its traceback, whose frames would hold the
+    grid, and raises it with a fresh one each time.
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
@@ -396,16 +386,11 @@ class GridSuprema:
 
         def scan(lo, hi):
             jet = Jet(f, z[lo:hi], order)
-            blocks[lo] = [_peak(jet.z, fn.formula(jet), fn.kind, lo) for fn in scanned]
+            blocks[lo] = [_peak(jet.z, _attempt(lambda: fn.formula(jet)), fn.kind, lo)
+                          for fn in scanned]
 
-        try:
-            for_each_block(z.size, scan)
-        except Exception:  # each formula meets its own error on the whole grid, below
-            blocks = None
-        if blocks is None:
-            peaks = _whole_grid_peaks(f, z, scanned, order)
-        else:
-            peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
+        for_each_block(z.size, scan)
+        peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
 
         def values(points, spans):
             jet = Jet(f, points, order)

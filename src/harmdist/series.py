@@ -51,14 +51,18 @@ def _cpus() -> int:
 def for_each_block(n: int, run) -> None:
     """Call run(lo, hi) once for each block of range(n), on every CPU the process may use.
 
-    range(n), n >= 1, is cut into equal blocks of at most ``_HORNER_CHUNK``
-    points.  The blocks are dealt into interleaved shares, one per worker
-    thread, the calling thread being one of them: as many workers as the
-    process has CPUs, but at least two blocks each, so that fewer than four
-    blocks run on the calling thread alone.  numpy releases the GIL inside
-    each ufunc, so the shares run at once.  Workers run in a copy of the
-    caller's context, which carries its ``np.errstate``; an exception in any
-    share is raised here once every share has stopped.
+    range(n) is cut into equal blocks of at most ``_HORNER_CHUNK`` points;
+    n = 0 is one empty block.  The blocks are dealt into interleaved shares,
+    one per worker thread, the calling thread being one of them: as many
+    workers as the process has CPUs, but at least two blocks each, so that
+    fewer than four blocks run on the calling thread alone.  numpy releases
+    the GIL inside each ufunc, so the shares run at once.  Workers run in a
+    copy of the caller's context, which carries its ``np.errstate``.
+
+    A share stops at its first block that raises.  Once every share has
+    stopped, the error of the first failing block, in block order, is
+    raised here.  Each share runs its blocks in order, so that block is
+    always reached, and the error does not depend on the number of workers.
 
     ``run`` must write only what belongs to its own block.  Then the result
     does not depend on the number of workers, because each block goes
@@ -67,26 +71,33 @@ def for_each_block(n: int, run) -> None:
     Its users: ``horner``, ``norms.GridSuprema``'s grid scan, and the
     verifier's pair evaluation and point sampler.
     """
-    blocks = -(-n // _HORNER_CHUNK)
+    blocks = max(1, -(-n // _HORNER_CHUNK))
     edges = [n * j // blocks for j in range(blocks + 1)]
-    spans = list(zip(edges, edges[1:]))
+    spans = list(enumerate(zip(edges, edges[1:])))
+    errors = {}  # block number: the error it raised
 
     def share(part):
-        for lo, hi in part:
-            run(lo, hi)
+        for j, (lo, hi) in part:
+            try:
+                run(lo, hi)
+            except Exception as exc:
+                errors[j] = exc
+                return
 
     workers = min(_cpus(), blocks // 2)
     if workers < 2:
         share(spans)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, share, spans[k::workers])
-                   for k in range(1, workers)]
-        share(spans[::workers])
-        for future in futures:
-            future.result()
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, share, spans[k::workers])
+                       for k in range(1, workers)]
+            share(spans[::workers])
+            for future in futures:
+                future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def horner(z, coeff_arrays) -> list:

@@ -11,9 +11,11 @@ The pairs are checked to lie in the disc once, and then evaluated block by
 block (``series.for_each_block``), on every CPU the process may use: each
 block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
 slice of the report's full-length columns and counts its own violations,
-with the bits one evaluation of all the pairs gives.  The sampler draws
-each uniform array whole, which fixes the generator's stream, and maps it
-to points block by block.
+with the bits one evaluation of all the pairs gives.  A failing evaluation
+raises the error of its first failing block, in pair order, whatever the
+number of CPUs, and evaluates no pair again.  The sampler draws each
+uniform array whole, which fixes the generator's stream, and maps it to
+points block by block.
 """
 
 from __future__ import annotations
@@ -318,20 +320,11 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
     columns and counts its own violations, so no jet outlives its block.
     The columns have the bits of one evaluation over all pairs, because no
     block is below 16384 pairs unless it holds them all (see
-    norms.GridSuprema).
-
-    Fewer than two pairs, or a blocked pass that raises, take that one
-    evaluation over all pairs, so an error is raised as it raises it.
+    norms.GridSuprema).  An error is that of the first failing block, in
+    pair order, on any number of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     require_in_disk(a, b)
-
-    def whole():
-        v = _evaluate_pairs(f, bound_name, params, a, b)
-        return v, _violations(v)
-
-    if len(a) < 2:
-        return whole()
     v = {k: None if x is None else np.empty(len(a)) for k, x in empty.items()}
     counts = {}
 
@@ -342,10 +335,7 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
                 v[k][lo:hi] = x
         counts[lo] = _violations(block)
 
-    try:
-        for_each_block(len(a), run)
-    except Exception:  # re-raised below, by the evaluation over all pairs
-        return whole()
+    for_each_block(len(a), run)
     return v, sum(counts.values())
 
 

@@ -117,6 +117,16 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+@pytest.mark.parametrize("command", [["verify"], ["plot"]], ids=["verify", "plot"])
+def test_pairs_below_one_is_config_error(command, pairs, tmp_path, capsys):
+    args = [*command, "--bound", "dhk", "--map", "koebe", "--pairs", pairs,
+            "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: count must be >= 1")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--bound", "dhk", "--map", "koebe", "--alpha", "nan"],
     ["verify", "--bound", "dhk", "--map", "koebe", "--alpha", "inf"],

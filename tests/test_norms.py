@@ -65,9 +65,9 @@ def test_sup_engine_exact_on_known_functional():
 
 def test_refinement_never_decreases():
     func = lambda z: np.cos(5.0 * np.angle(z + 1e-30)) * np.abs(z)
-    coarse = sup_weighted(func, "toy", 0.9, (6, 7), refine=False)
-    refined = sup_weighted(func, "toy", 0.9, (6, 7), refine=True)
-    assert refined.value >= coarse.value
+    coarse = func(polar_grid(0.9, 6, 7)).max()
+    refined = sup_weighted(func, "toy", 0.9, (6, 7))
+    assert refined.value >= coarse
 
 
 def test_sup_engine_rejects_non_finite_grid_values():
@@ -80,7 +80,9 @@ def test_sup_engine_rejects_non_finite_refinement_values():
     # finite on the grid, NaN at every pattern-search candidate off it
     on_grid = polar_grid(0.9, 8, 16)
     func = lambda z: np.where(np.isin(z, on_grid), np.abs(z), np.nan)
-    assert sup_weighted(func, "toy", 0.9, (8, 16), refine=False).value == pytest.approx(0.9)
+    grid_values = func(on_grid)
+    assert np.isfinite(grid_values).all()
+    assert grid_values.max() == pytest.approx(0.9)
     with pytest.raises(NonFiniteError, match="toy"):
         sup_weighted(func, "toy", 0.9, (8, 16))
 
@@ -266,6 +268,25 @@ def test_grid_suprema_raises_where_one_grid_jet_raises(monkeypatch):
     with pytest.raises(SingularError) as whole:
         HARMONIC_SCHWARZIAN.formula(Jet(f, polar_grid(0.999, *BLOCKED_GRID), 3))
     assert str(blocked.value) == str(whole.value)
+
+
+def test_grid_suprema_builds_no_grid_jet_after_a_block_raises(monkeypatch):
+    """The error comes from the blocks' own jets: no jet over the whole grid follows."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    sizes = []  # list.append is atomic, unlike += across threads
+
+    class Counted(Jet):
+        def __init__(self, f, z, order):
+            sizes.append(np.size(z))
+            super().__init__(f, z, order)
+
+    monkeypatch.setattr(norms, "Jet", Counted)
+    f = HarmonicMap(Identity(), Monomial(0.99, 2))
+    sups = GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
+    with pytest.raises(SingularError):
+        sups.estimate(HARMONIC_SCHWARZIAN)
+    assert len(sizes) > 5
+    assert max(sizes) <= series._HORNER_CHUNK
 
 
 # --- block peaks and lockstep refinement: the estimates of one search per functional ---

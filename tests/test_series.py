@@ -253,6 +253,28 @@ def test_horner_is_reentrant_across_caller_threads(monkeypatch):
             assert value.tobytes() == polyval(z, c).tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_for_each_block_raises_the_first_failing_blocks_error(monkeypatch, cpus):
+    """Blocks 1 and 3 of 6 raise: block 1's error, on a worker or not, whatever runs first."""
+    _fan_out(monkeypatch, cpus)
+    ran = []  # list.append is atomic, unlike += across threads
+
+    def run(lo, hi):
+        ran.append(lo // K)
+        if lo // K in (1, 3):
+            raise SingularError(f"block {lo // K}")
+
+    with pytest.raises(SingularError, match="^block 1$"):
+        ts.for_each_block(6 * K, run)
+    assert 1 in ran and set(ran) <= set(range(6))
+
+
+def test_for_each_block_runs_no_points_as_one_empty_block():
+    spans = []
+    ts.for_each_block(0, lambda lo, hi: spans.append((lo, hi)))
+    assert spans == [(0, 0)]
+
+
 def test_cpu_count_falls_back_without_affinity(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert ts._cpus() == len(os.sched_getaffinity(0))

@@ -331,6 +331,24 @@ def test_non_sense_preserving_block_raises_the_whole_array_error(monkeypatch):
         verify_bound(f, "blatter", {"force": True}, s)
 
 
+def test_a_failing_block_evaluates_no_pair_twice(monkeypatch):
+    """The error comes from the blocks: no evaluation over all pairs follows."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    sizes = []  # list.append is atomic, unlike += across threads
+
+    def counted(f, bound_name, params, a, b, _orig=verifier._evaluate_pairs):
+        sizes.append(len(a))
+        return _orig(f, bound_name, params, a, b)
+
+    monkeypatch.setattr(verifier, "_evaluate_pairs", counted)
+    f = shear_linear(Identity(), 2.0)
+    s = _with_point(sample_pairs("uniform-in-disc", BLOCKED, 0, 0.45), BLOCKED // 2, 0.7, 0.9)
+    with pytest.raises(NotSensePreservingError):
+        verify_bound(f, "blatter", {"force": True}, s)
+    assert max(sizes) <= series._HORNER_CHUNK
+    assert sum(sizes) <= BLOCKED
+
+
 def test_unknown_bound_rejected():
     with pytest.raises(ParameterError):
         verify_bound(analytic_as_harmonic(Identity()), "nope", {},
