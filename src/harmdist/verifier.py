@@ -10,12 +10,16 @@ finite.  Each sample point is evaluated once, through a pair jet.
 The pairs are checked to lie in the disc once, and then evaluated block by
 block (``series.for_each_block``), on every CPU the process may use: each
 block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
-slice of the report's full-length columns and counts its own violations,
-with the bits one evaluation of all the pairs gives.  A failing evaluation
-raises the error of its first failing block, in pair order, whatever the
-number of CPUs, and evaluates no pair again.  The sampler draws each
-uniform array whole, which fixes the generator's stream, and maps it to
-points block by block.
+slice of the report's stored columns (rho, d, |f(a) - f(b)| and the sides
+the bound has) and reduces itself: its violation count, each side's least
+margin and first pair with it, its greatest tightness ratio and, for
+becker_harmonic, its proof-form count.  The blocks' reductions are combined
+in pair order into the bits whole-array passes give.  The margins are not
+stored: the report's table computes them when they are read.  A failing
+evaluation raises the error of its first failing block, in pair order,
+whatever the number of CPUs, and evaluates no pair again.  The sampler
+draws each uniform array whole, which fixes the generator's stream, and
+maps it to points block by block.
 """
 
 from __future__ import annotations
@@ -138,49 +142,92 @@ def _read(f, name: str, params: dict, r_max: float) -> float:
     return beta_lambda(params.get("beta", 1.0), f, r_max=r_max)
 
 
-def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> dict:
-    """rho, d, |f(a) - f(b)|, the bound's sides and signed margins at pairs (a, b).
+class PairTable(dict):
+    """A report's per-pair columns: the stored ones, and the margins computed when read.
+
+    It holds re_a, im_a, re_b, im_b, rho, d, actual and the sides (lower,
+    upper) the bound has.  ``lower_margin`` = actual - lower and
+    ``upper_margin`` = upper - actual are computed each time they are read
+    and are not kept.  A side the bound lacks, and its margin, read as NaN.
+    """
+
+    _MARGINS = {"lower_margin": ("actual", "lower"), "upper_margin": ("upper", "actual")}
+
+    def __missing__(self, key):
+        if key in self._MARGINS:
+            minuend, subtrahend = self._MARGINS[key]
+            if subtrahend in self and minuend in self:
+                return self[minuend] - self[subtrahend]
+        if key in ("lower", "upper", *self._MARGINS):
+            return np.full(len(self["actual"]), np.nan)
+        raise KeyError(key)
+
+
+def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> PairTable:
+    """rho, d, |f(a) - f(b)| and the bound's sides at pairs (a, b).
 
     Each point is evaluated once, through one pair jet.  A formula returns
     a PairBound, or an exact value that is both its lower and upper side;
-    a side the bound lacks, and its margin, are None.  The caller checks
-    that the pairs lie in the disc.
+    a side the bound lacks is not in the table.  The caller checks that the
+    pairs lie in the disc.
     """
     formula = BOUND_REGISTRY[bound_name]["formula"]
     jet = B.pair_jet_in_disc(f, a, b, formula.reads)
     names = inspect.signature(formula).parameters
     out = formula(jet, **{k: v for k, v in params.items() if k in names})
     lower, upper = (out.lower, out.upper) if isinstance(out, B.PairBound) else (out, out)
-    actual = np.abs(np.asarray(jet.a.value - jet.b.value))
-    lower = None if lower is None else np.asarray(lower, dtype=float)
-    upper = None if upper is None else np.asarray(upper, dtype=float)
-    return dict(
-        rho=np.asarray(jet.rho), d=np.asarray(jet.d), lower=lower, actual=actual, upper=upper,
-        lower_margin=None if lower is None else actual - lower,
-        upper_margin=None if upper is None else upper - actual,
-    )
+    v = PairTable(rho=np.asarray(jet.rho), d=np.asarray(jet.d),
+                  actual=np.abs(np.asarray(jet.a.value - jet.b.value)))
+    for side, x in (("lower", lower), ("upper", upper)):
+        if x is not None:
+            v[side] = np.asarray(x, dtype=float)
+    return v
 
 
-def _violations(v: dict) -> int:
-    """How many pairs of _evaluate_pairs' values v fail.
+def _reduce(v: PairTable, lo: int, bound_name: str) -> dict:
+    """The reductions of one block's values v, whose first pair is number lo.
 
-    Fail closed: a pair whose bound or true distance is not finite is a violation.
+    ``violations``: how many pairs fail.  Fail closed: a pair whose bound or
+    true distance is not finite is a violation.  ``lower``, ``upper``: for
+    each side the bound has, the least margin and the number of the first
+    pair with it, as np.argmin finds it (a NaN before any number).
+    ``tightness``: the greatest lower/actual where actual > 0, 0 where there
+    is none; NaN propagates.  ``proof_form``: for becker_harmonic, at how
+    many pairs the proof form of the upper side is the tighter.
     """
     actual = v["actual"]
     tol = REL_TOL * np.maximum(1.0, actual)
     viol = ~np.isfinite(actual)
+    out = {}
     for side in ("lower", "upper"):
-        if v[side] is not None:
-            viol |= ~np.isfinite(v[side]) | (v[f"{side}_margin"] < -tol)
-    return int(viol.sum())
+        if side in v:
+            margin = v[f"{side}_margin"]
+            viol |= ~np.isfinite(v[side]) | (margin < -tol)
+            if len(margin):
+                k = int(np.argmin(margin))
+                out[side] = (float(margin[k]), lo + k)
+    out["violations"] = int(viol.sum())
+    if "lower" in v:
+        pos = actual > 0
+        out["tightness"] = float((v["lower"][pos] / actual[pos]).max(initial=0.0))
+    if bound_name == "becker_harmonic":
+        # Statement form vs proof form of the upper bound: which is tighter.
+        upper = v["upper"]
+        out["proof_form"] = int((B.becker_harmonic_proof_upper(v["d"], upper) < upper).sum())
+    return out
 
 
-def _margin(v: dict) -> np.ndarray:
+def _first_least(found: list) -> tuple:
+    """The first (margin, pair) whose margin is NaN, else the first with the least margin."""
+    return next((x for x in found if np.isnan(x[0])), None) or min(found, key=lambda x: x[0])
+
+
+def _margin(v: PairTable) -> np.ndarray:
     """The smaller signed margin per pair; negative where a side fails."""
     m = np.full(np.shape(v["actual"]), np.inf)
-    for side in (v["lower_margin"], v["upper_margin"]):
-        if side is not None:
-            m = np.minimum(m, side)
+    for side in ("lower", "upper"):
+        if side in v:
+            m = np.minimum(m, v[f"{side}_margin"])
     return m
 
 
@@ -202,7 +249,9 @@ class BoundReport:
     worst_pair: tuple | None = None
     tightness: float | None = None
     extra: dict = field(default_factory=dict)
-    # per-pair arrays, kept for CSV emission (not serialized to JSON)
+    # per-pair columns for CSV emission (not serialized to JSON): a PairTable,
+    # which stores rho, d, the sides and |f(a) - f(b)| and computes the margins
+    # when they are read; empty where the bound was not evaluated
     table: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -274,69 +323,58 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     report.skipped = int((~ok).sum())
     if report.skipped:
         a, b = a[ok], b[ok]
-    v, violations = _evaluate_blocks(f, bound_name, params, a, b)
-    actual, lower, upper = v["actual"], v["lower"], v["upper"]
-
+    columns, blocks = _evaluate_blocks(f, bound_name, params, a, b)
+    report.pairs = int(len(a))
+    report.violations = sum(r["violations"] for r in blocks)
     worst, worst_margin = None, np.inf
     for side in ("lower", "upper"):
-        margin = v[f"{side}_margin"]
-        if margin is None or not len(a):
+        found = [r[side] for r in blocks if side in r]
+        if not found:
             continue
-        k = int(np.argmin(margin))
-        setattr(report, f"min_{side}_margin", float(margin.min()))
-        if margin[k] < worst_margin:
-            worst, worst_margin = k, float(margin[k])
-    report.pairs = int(len(a))
-    report.violations = violations
+        margin, k = _first_least(found)
+        setattr(report, f"min_{side}_margin", margin)
+        if margin < worst_margin:
+            worst, worst_margin = k, margin
     if worst is not None:
         report.worst_pair = (complex(a[worst]), complex(b[worst]))
-    if lower is not None and len(a):
-        pos = actual > 0
-        report.tightness = float(
-            np.clip((lower[pos] / actual[pos]).max(initial=0.0), 0.0, 1.0)
-        )
-
+    if "lower" in columns and len(a):
+        report.tightness = float(np.clip(np.max([r["tightness"] for r in blocks]), 0.0, 1.0))
     if bound_name == "becker_harmonic" and len(a):
-        # Statement form vs proof form of the upper bound: record which is
-        # tighter, pair by pair.
-        proof_upper = B.becker_harmonic_proof_upper(v["d"], upper)
-        report.extra["proof_form_tighter_pairs"] = int((proof_upper < upper).sum())
+        report.extra["proof_form_tighter_pairs"] = sum(r["proof_form"] for r in blocks)
 
-    nan = np.full(len(a), np.nan)
-    report.table = dict(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag,
-                        **{k: nan if x is None else x for k, x in v.items()})
+    report.table = PairTable(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag, **columns)
     return report, params
 
 
 def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
-    """_evaluate_pairs' values at pairs (a, b), and how many of the pairs fail.
+    """The stored columns of _evaluate_pairs' values at pairs (a, b), and each block's _reduce.
 
     The formula checks its parameters on no pairs first, so a bad parameter
     is reported as such even where the map fails at a sampled point; that
     call also gives the sides the bound has.  Then the pairs are checked
     to lie in the disc, once, on the calling thread.  They are cut by
     ``series.for_each_block`` and run on every CPU the process may use:
-    each block evaluates its own pair jet, writes its slice of full-length
-    columns and counts its own violations, so no jet outlives its block.
-    The columns have the bits of one evaluation over all pairs, because no
-    block is below 16384 pairs unless it holds them all (see
-    norms.GridSuprema).  An error is that of the first failing block, in
-    pair order, on any number of CPUs.
+    each block evaluates its own pair jet, writes its slice of the
+    full-length columns and reduces itself on the same worker, so no jet or
+    margin outlives its block.  The columns have the bits of one evaluation
+    over all pairs, because no block is below 16384 pairs unless it holds
+    them all (see norms.GridSuprema).  The reductions are returned in pair
+    order.  An error is that of the first failing block, in pair order, on
+    any number of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     require_in_disk(a, b)
-    v = {k: None if x is None else np.empty(len(a)) for k, x in empty.items()}
-    counts = {}
+    columns = {k: np.empty(len(a)) for k in empty}
+    reductions = {}
 
     def run(lo, hi):
         block = _evaluate_pairs(f, bound_name, params, a[lo:hi], b[lo:hi])
-        for k, x in block.items():
-            if x is not None:
-                v[k][lo:hi] = x
-        counts[lo] = _violations(block)
+        for k, x in columns.items():
+            x[lo:hi] = block[k]
+        reductions[lo] = _reduce(block, lo, bound_name)
 
     for_each_block(len(a), run)
-    return v, sum(counts.values())
+    return columns, [reductions[lo] for lo in sorted(reductions)]
 
 
 def counterexample_search(
