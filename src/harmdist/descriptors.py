@@ -129,8 +129,10 @@ def parse_entry(entry, where: str = "entry") -> AnalyticMap:
     return Compose(disk_automorphism_map(a), inner, name=f"sigma_{a}o({inner.name})")
 
 
-def parse_descriptor(desc: dict, order: int = 120) -> HarmonicMap:
-    """Build a HarmonicMap (g = 0 for analytic) from a JSON descriptor."""
+def parse_descriptor(desc: dict) -> HarmonicMap:
+    """Build a HarmonicMap (g = 0 for analytic) from a JSON descriptor.
+
+    An omega entry gives the order-120 series g of ``from_h_and_omega``."""
     if not isinstance(desc, dict):
         raise ConfigError("mapping descriptor must be a JSON object")
     _check_keys(desc, {"h", "g", "omega"}, "descriptor")
@@ -147,15 +149,15 @@ def parse_descriptor(desc: dict, order: int = 120) -> HarmonicMap:
         return HarmonicMap(h, parse_entry(g, "g"))
     if omega is not None:
         try:
-            return from_h_and_omega(h, parse_entry(omega, "omega"), order=order)
+            return from_h_and_omega(h, parse_entry(omega, "omega"))
         except NotSensePreservingError as exc:
             raise ConfigError(f"descriptor omega {json.dumps(omega)}: {exc}") from exc
     return analytic_as_harmonic(h)
 
 
-def load_descriptor(path: str | Path, order: int = 120) -> HarmonicMap:
+def load_descriptor(path: str | Path) -> HarmonicMap:
     try:
         desc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_descriptor(desc, order=order)
+    return parse_descriptor(desc)

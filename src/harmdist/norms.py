@@ -13,9 +13,11 @@ grid argmax is then refined by a compass pattern search, ``_refine``.
 same map, r_max and grid, runs the blocks on every CPU the process may use,
 refines all their argmaxes in lockstep on one jet per step, and keeps each
 estimate on a harmonic map, so that every later reader of the same
-supremum gets it without a second grid pass; ``sup_weighted`` is the same
-engine, with a single search, for a bare pointwise function of z,
-evaluated on the whole grid at once.
+supremum gets it without a second grid pass.  It is the only grid scan:
+``sup_weighted`` runs a bare pointwise function of z through it as a
+functional of the identity map, and the order of a map whose analytic part
+is not normalized is its estimate on the renormalized map
+(``GridSuprema.order``).
 
 Estimates are sampled lower estimates of the true supremum (sampling can
 only under-estimate it, and nothing bounds the shortfall); the ``refined``
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import AnalyticMap
+from .analytic import AnalyticMap, Identity, koebe_transform
 from .errors import NonFiniteError, NormalizationError, ParameterError
 from .harmonic import HarmonicMap, as_harmonic
 from .operators import (
@@ -109,7 +111,7 @@ def _least_key(z: np.ndarray) -> int:
     return int(near[np.argmin(np.mod(np.angle(z[near]), 2.0 * np.pi))])
 
 
-def _peak(z: np.ndarray, v, kind: str, lo: int = 0):
+def _peak(z: np.ndarray, v, kind: str, lo: int):
     """What an estimate reads of the values v at the points z, which start at grid index lo.
 
     That is the maximum and the grid index of its point first by
@@ -241,14 +243,15 @@ def sup_weighted(
     r_max: float = DEFAULT_R_MAX,
     grid: tuple[int, int] = DEFAULT_GRID,
 ) -> NormEstimate:
-    """Sampled supremum of a pointwise functional over |z| <= r_max."""
-    z = polar_grid(r_max, *grid)
-    (est,) = _estimates(z, [[_peak(z, func(z), kind)]], [kind],
-                        lambda points, spans: [_attempt(lambda: func(points))],
-                        r_max, grid)
-    if isinstance(est, Exception):
-        raise est
-    return est
+    """Sampled supremum of a pointwise function of z over |z| <= r_max, for 0 < r_max < 1.
+
+    ``GridSuprema`` estimates func as a functional of the identity map, so
+    func runs on one block of the grid at a time, possibly on several
+    threads at once, and must be thread-safe.  An r_max of 1 raises
+    DomainError, as it does for every supremum.
+    """
+    fn = Functional(kind, lambda jet: func(jet.z), 0)
+    return GridSuprema(Identity(), [fn], r_max, grid).estimate(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +277,6 @@ class Functional:
         if self.order_on is None:
             return self.order
         return self.order_on(f.h if isinstance(f, HarmonicMap) else f)
-
-    def at(self, f) -> Callable[[np.ndarray], np.ndarray]:
-        """The functional of the map f as a function of z, one jet per call."""
-        order = self.jet_order(f)
-        return lambda z: self.formula(Jet(f, z, order))
 
 
 def _pre_schwarzian_weighted(jet, with_z=False):
@@ -382,15 +380,13 @@ class GridSuprema:
             return
         z = polar_grid(r_max, *self.grid)
         order = max(fn.jet_order(f) for fn in scanned)
-        blocks = {}
 
         def scan(lo, hi):
             jet = Jet(f, z[lo:hi], order)
-            blocks[lo] = [_peak(jet.z, _attempt(lambda: fn.formula(jet)), fn.kind, lo)
-                          for fn in scanned]
+            return [_peak(jet.z, _attempt(lambda: fn.formula(jet)), fn.kind, lo)
+                    for fn in scanned]
 
-        for_each_block(z.size, scan)
-        peaks = [[blocks[lo][k] for lo in sorted(blocks)] for k in range(len(scanned))]
+        peaks = list(zip(*for_each_block(z.size, scan)))  # per functional, per block
 
         def values(points, spans):
             jet = Jet(f, points, order)
@@ -417,12 +413,23 @@ class GridSuprema:
         return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
 
     def order(self) -> OrderEstimate:
-        """order_of(h) for the analytic part h, from the grid values when h is normalized."""
+        """The order of the analytic part h: the ORDER estimate of h, if h is normalized.
+
+        Otherwise it is the ORDER estimate of koebe_transform(h, 0), made on
+        a grid of its own, and a failure to renormalize h raises
+        NormalizationError.
+        """
         h = self.f.h if isinstance(self.f, HarmonicMap) else self.f
-        if not h.is_normalized():
-            return order_of(h, self.r_max, self.grid)
-        est = self.estimate(ORDER)
-        return OrderEstimate(est.value, est.argmax_point, True)
+        normalized = bool(h.is_normalized())
+        sups = self
+        if not normalized:
+            try:
+                phi = koebe_transform(h, 0.0)
+            except Exception as exc:
+                raise NormalizationError(f"cannot renormalize {h.name}: {exc}") from exc
+            sups = GridSuprema(phi, (), self.r_max, self.grid)
+        est = sups.estimate(ORDER)
+        return OrderEstimate(est.value, est.argmax_point, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +473,9 @@ def becker_harmonic_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
 def order_of(
     phi: AnalyticMap, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> OrderEstimate:
-    """Sampled order sup |(1/2)(1-|z|^2) P phi - conj z| of a normalized map."""
-    was_normalized = phi.is_normalized()
-    if not was_normalized:
-        from .analytic import koebe_transform
-
-        try:
-            phi = koebe_transform(phi, 0.0)
-        except Exception as exc:
-            raise NormalizationError(f"cannot renormalize {phi.name}: {exc}") from exc
-    est = sup_weighted(ORDER.at(phi), ORDER.kind, r_max, grid)
-    return OrderEstimate(est.value, est.argmax_point, was_normalized)
+    """Sampled order sup |(1/2)(1-|z|^2) P phi - conj z|, of koebe_transform(phi, 0)
+    if phi is not normalized: ``GridSuprema.order``."""
+    return GridSuprema(phi, (), r_max, grid).order()
 
 
 def beta_lambda(

@@ -48,25 +48,27 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def for_each_block(n: int, run) -> None:
-    """Call run(lo, hi) once for each block of range(n), on every CPU the process may use.
+def for_each_block(n: int, run) -> list:
+    """run(lo, hi) of each block of range(n), in block order, on every CPU the process may use.
 
     range(n) is cut into equal blocks of at most ``_HORNER_CHUNK`` points;
-    n = 0 is one empty block.  The blocks are dealt into interleaved shares,
-    one per worker thread, the calling thread being one of them: as many
-    workers as the process has CPUs, but at least two blocks each, so that
-    fewer than four blocks run on the calling thread alone.  numpy releases
-    the GIL inside each ufunc, so the shares run at once.  Workers run in a
-    copy of the caller's context, which carries its ``np.errstate``.
+    n = 0 is one empty block, so there is always a result.  The blocks are
+    dealt into interleaved shares, one per worker thread, the calling
+    thread being one of them: as many workers as the process has CPUs, but
+    at least two blocks each, so that fewer than four blocks run on the
+    calling thread alone.  numpy releases the GIL inside each ufunc, so the
+    shares run at once.  Workers run in a copy of the caller's context,
+    which carries its ``np.errstate``.
 
     A share stops at its first block that raises.  Once every share has
     stopped, the error of the first failing block, in block order, is
     raised here.  Each share runs its blocks in order, so that block is
     always reached, and the error does not depend on the number of workers.
 
-    ``run`` must write only what belongs to its own block.  Then the result
-    does not depend on the number of workers, because each block goes
-    through the same calls on the same edges whichever thread runs it.
+    ``run`` must write only what belongs to its own block, and return what
+    it reduces the block to.  Then the results do not depend on the number
+    of workers, because each block goes through the same calls on the same
+    edges whichever thread runs it.
 
     Its users: ``horner``, ``norms.GridSuprema``'s grid scan, and the
     verifier's pair evaluation and point sampler.
@@ -74,12 +76,13 @@ def for_each_block(n: int, run) -> None:
     blocks = max(1, -(-n // _HORNER_CHUNK))
     edges = [n * j // blocks for j in range(blocks + 1)]
     spans = list(enumerate(zip(edges, edges[1:])))
+    results = [None] * blocks
     errors = {}  # block number: the error it raised
 
     def share(part):
         for j, (lo, hi) in part:
             try:
-                run(lo, hi)
+                results[j] = run(lo, hi)
             except Exception as exc:
                 errors[j] = exc
                 return
@@ -98,6 +101,7 @@ def for_each_block(n: int, run) -> None:
                 future.result()
     if errors:
         raise errors[min(errors)]
+    return results
 
 
 def horner(z, coeff_arrays) -> list:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -255,16 +255,7 @@ class BoundReport:
     table: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "bound_name", "map_id", "hypothesis_met", "hypothesis_verdict",
-                "parameters", "strategy", "seed", "r_max", "pairs", "violations",
-                "skipped", "min_lower_margin", "min_upper_margin", "worst_pair",
-                "tightness", "extra",
-            )
-        }
-        return _jsonable(d)
+        return _jsonable({k.name: getattr(self, k.name) for k in fields(self) if k.name != "table"})
 
 
 def _jsonable(x):
@@ -365,16 +356,14 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     require_in_disk(a, b)
     columns = {k: np.empty(len(a)) for k in empty}
-    reductions = {}
 
     def run(lo, hi):
         block = _evaluate_pairs(f, bound_name, params, a[lo:hi], b[lo:hi])
         for k, x in columns.items():
             x[lo:hi] = block[k]
-        reductions[lo] = _reduce(block, lo, bound_name)
+        return _reduce(block, lo, bound_name)
 
-    for_each_block(len(a), run)
-    return columns, [reductions[lo] for lo in sorted(reductions)]
+    return columns, for_each_block(len(a), run)
 
 
 def counterexample_search(

@@ -58,15 +58,35 @@ GOLDEN_BLOCKED = {
 }
 
 
+# Maps whose h is not normalized, so that the order is read on koebe_transform(h, 0):
+# name -> (descriptor, SHA-256 of analyze.json at the default grid, and at
+# --grid 128,1024 on 1 and 3 CPUs).  Recorded while the order of such a map
+# was scanned with one call over the whole grid.
+RENORMALIZED = {
+    "mobius": (
+        {"h": {"name": "mobius", "params": {"a": 2, "b": 0.5, "c": 0.3, "d": 1}}},
+        "ca20ad22b5ec5d815096e069a6b56c03a740c3c7782539e8069f3df3d841dfd3",
+        "c1809196c5512cc406fdb267bbe3fc89120e7b4f80996d96e4de30bcc4c95f7d",
+    ),
+    "compose-sigma": (
+        {"h": {"compose_sigma": {"a": 0.3, "inner": {"expr": "0.5z + 0.1z^2"}}},
+         "omega": {"expr": "0.3z"}},
+        "81cd677331b80ae92e2aea8f0844a8f418eb2a7c7854384bb05f9f593dcb38d5",
+        "edee78c99adabcabc524c17b529f509a742dd68c43be9a862ff769e1ba26dc27",
+    ),
+}
+
+
 def test_golden_covers_the_catalog():
     assert set(GOLDEN) == set(GOLDEN_BLOCKED) == set(CATALOG) | {"series"}
 
 
 def _analyze_digest(name, tmp_path, *options):
     spec = name
-    if name == "series":
-        spec = str(tmp_path / "series.json")
-        (tmp_path / "series.json").write_text(json.dumps(SERIES_DESCRIPTOR))
+    descriptor = SERIES_DESCRIPTOR if name == "series" else RENORMALIZED.get(name, (None,))[0]
+    if descriptor is not None:
+        spec = str(tmp_path / "map.json")
+        (tmp_path / "map.json").write_text(json.dumps(descriptor))
     out = tmp_path / "out"
     assert main(["analyze", "--map", spec, *options, "--out", str(out)]) == EXIT_OK
     return hashlib.sha256((out / "analyze.json").read_bytes()).hexdigest()
@@ -85,4 +105,17 @@ def test_analyze_matches_golden_on_a_grid_of_blocks(name, cpus, tmp_path, capsys
     """The same bytes whether the blocks run on the calling thread or on workers."""
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
     assert _analyze_digest(name, tmp_path, "--grid", BLOCKED_GRID) == GOLDEN_BLOCKED[name]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", sorted(RENORMALIZED))
+def test_analyze_of_a_map_whose_h_is_not_normalized_matches_golden(name, cpus, tmp_path,
+                                                                   capsys, monkeypatch):
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    _, default, blocked = RENORMALIZED[name]
+    assert _analyze_digest(name, tmp_path) == default
+    assert _analyze_digest(name, tmp_path, "--grid", BLOCKED_GRID) == blocked
+    out = json.loads((tmp_path / "out" / "analyze.json").read_text())
+    assert out["order"]["normalized"] is False
     capsys.readouterr()

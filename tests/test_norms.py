@@ -91,7 +91,8 @@ def test_schwarzian_norm_fixtures_vs_oracle():
     from harmdist.norms import SCHWARZIAN
 
     est = schwarzian_norm(Koebe(), grid=GRID)
-    oracle = _oracle_radial(SCHWARZIAN.at(Koebe()))
+    oracle = _oracle_radial(
+        lambda z: SCHWARZIAN.formula(Jet(Koebe(), z, SCHWARZIAN.jet_order(Koebe()))))
     assert est.value == pytest.approx(6.0, abs=2e-4)
     assert est.value == pytest.approx(oracle, rel=1e-6)
 
@@ -144,7 +145,8 @@ def test_order_fixtures_vs_radial_oracle():
 
     est = order_of(Koebe(), grid=GRID)
     assert est.alpha == pytest.approx(2.0, abs=1e-4)
-    assert est.alpha == pytest.approx(_oracle_radial(ORDER.at(Koebe())), rel=1e-5)
+    assert est.alpha == pytest.approx(_oracle_radial(
+        lambda z: ORDER.formula(Jet(Koebe(), z, ORDER.order))), rel=1e-5)
     est = order_of(HalfPlane(), grid=GRID)
     assert est.alpha == pytest.approx(1.0, abs=1e-4)
 
@@ -302,7 +304,7 @@ def _one_search_estimate(f, fn, r_max, grid, order):
     i = at[np.lexsort((np.mod(np.angle(z[at]), 2.0 * np.pi), np.round(np.abs(z[at]), 15)))[0]]
     best_z, best_v = complex(z[i]), float(v[i])
     step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
-    func = fn.at(f)
+    func = lambda z: fn.formula(Jet(f, z, fn.jet_order(f)))
     sz, sv = best_z, float(func(np.array([best_z]))[0])
     for _ in range(norms.REFINE_ITERS):
         cand = sz + step * np.array([1, -1, 1j, -1j])
@@ -456,3 +458,81 @@ def test_the_first_non_finite_value_across_blocks_names_its_point(monkeypatch, c
         GridSuprema(Identity(), [fn], 0.9, BLOCKED_GRID).estimate(fn)
     assert str(blocked.value) == f"spiky: functional value {whole[k]} at z = {complex(z[k])}"
     assert str(blocked.value).startswith("spiky: functional value -inf at z = ")
+
+
+# --- sup_weighted and the order of a map whose h is not normalized: GridSuprema's blocks ---
+
+def _toy(z):
+    return np.abs(z) * (1.0 - np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(3.0 * np.angle(z) - 0.7))
+
+
+# repr of each estimate, pinned when sup_weighted and order_of scanned the
+# whole grid with one call; the order as repr((alpha, argmax_point))
+PINNED_REPRS = {
+    (64, 256): (
+        "NormEstimate(value=0.5003702332975938, kind='toy', r_max=0.9, grid=(64, 256), "
+        "refined=True, argmax_point=(-0.3964630830622477+0.4197027045093836j))",
+        "(2.000000000000034, (0.997752662673543+0j))",
+        "NormEstimate(value=0.7980222220860826, kind='omega_star', r_max=0.999, "
+        "grid=(64, 256), refined=True, "
+        "argmax_point=(0.5775416292745689+0.41446689670446113j))",
+    ),
+    BLOCKED_GRID: (
+        "NormEstimate(value=0.5003702332976261, kind='toy', r_max=0.9, grid=(128, 1024), "
+        "refined=True, argmax_point=(0.5617046886064443+0.1334961480372609j))",
+        "(2.0000000000000693, (0.9988210681196955+0j))",
+        "NormEstimate(value=0.7980222220860826, kind='omega_star', r_max=0.999, "
+        "grid=(128, 1024), refined=True, "
+        "argmax_point=(0.6671039341879536+0.24557988441392706j))",
+    ),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("grid", sorted(PINNED_REPRS), ids=["one-block", "five-blocks"])
+def test_bare_suprema_and_the_renormalized_order_keep_their_pinned_bits(monkeypatch, grid, cpus):
+    from harmdist.analytic import Affine
+
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    toy, order, omega_star = PINNED_REPRS[grid]
+    assert repr(sup_weighted(_toy, "toy", 0.9, grid)) == toy
+    est = order_of(Affine(Koebe(), 2.0, 0.5), grid=grid)
+    assert repr((est.alpha, est.argmax_point)) == order
+    assert est.normalized is False
+    assert repr(omega_star_norm(Monomial(0.9, 2), grid=grid)) == omega_star
+
+
+def test_sup_weighted_calls_its_function_one_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    sizes = []  # list.append is atomic, unlike += across threads
+
+    def toy(z):
+        sizes.append(np.size(z))
+        return _toy(z)
+
+    sup_weighted(toy, "toy", 0.9, BLOCKED_GRID)
+    assert len(sizes) > 5
+    assert max(sizes) <= series._HORNER_CHUNK
+
+
+def test_the_renormalized_order_reads_h_one_block_at_a_time(monkeypatch):
+    from harmdist.analytic import Affine
+
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    sizes = []
+
+    def derivs(self, z, order=3, first=0, _orig=Koebe.derivs):
+        sizes.append(np.size(z))
+        return _orig(self, z, order, first)
+
+    monkeypatch.setattr(Koebe, "derivs", derivs)
+    assert not order_of(Affine(Koebe(), 2.0, 0.5), grid=BLOCKED_GRID).normalized
+    assert len(sizes) > 5
+    assert max(sizes) <= series._HORNER_CHUNK
+
+
+def test_sup_weighted_refuses_a_grid_that_reaches_the_unit_circle():
+    from harmdist.errors import DomainError
+
+    with pytest.raises(DomainError):
+        sup_weighted(_toy, "toy", 1.0, (8, 16))

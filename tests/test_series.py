@@ -275,6 +275,18 @@ def test_for_each_block_runs_no_points_as_one_empty_block():
     assert spans == [(0, 0)]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_for_each_block_returns_each_blocks_result_in_block_order(monkeypatch, cpus):
+    _fan_out(monkeypatch, cpus)
+    n = 7 * K - 3
+    edges = [n * j // 7 for j in range(8)]
+    assert ts.for_each_block(n, lambda lo, hi: (lo, hi)) == list(zip(edges, edges[1:]))
+
+
+def test_for_each_block_returns_one_result_for_no_points():
+    assert ts.for_each_block(0, lambda lo, hi: (lo, hi)) == [(0, 0)]
+
+
 def test_cpu_count_falls_back_without_affinity(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert ts._cpus() == len(os.sched_getaffinity(0))
