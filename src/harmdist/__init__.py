@@ -13,7 +13,6 @@ from .criteria import (  # noqa: F401
     CriterionVerdict, becker_analytic, becker_harmonic, convexity_check,
     nehari_analytic, nehari_harmonic, theorem_d_harmonic,
 )
-from .connectivity import ConnectivityEstimate, linear_connectivity_estimate  # noqa: F401
 from .disk import automorphism, hyperbolic, pseudo_hyperbolic  # noqa: F401
 from .harmonic import (  # noqa: F401
     HarmonicMap, affine_transform, analytic_as_harmonic, from_h_and_omega,

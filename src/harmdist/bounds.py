@@ -159,21 +159,16 @@ def mmm_upper(jet, t: float = 1.0) -> PairBound:
 
 
 @_reads("R", "Q")
-def dhk_bounds(jet, alpha: float = 2.0, strict: bool = True) -> PairBound:
+def dhk_bounds(jet, alpha: float = 2.0) -> PairBound:
     """Growth sandwich for normalized univalent harmonic maps of order alpha.
 
     lower = (1/(2a))(1 - e^{-2ad}) max(R(a), R(b))
     upper = (1/(2a))(e^{2ad} - 1) min(Q(a), Q(b))
-
-    ``strict=False`` admits alpha in (0, 1) for detector-sensitivity runs
-    that deliberately violate the hypothesis.
     """
     if not np.isfinite(alpha):
         raise ParameterError(f"dhk_bounds requires a finite alpha, got {alpha}")
-    if alpha < 1.0 and strict:
+    if alpha < 1.0:
         raise ParameterError("dhk_bounds requires alpha >= 1")
-    if alpha <= 0.0:
-        raise ParameterError("dhk_bounds requires alpha > 0")
     d = jet.d
     lo = (1.0 - np.exp(-2.0 * alpha * d)) / (2.0 * alpha) * np.maximum(jet.a.R, jet.b.R)
     up = (np.exp(2.0 * alpha * d) - 1.0) / (2.0 * alpha) * np.minimum(jet.a.Q, jet.b.Q)

@@ -6,9 +6,11 @@ Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option or
 one the subcommand does not take, such as an --r-max outside (0, 1), a
 negative --seed or a NaN or infinite --alpha, --p, --c or --epsilon; an
---out that cannot be made a directory, checked before any work; or a bad
-map, descriptor or parameter, also on a map that fails numerically, since
-every parameter is checked before a sampled point is evaluated);
+--out that cannot be made a directory, checked before any work; a --map
+file that cannot be read; a descriptor entry that cannot be built, such as
+a Mobius map with its pole in the closed disc; or a bad map, descriptor or
+parameter, also on a map that fails numerically, since every parameter is
+checked before a sampled point is evaluated);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).

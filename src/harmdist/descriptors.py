@@ -20,6 +20,7 @@ two-element [re, im] list.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from pathlib import Path
@@ -30,7 +31,7 @@ from .analytic import (
     AnalyticMap, Compose, ExpMap, HalfPlane, Identity, Koebe, LinearCombo,
     LogMap, Mobius, Monomial, SeriesMap, disk_automorphism_map,
 )
-from .errors import ConfigError, NotSensePreservingError
+from .errors import ConfigError, DomainError, NotSensePreservingError, SingularError
 from .harmonic import HarmonicMap, from_h_and_omega
 from .series import TaylorSeries
 
@@ -47,16 +48,21 @@ _TERM_RE = re.compile(
 
 
 def parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
-        try:
-            return complex(v.replace(" ", "").replace("i", "j"))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex number {v!r}") from exc
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"cannot parse complex number {v!r}")
+    """A finite complex number; NaN and infinite parts are a ConfigError."""
+    try:
+        if isinstance(v, (int, float)):
+            z = complex(v)
+        elif isinstance(v, str):
+            z = complex(v.replace(" ", "").replace("i", "j"))
+        elif isinstance(v, (list, tuple)) and len(v) == 2:
+            z = complex(float(v[0]), float(v[1]))
+        else:
+            raise ValueError
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse complex number {v!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {v!r} is not finite")
+    return z
 
 
 def parse_expr(expr: str) -> AnalyticMap:
@@ -93,6 +99,18 @@ def _check_keys(d: dict, allowed: set[str], where: str):
 
 
 def parse_entry(entry, where: str = "entry") -> AnalyticMap:
+    """The map of one descriptor entry; an entry that cannot be built is a ConfigError.
+
+    Such an entry is a compose_sigma point outside the disc, a mobius map
+    with its pole in the closed disc or with ad - bc = 0, or exp with c = 0.
+    """
+    try:
+        return _build_entry(entry, where)
+    except (DomainError, SingularError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build_entry(entry, where: str) -> AnalyticMap:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object, got {type(entry).__name__}")
     _check_keys(entry, {"name", "params", "coefficients", "expr", "compose_sigma"}, where)
@@ -160,4 +178,6 @@ def load_descriptor(path: str | Path) -> HarmonicMap:
         desc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read descriptor {path}: {exc}") from exc
     return parse_descriptor(desc)

@@ -50,8 +50,9 @@ STRATEGIES = ("uniform-in-disc", "boundary-biased", "near-diagonal")
 class PairSet:
     """Pairs (a[k], b[k]) drawn from |z| < r_max, with 0 < r_max < 1.
 
-    An r_max outside (0, 1) is refused: at or below 0, or NaN, every pair
-    would be skipped, and the bound would pass on no evidence.
+    a and b are 1-d arrays of one length, and strategy is one of
+    STRATEGIES.  An r_max outside (0, 1) is refused: at or below 0, or NaN,
+    every pair would be skipped, and the bound would pass on no evidence.
     """
 
     a: np.ndarray
@@ -61,7 +62,16 @@ class PairSet:
     r_max: float
 
     def __post_init__(self):
+        if np.ndim(self.a) != 1 or np.shape(self.a) != np.shape(self.b):
+            raise ParameterError("a and b must be 1-d arrays of one length, got shapes "
+                                 f"{np.shape(self.a)} and {np.shape(self.b)}")
+        self.require_strategy(self.strategy)
         self.require_r_max(self.r_max)
+
+    @staticmethod
+    def require_strategy(strategy: str) -> None:
+        if strategy not in STRATEGIES:
+            raise ParameterError(f"unknown strategy {strategy!r}")
 
     @staticmethod
     def require_r_max(r_max: float) -> None:
@@ -77,8 +87,7 @@ def sample_pairs(
         raise ParameterError("count must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    if strategy not in STRATEGIES:
-        raise ParameterError(f"unknown strategy {strategy!r}")
+    PairSet.require_strategy(strategy)
     PairSet.require_r_max(r_max)
     rng = np.random.default_rng(seed)
 

@@ -271,7 +271,7 @@ def test_10_negative_controls(capsys):
         if becker_analytic(Koebe(), "paper").holds:
             failures.append("koebe passed the Becker criterion")
         rep = verify_bound(
-            analytic_as_harmonic(Koebe()), "dhk", {"alpha": 0.5, "strict": False},
+            analytic_as_harmonic(Koebe()), "dhk", {"alpha": 1.0},
             sample_pairs("uniform-in-disc", 10_000, SEED, 0.999),
         )
         if rep.violations == 0:

@@ -114,10 +114,9 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         B.mmm_upper(B.pair_jet(HalfPlane(), 0.1, 0.2), t=1.5)
     with pytest.raises(ParameterError):
-        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=0.5)  # strict by default
-    B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=0.5, strict=False)  # negative-control escape
+        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=0.5)
     with pytest.raises(ParameterError):
-        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=-1.0, strict=False)
+        B.dhk_bounds(B.pair_jet(f, 0.1, 0.2), alpha=-1.0)
     with pytest.raises(NotSensePreservingError):
         B.convex_h_bounds(B.pair_jet(f, 0.1, 0.2), omega_inf=1.0)
     with pytest.raises(ParameterError):
@@ -131,11 +130,10 @@ def test_parameter_validation():
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("call", [
     lambda jet, v: B.dhk_bounds(jet, alpha=v),
-    lambda jet, v: B.dhk_bounds(jet, alpha=v, strict=False),
     lambda jet, v: B.kim_minda_convex_lower(jet, p=v, omega_inf=0.3),
     lambda jet, v: B.linconn_bounds(jet, c=v, omega_inf=0.0),  # c ||omega|| is NaN
     lambda jet, v: B.growth_sandwich(Koebe(), 0.5, alpha=v),
-], ids=["dhk", "dhk-not-strict", "kim_minda_convex", "linconn", "growth_sandwich"])
+], ids=["dhk", "kim_minda_convex", "linconn", "growth_sandwich"])
 def test_non_finite_parameter_is_rejected(call, value):
     with pytest.raises(ParameterError, match=f"got {value}"):
         call(B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2), value)

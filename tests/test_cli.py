@@ -193,6 +193,40 @@ def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, cap
         assert "1.2z" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_map_file_is_config_error(kind, tmp_path, capsys):
+    path = tmp_path / "desc"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff\xfe{"h": {"name": "identity"}}')
+    assert main(["analyze", "--map", str(path), "--grid", "16,64"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read descriptor") and str(path) in err
+
+
+@pytest.mark.parametrize("desc, named", [
+    ({"h": {"compose_sigma": {"a": 1.5, "inner": {"name": "identity"}}}}, "h"),
+    ({"h": {"name": "identity"},
+      "g": {"compose_sigma": {"a": 0.1, "inner": {"name": "mobius",
+                                                     "params": {"c": 1, "d": 0.5}}}}},
+     "g.compose_sigma.inner"),
+    ({"h": {"name": "mobius", "params": {"c": 1, "d": 1}}}, "h"),
+    ({"h": {"name": "mobius", "params": {"a": 1, "b": 1, "c": 1, "d": 1}}}, "h"),
+    ({"h": {"name": "exp", "params": {"c": 0}}}, "h"),
+    ({"h": {"name": "identity"}, "omega": {"expr": "nanz"}}, "nan"),
+    ({"h": {"name": "exp", "params": {"c": [0.5, float("inf")]}}}, "inf"),
+], ids=["sigma-outside-disc", "nested-mobius-pole", "mobius-pole-on-circle",
+        "mobius-degenerate", "exp-zero", "nan-expr", "inf-param"])
+def test_descriptor_entry_that_cannot_be_built_is_config_error(desc, named, tmp_path, capsys):
+    """The descriptor is at fault, not the numerics: exit 4, naming the entry or the number."""
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc))
+    assert main(["analyze", "--map", str(path), "--grid", "16,64"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+
+
 def test_numerical_errors_exit_5(tmp_path, capsys):
     # omega = 1.98 z leaves the disc at |z| > 1/1.98: not a configuration error
     desc = tmp_path / "it.json"
@@ -200,6 +234,10 @@ def test_numerical_errors_exit_5(tmp_path, capsys):
     args = ["--map", str(desc), "--out", str(tmp_path)]
     assert main(["verify", "--bound", "dhk", "--pairs", "1000", *args]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical error: ")
+    assert main(["analyze", *args]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    # h = z^2 builds, and its h' vanishes at a grid point
+    desc.write_text(json.dumps({"h": {"coefficients": [0, 0, 1]}}))
     assert main(["analyze", *args]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical error: ")
     assert main(["analyze", "--map", "identity", "--t", "2"]) == EXIT_CONFIG
@@ -316,15 +354,23 @@ def test_plot_emits_svg_and_csv(tmp_path):
     assert digest == "3d2c8adf676c744b0ad9a471fda55291356df32d32bbacd760185eb3f96e5f34"
 
 
-def test_cli_import_does_not_load_scipy():
-    """Only linear_connectivity_estimate needs scipy, and it imports it itself."""
-    code = ("import sys, harmdist, harmdist.cli\n"
-            "harmdist.cli.main(['catalog'])\n"
-            "sys.exit('scipy' in sys.modules)")
+@pytest.mark.parametrize("args", [
+    ["catalog"],
+    ["analyze", "--map", "koebe", "--grid", "16,64"],
+    ["verify", "--bound", "convex_h", "--map", "shear-halfplane-0.4z", "--pairs", "400"],
+    ["plot", "--map", "koebe", "--bound", "dhk", "--pairs", "400"],
+], ids=["catalog", "analyze", "verify", "plot"])
+def test_cli_import_does_not_load_scipy(args, tmp_path):
+    """numpy is the only runtime dependency: every subcommand runs where scipy cannot load."""
+    out = [] if args == ["catalog"] else ["--out", str(tmp_path)]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "import harmdist.cli\n"
+            f"sys.exit(harmdist.cli.main({[*args, *out]!r}))")
     env = dict(os.environ, PYTHONPATH=str(Path(harmdist.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr or "scipy was imported"
+    assert run.returncode == 0, run.stderr
 
 
 def test_version_flag(capsys):

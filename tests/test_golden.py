@@ -127,8 +127,8 @@ def test_counterexample_search_matches_golden():
     f = analytic_as_harmonic(Koebe())
     s = sample_pairs("uniform-in-disc", 256, seed=0)
     pair, margin = counterexample_search(
-        f, "dhk", {"alpha": 0.5, "strict": False}, budget=300, samples=s
+        f, "dhk", {"alpha": 1.0}, budget=300, samples=s
     )
     assert pair == (0.998995725126792 - 0.002922187946144514j,
                     -0.31024047059272364 - 0.1594032283276043j)
-    assert margin == -104615.04194742326
+    assert margin == -104096.12864451732

@@ -98,9 +98,9 @@ def test_force_overrides_the_gate():
 
 
 def test_detector_flags_deliberate_violations():
-    """dhk with alpha = 0.5 on the order-2 Koebe map must report violations."""
+    """dhk with alpha = 1, a legal alpha below the order-2 Koebe map's, must report violations."""
     r = verify_bound(analytic_as_harmonic(Koebe()), "dhk",
-                     {"alpha": 0.5, "strict": False},
+                     {"alpha": 1.0},
                      sample_pairs("uniform-in-disc", N, seed=0))
     assert r.hypothesis_met
     assert r.violations > 0
@@ -174,10 +174,10 @@ def test_byte_identical_reports(tmp_path):
 def test_counterexample_search_digs_deeper():
     f = analytic_as_harmonic(Koebe())
     s = sample_pairs("uniform-in-disc", 256, seed=0)
-    base = verify_bound(f, "dhk", {"alpha": 0.5, "strict": False, "force": True}, s)
+    base = verify_bound(f, "dhk", {"alpha": 1.0, "force": True}, s)
     worst0 = min(base.min_lower_margin, base.min_upper_margin)
     (a, b), margin = counterexample_search(
-        f, "dhk", {"alpha": 0.5, "strict": False}, budget=300, samples=s
+        f, "dhk", {"alpha": 1.0}, budget=300, samples=s
     )
     assert margin <= worst0 + 1e-12
     assert abs(a) < 1.0 and abs(b) < 1.0
@@ -285,7 +285,7 @@ def test_block_workers_lose_no_violation(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        r = verify_bound(f, "dhk", {"alpha": 0.5, "strict": False}, s)
+        r = verify_bound(f, "dhk", {"alpha": 1.0}, s)
     finally:
         sys.setswitchinterval(interval)
     t = r.table
@@ -320,6 +320,18 @@ def test_a_hand_built_pair_set_is_refused_outside_the_open_unit_interval(r_max):
             f"r_max must lie in the open interval (0, 1), got {r_max}")):
         verify_bound(get_map("shear-halfplane-0.4z"), "dhk", {},
                      PairSet(z, -z, "uniform-in-disc", 0, r_max))
+
+
+@pytest.mark.parametrize("a, b, strategy, named", [
+    (np.full(1, 0.3j), np.full(5, 0.1), "uniform-in-disc", "one length"),
+    (np.full((2, 3), 0.3j), np.full((2, 3), 0.1), "uniform-in-disc", "1-d"),
+    (np.full(5, 0.3j), np.full(5, 0.1), "bogus", "unknown strategy 'bogus'"),
+], ids=["unequal-lengths", "two-d", "unknown-strategy"])
+def test_a_hand_built_pair_set_is_refused_unless_its_pairs_and_strategy_are_sound(
+        a, b, strategy, named):
+    """No pair is dropped or left unevaluated, and the report names a real strategy."""
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        PairSet(a, b, strategy, 0, 0.9)
 
 
 def test_non_sense_preserving_block_raises_the_whole_array_error(monkeypatch):
