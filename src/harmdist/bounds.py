@@ -74,9 +74,10 @@ def pair_jet(f, a, b, reads=ALL_READS) -> PairJet:
 def pair_jet_in_disc(f, a, b, reads=ALL_READS) -> PairJet:
     """pair_jet for pairs the caller has checked lie in the disc."""
     f = as_harmonic(f)
-    rho = pseudo_hyperbolic_in_disc(a, b)
+    ja, jb = point_jet(f, a, reads), point_jet(f, b, reads)
+    rho = pseudo_hyperbolic_in_disc(a, b)  # after the point jets, outside their peak
     return PairJet(
-        point_jet(f, a, reads), point_jet(f, b, reads), rho, hyperbolic_from_pseudo(rho),
+        ja, jb, rho, hyperbolic_from_pseudo(rho),
         complex(f.omega_derivs(0.0, 0)[0]) if "omega0" in reads else None,
     )
 

@@ -10,7 +10,7 @@ neither for an analytic one.  An <entry> is one of
     {"name": "identity" | "halfplane" | "koebe" | "logtype"}
     {"name": "exp", "params": {"c": <complex>}}
     {"name": "mobius", "params": {"a": ..., "b": ..., "c": ..., "d": ...}}
-    {"coefficients": [<complex>, ...]}            # Taylor coefficients c_0..c_N
+    {"coefficients": [<complex>, ...]}            # Taylor coefficients c_0..c_N, N >= 0
     {"expr": "0.3z + 0.1z^3"}                     # sums of c * z^k
     {"compose_sigma": {"a": <complex>, "inner": <entry>}}   # sigma_a(entry(z))
 
@@ -136,7 +136,10 @@ def _build_entry(entry, where: str) -> AnalyticMap:
                             for k, dv in (("a", 1), ("b", 0), ("c", 0), ("d", 1))))
         raise ConfigError(f"{where}: unknown map name {name!r}")
     if tag == "coefficients":
-        coeffs = np.array([parse_complex(c) for c in entry["coefficients"]])
+        listed = entry["coefficients"]
+        if not isinstance(listed, list) or not listed:
+            raise ConfigError(f"{where}: coefficients must be a non-empty list, got {listed!r}")
+        coeffs = np.array([parse_complex(c) for c in listed])
         return SeriesMap(TaylorSeries(coeffs), name=f"{where}-series")
     if tag == "expr":
         return parse_expr(entry["expr"])

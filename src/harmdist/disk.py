@@ -52,9 +52,16 @@ def hyperbolic(a, b):
 
 
 def hyperbolic_from_pseudo(rho):
-    """d = arctanh(rho) = (1/2) log((1 + rho) / (1 - rho)) from rho = rho(a, b)."""
+    """d = arctanh(rho) = (1/2) log((1 + rho) / (1 - rho)) from rho = rho(a, b).
+
+    The bits are those of 0.5 * (log1p(rho) - log1p(-rho)); the difference
+    and the halving run in place, so one array besides d is alive at once.
+    """
     rho = np.asarray(rho)
-    out = 0.5 * (np.log1p(rho) - np.log1p(-rho))
+    minus = np.log1p(-rho)
+    out = np.log1p(rho)
+    out -= minus
+    out *= 0.5
     return out if out.ndim else float(out)
 
 

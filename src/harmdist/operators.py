@@ -207,23 +207,31 @@ class PointJet:
 def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
     """One h.derivs and one g.derivs call at z, sense-preserving test included.
 
-    ``reads`` names the fields to keep besides the value; the derivative
-    arrays do not outlive the call.  The caller checks that z lies in the
-    disc.
+    ``reads`` names the fields to keep besides the value.  Each of h(z),
+    g(z), h' and g' is dropped as soon as it has been read, h(z) being kept
+    only when "h" is in reads, so no more complex arrays of the points are
+    alive at once than the four derivs gives and conj g(z).  The caller
+    checks that z lies in the disc.
     """
     f = as_harmonic(f)
     z = np.asarray(z, dtype=complex)
     h0, h1 = f.h.derivs(z, 1)
     g0, g1 = f.g.derivs(z, 1)
+    value = np.conj(g0)
+    del g0
+    value = h0 + value
+    h = h0 if "h" in reads else None
+    del h0
     f.check_dilatation(g1 / h1)
-    w2 = 1.0 - np.abs(z) ** 2
     ah, ag = np.abs(h1), np.abs(g1)
+    del h1, g1
+    w2 = 1.0 - np.abs(z) ** 2
     return PointJet(
-        value=h0 + np.conj(g0),
+        value=value,
         R=w2 * (ah - ag) if "R" in reads else None,
         Q=w2 * (ah + ag) if "Q" in reads else None,
         Rh=w2 * ah if "Rh" in reads else None,
-        h=h0 if "h" in reads else None,
+        h=h,
     )
 
 

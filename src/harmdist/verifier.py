@@ -10,12 +10,12 @@ finite.  Each sample point is evaluated once, through a pair jet.
 The pairs are checked to lie in the disc once, and then evaluated block by
 block (``series.for_each_block``), on every CPU the process may use: each
 block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
-slice of the report's stored columns (rho, d, |f(a) - f(b)| and the sides
-the bound has) and reduces itself: its violation count, each side's least
+slice of the report's stored columns (rho, |f(a) - f(b)| and the sides the
+bound has) and reduces itself: its violation count, each side's least
 margin and first pair with it, its greatest tightness ratio and, for
 becker_harmonic, its proof-form count.  The blocks' reductions are combined
-in pair order into the bits whole-array passes give.  The margins are not
-stored: the report's table computes them when they are read.  A failing
+in pair order into the bits whole-array passes give.  d and the margins are
+not stored: the report's table computes them when they are read.  A failing
 evaluation raises the error of its first failing block, in pair order,
 whatever the number of CPUs, and evaluates no pair again.  The sampler
 draws each uniform array whole, which fixes the generator's stream, and
@@ -35,7 +35,7 @@ import numpy as np
 from . import bounds as B
 from . import criteria as C
 from . import csvrows, series
-from .disk import automorphism, require_in_disk
+from .disk import automorphism, hyperbolic_from_pseudo, require_in_disk
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
@@ -152,17 +152,20 @@ def _read(f, name: str, params: dict, r_max: float) -> float:
 
 
 class PairTable(dict):
-    """A report's per-pair columns: the stored ones, and the margins computed when read.
+    """A report's per-pair columns: the stored ones, and those computed when read.
 
-    It holds re_a, im_a, re_b, im_b, rho, d, actual and the sides (lower,
-    upper) the bound has.  ``lower_margin`` = actual - lower and
-    ``upper_margin`` = upper - actual are computed each time they are read
-    and are not kept.  A side the bound lacks, and its margin, read as NaN.
+    It stores re_a, im_a, re_b, im_b, rho, actual and the sides (lower,
+    upper) the bound has.  ``d`` = arctanh(rho) (``disk.hyperbolic_from_pseudo``),
+    ``lower_margin`` = actual - lower and ``upper_margin`` = upper - actual
+    are computed each time they are read and are not kept.  A side the
+    bound lacks, and its margin, read as NaN.
     """
 
     _MARGINS = {"lower_margin": ("actual", "lower"), "upper_margin": ("upper", "actual")}
 
     def __missing__(self, key):
+        if key == "d":
+            return hyperbolic_from_pseudo(self["rho"])
         if key in self._MARGINS:
             minuend, subtrahend = self._MARGINS[key]
             if subtrahend in self and minuend in self:
@@ -259,8 +262,8 @@ class BoundReport:
     tightness: float | None = None
     extra: dict = field(default_factory=dict)
     # per-pair columns for CSV emission (not serialized to JSON): a PairTable,
-    # which stores rho, d, the sides and |f(a) - f(b)| and computes the margins
-    # when they are read; empty where the bound was not evaluated
+    # which stores rho, the sides and |f(a) - f(b)| and computes d and the
+    # margins when they are read; empty where the bound was not evaluated
     table: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -356,15 +359,17 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
     ``series.for_each_block`` and run on every CPU the process may use:
     each block evaluates its own pair jet, writes its slice of the
     full-length columns and reduces itself on the same worker, so no jet or
-    margin outlives its block.  The columns have the bits of one evaluation
-    over all pairs, because no block is below 16384 pairs unless it holds
-    them all (see norms.GridSuprema).  The reductions are returned in pair
-    order.  An error is that of the first failing block, in pair order, on
-    any number of CPUs.
+    margin outlives its block.  d is not a column: the block's own table
+    has it for _reduce, and the report's table computes it from rho.  The
+    columns have the bits of one evaluation over all pairs, because no
+    block is below 16384 pairs unless it holds them all (see
+    norms.GridSuprema).  The reductions are returned in pair order.  An
+    error is that of the first failing block, in pair order, on any number
+    of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     require_in_disk(a, b)
-    columns = {k: np.empty(len(a)) for k in empty}
+    columns = {k: np.empty(len(a)) for k in empty if k != "d"}
 
     def run(lo, hi):
         block = _evaluate_pairs(f, bound_name, params, a[lo:hi], b[lo:hi])

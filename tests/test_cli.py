@@ -216,8 +216,12 @@ def test_unreadable_map_file_is_config_error(kind, tmp_path, capsys):
     ({"h": {"name": "exp", "params": {"c": 0}}}, "h"),
     ({"h": {"name": "identity"}, "omega": {"expr": "nanz"}}, "nan"),
     ({"h": {"name": "exp", "params": {"c": [0.5, float("inf")]}}}, "inf"),
+    ({"h": {"coefficients": []}}, "h: coefficients must be a non-empty list"),
+    ({"h": {"coefficients": 5}}, "h: coefficients must be a non-empty list"),
+    ({"h": {"name": "identity"}, "g": {"coefficients": "0.1"}}, "g: coefficients"),
 ], ids=["sigma-outside-disc", "nested-mobius-pole", "mobius-pole-on-circle",
-        "mobius-degenerate", "exp-zero", "nan-expr", "inf-param"])
+        "mobius-degenerate", "exp-zero", "nan-expr", "inf-param", "empty-coefficients",
+        "number-as-coefficients", "string-as-coefficients"])
 def test_descriptor_entry_that_cannot_be_built_is_config_error(desc, named, tmp_path, capsys):
     """The descriptor is at fault, not the numerics: exit 4, naming the entry or the number."""
     path = tmp_path / "desc.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmdist.disk import automorphism, hyperbolic, pseudo_hyperbolic
+from harmdist.disk import automorphism, hyperbolic, hyperbolic_from_pseudo, pseudo_hyperbolic
 from harmdist.errors import DomainError
 
 points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
@@ -27,6 +27,19 @@ def test_vectorized_matches_scalar(rng):
     assert rho.shape == (64,)
     for k in (0, 17, 63):
         assert rho[k] == pytest.approx(pseudo_hyperbolic(complex(a[k]), complex(b[k])))
+
+
+def test_hyperbolic_from_pseudo_keeps_the_bits_of_the_arctanh_expression(rng):
+    """d has the bits of 0.5 * (log1p(rho) - log1p(-rho)), and rho is only read."""
+    rho = np.concatenate([rng.uniform(0.0, 1.0, 40_000), [0.0, np.nextafter(1.0, 0.0), np.nan]])
+    given_rho = rho.copy()
+    d = hyperbolic_from_pseudo(rho)
+    expected = 0.5 * (np.log1p(rho) - np.log1p(-rho))
+    assert np.array_equal(d.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(rho.view(np.uint64), given_rho.view(np.uint64))
+    for x in (0.0, 0.5, float(np.nextafter(1.0, 0.0))):
+        assert type(hyperbolic_from_pseudo(x)) is float
+        assert hyperbolic_from_pseudo(x) == 0.5 * (np.log1p(x) - np.log1p(-x))
 
 
 @given(a=points, b=points)

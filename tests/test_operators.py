@@ -1,10 +1,13 @@
 """Differential operators against finite-difference and closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import disc_points, wirtinger_dz
 from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
+from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, SingularError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
 from harmdist.norms import SCHWARZIAN, schwarzian_norm, sup_weighted
@@ -14,6 +17,7 @@ from harmdist.operators import (
     harmonic_pre_schwarzian,
     harmonic_schwarzian,
     omega_star_at,
+    point_jet,
     pre_schwarzian,
     schwarzian,
     schwarzian_of,
@@ -135,6 +139,24 @@ def test_distortion_quantities(rng):
     R, Q, Rh = distortion_quantities(analytic_as_harmonic(Koebe()), z)
     np.testing.assert_allclose(R, Q, rtol=1e-14)
     np.testing.assert_allclose(R, Rh, rtol=1e-14)
+
+
+def test_point_jet_drops_each_derivative_once_read():
+    """At most h(z), h', g(z), g' and conj g(z) are alive at once: 10 float64 a point.
+
+    Measured with numpy 2.4 on a series g; holding the four derivatives
+    until every scale was formed took 14.
+    """
+    f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
+    z = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 20_000))
+    tracemalloc.start()
+    try:
+        jet = point_jet(f, z, ("Rh",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jet.R is None and jet.h is None and jet.Rh.shape == z.shape
+    assert peak < 8 * 12 * len(z)
 
 
 def test_a_jet_view_reads_the_bits_of_a_jet_of_its_own_points(rng):
