@@ -39,8 +39,9 @@ class AnalyticMap:
     def derivs(self, z, order: int = 3, first: int = 0):
         """Return (f^(first), ..., f^(order)) evaluated at z (scalar or array).
 
-        ``first=1`` leaves out f(z) for a caller that reads derivatives only;
-        every array returned has the bits it has when ``first=0``.
+        ``first=1`` leaves out f(z) for a caller that reads derivatives only,
+        and f(z) is not computed then; every array returned has the bits it
+        has when ``first=0``.
         """
         raise NotImplementedError
 
@@ -62,9 +63,8 @@ class AnalyticMap:
         return self.derivs(z, 0)[0]
 
     def _check(self, z):
-        require_in_disk(z)
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > self.reliable_radius + 1e-15):
+        if np.any(require_in_disk(z) > self.reliable_radius + 1e-15):
             raise PrecisionError(
                 f"{self.name}: evaluation beyond reliable radius "
                 f"{self.reliable_radius:g}"
@@ -115,8 +115,7 @@ class Mobius(AnalyticMap):
         z = self._check(z)
         det = self.a * self.d - self.b * self.c
         den = self.c * z + self.d
-        f = (self.a * z + self.b) / den
-        out = [f]
+        out = [(self.a * z + self.b) / den if first == 0 else None]
         if order >= 1:
             out.append(det / den**2)
         if order >= 2:
@@ -156,7 +155,7 @@ class HalfPlane(AnalyticMap):
     def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z
-        out = [z / w]
+        out = [z / w if first == 0 else None]
         if order >= 1:
             out.append(1.0 / w**2)
         if order >= 2:
@@ -183,7 +182,7 @@ class Koebe(AnalyticMap):
     def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z
-        out = [z / w**2]
+        out = [z / w**2 if first == 0 else None]
         if order >= 1:
             out.append((1.0 + z) / w**3)
         if order >= 2:
@@ -214,7 +213,7 @@ class ExpMap(AnalyticMap):
     def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         e = np.exp(self.c * z)
-        out = [(e - 1.0) / self.c]
+        out = [(e - 1.0) / self.c if first == 0 else None]
         for k in range(1, order + 1):
             out.append(self.c ** (k - 1) * e)
         return tuple(out[first:])
@@ -236,7 +235,7 @@ class LogMap(AnalyticMap):
     def derivs(self, z, order: int = 3, first: int = 0):
         z = self._check(z)
         w = 1.0 - z * z
-        out = [0.5 * (np.log1p(z) - np.log1p(-z))]
+        out = [0.5 * (np.log1p(z) - np.log1p(-z)) if first == 0 else None]
         if order >= 1:
             out.append(1.0 / w)
         if order >= 2:

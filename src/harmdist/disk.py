@@ -18,8 +18,13 @@ from .errors import DomainError
 BOUNDARY_FLAG_TOL = 1e-12
 
 
-def require_in_disk(*points, name: str = "point") -> None:
-    """Validate that every argument lies in the open unit disc."""
+def require_in_disk(*points, name: str = "point"):
+    """Validate that every argument lies in the open unit disc.
+
+    Returns the modulus of the last argument, so that a caller that checks
+    one point need not take it again.
+    """
+    mod = None
     for p in points:
         mod = np.abs(np.asarray(p, dtype=complex))
         if np.any(mod >= 1.0):
@@ -30,6 +35,7 @@ def require_in_disk(*points, name: str = "point") -> None:
                 "hyperbolic quantities may be inaccurate",
                 stacklevel=2,
             )
+    return mod
 
 
 def pseudo_hyperbolic(a, b):

@@ -59,7 +59,7 @@ class HarmonicMap:
         """
         return omega_quotients(
             (None,) + self.h.derivs(z, order + 1, first=1),
-            (None,) + self.g.derivs(z, order + 1, first=1),
+            [None, *self.g.derivs(z, order + 1, first=1)],
             order,
         )
 
@@ -82,18 +82,35 @@ def omega_quotients(hv, gv, order: int):
     omega   = g'/h'
     omega'  = g''/h' - g' h''/h'^2
     omega'' = g'''/h' - (2 g'' h'' + g' h''')/h'^2 + 2 g' h''^2/h'^3
+
+    gv is a list, and each g derivative is dropped from it after its last
+    use, so a caller that keeps no other reference to them frees each one
+    then.  Every product is the expression the formulas above write, so
+    its operands keep their order; quotients and sums run in place.
     """
     h1 = hv[1]
-    w = gv[1] / h1
-    out = [w]
+    out = [gv[1] / h1]
     if order >= 1:
-        out.append(gv[2] / h1 - gv[1] * hv[2] / h1**2)
+        t = gv[1] * hv[2]
+        t /= h1**2
+        w1 = gv[2] / h1
+        w1 -= t
+        out.append(w1)
+        del t
     if order >= 2:
-        out.append(
-            gv[3] / h1
-            - (2.0 * gv[2] * hv[2] + gv[1] * hv[3]) / h1**2
-            + 2.0 * gv[1] * hv[2] ** 2 / h1**3
-        )
+        w2 = gv[3] / h1
+        gv[3] = None
+        t = 2.0 * gv[2] * hv[2]
+        gv[2] = None
+        t += gv[1] * hv[3]
+        t /= h1**2
+        w2 -= t
+        del t
+        t = 2.0 * gv[1] * hv[2] ** 2
+        gv[1] = None
+        t /= h1**3
+        w2 += t
+        out.append(w2)
     return tuple(out)
 
 
@@ -191,7 +208,7 @@ def halfplane_shear_g(coef: complex) -> AnalyticMap:
         def derivs(self, z, order: int = 3, first: int = 0):
             z = self._check(z)
             w = 1.0 - z
-            out = [coef * (1.0 / w + np.log(w) - 1.0)]
+            out = [coef * (1.0 / w + np.log(w) - 1.0) if first == 0 else None]
             if order >= 1:
                 out.append(coef * z / w**2)
             if order >= 2:

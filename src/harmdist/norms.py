@@ -7,8 +7,11 @@ formula reads omega, one g.derivs call per block), scans the formula on
 it, and reduces the block's values to what an estimate reads of them: the
 error the formula raised, else the first non-finite value, else the
 maximum and its argmax.  The blocks' reductions are combined in grid
-order, so no grid of values is kept and an error is the first block's.  The
-grid argmax is then refined by a compass pattern search, ``_refine``.
+order, so no grid of values is kept and an error is the first block's.  No
+grid of points is kept either: each block makes its own points, and the
+grid argmax its one point, from the rows of the polar grid they span
+(``_grid_points``), with the bits ``polar_grid`` gives them.  The grid
+argmax is then refined by a compass pattern search, ``_refine``.
 ``GridSuprema`` shares each block's jet among several functionals of the
 same map, r_max and grid, runs the blocks on every CPU the process may use,
 refines all their argmaxes in lockstep on one jet per step, and keeps each
@@ -88,11 +91,27 @@ class OrderEstimate:
 
 def polar_grid(r_max: float, nr: int, ntheta: int) -> np.ndarray:
     """Polar grid including the origin, radii clustered toward r_max."""
+    return _grid_points(r_max, nr, ntheta, 0, nr * ntheta + 1)
+
+
+def _grid_points(r_max: float, nr: int, ntheta: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo:hi of ``polar_grid(r_max, nr, ntheta)``, made from the rows they span.
+
+    Point 0 is z = 0, and point 1 + i * ntheta + j is row i, column j of
+    ``np.outer(radii, exp(1j * theta))``.  The points are sliced from that
+    outer product over the rows lo:hi spans, so each is the same array
+    product as in the whole grid, with the same bits, which a product of
+    numpy scalars need not have.  radii and theta are computed whole, as
+    ``polar_grid`` computes them.
+    """
     i = np.arange(1, nr + 1)
     radii = r_max * np.sin(0.5 * np.pi * i / nr)
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    z = np.outer(radii, np.exp(1j * theta)).ravel()
-    return np.concatenate([[0.0 + 0.0j], z])
+    first, last = max(lo, 1) - 1, max(hi, 1) - 1  # positions in the outer product
+    row = first // max(ntheta, 1)
+    z = np.outer(radii[row : -(-last // max(ntheta, 1))], np.exp(1j * theta)).ravel()
+    z = z[first - row * ntheta : last - row * ntheta]
+    return np.concatenate([[0.0 + 0.0j], z]) if lo == 0 < hi else z
 
 
 def _require_finite(z: np.ndarray, v: np.ndarray, kind: str) -> None:
@@ -124,24 +143,25 @@ def _peak(z: np.ndarray, v, kind: str, lo: int):
     try:
         _require_finite(z, v, kind)
     except NonFiniteError as exc:
-        return exc.with_traceback(None)  # keeps no frame, so no grid
+        return exc.with_traceback(None)  # keeps no frame, so no block's jet
     top = v.max()
     at = np.flatnonzero(v == top)
     return float(top), lo + int(at[_least_key(z[at])])
 
 
-def _grid_peak(z: np.ndarray, peaks):
+def _grid_peak(points, peaks):
     """The grid maximum and argmax from the ``_peak`` of each block, in grid order.
 
     Or the first block's exception.  The key of ``_least_key`` is a total
     order, so the least of the blocks' argmaxes is the whole grid's.
+    ``points(lo, hi)`` gives the grid's points lo:hi.
     """
     for peak in peaks:
         if isinstance(peak, Exception):
             return peak
     top = max(t for t, _ in peaks)
-    at = np.array([i for t, i in peaks if t == top])
-    return top, int(at[_least_key(z[at])])
+    at = [i for t, i in peaks if t == top]
+    return top, at[_least_key(np.concatenate([points(i, i + 1) for i in at]))]
 
 
 def _attempt(compute):
@@ -206,30 +226,31 @@ def _refine(starts, values, r_max: float) -> list:
             for k in range(len(starts))]
 
 
-def _estimates(z, peaks, kinds, values, r_max, grid) -> list:
+def _estimates(points, peaks, kinds, values, r_max, grid) -> list:
     """Per functional, its NormEstimate from its block peaks, or the exception it raised.
 
     ``peaks`` holds per functional the ``_peak`` of each block of the polar
-    grid z, in grid order.  The grid argmaxes of all the functionals are
-    refined together by ``_refine``, which evaluates them through ``values``;
-    search k of ``_refine`` is functional k.
+    grid, in grid order, and ``points(lo, hi)`` gives the grid's points
+    lo:hi.  The grid argmaxes of all the functionals are refined together by
+    ``_refine``, which evaluates them through ``values``; search k of
+    ``_refine`` is functional k.
     """
     nr, ntheta = grid
-    tops = [_grid_peak(z, blocks) for blocks in peaks]
+    tops = [_grid_peak(points, blocks) for blocks in peaks]
     starts = []
     for kind, top in zip(kinds, tops):
         if isinstance(top, Exception):
             starts.append(top)
             continue
-        bz = complex(z[top[1]])
+        bz = complex(points(top[1], top[1] + 1)[0])
         # initial step = local grid spacing near the argmax
         starts.append((kind, bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta)))
     out = []
-    for kind, top, result in zip(kinds, tops, _refine(starts, values, r_max)):
+    for kind, start, top, result in zip(kinds, starts, tops, _refine(starts, values, r_max)):
         if isinstance(result, Exception):
             out.append(result)
             continue
-        best_z, best_v = complex(z[top[1]]), top[0]
+        best_z, best_v = start[1], top[0]
         rz, rv, converged = result
         if rv > best_v:  # refinement may only improve the estimate
             best_z, best_v = rz, rv
@@ -290,9 +311,12 @@ def _becker_harmonic(jet):
     z = jet.z
     w2 = 1.0 - np.abs(z) ** 2
     p = harmonic_pre_schwarzian_of(jet)
+    out = w2 * np.abs(z * p)
+    del p
     w, w1 = jet.omega[:2]
     denom = 1.0 - np.abs(w) ** 2
-    return w2 * np.abs(z * p) + np.abs(z * w1) * w2 / denom
+    out += np.abs(z * w1) * w2 / denom
+    return out
 
 
 PRE_SCHWARZIAN = Functional("pre_schwarzian_norm", _pre_schwarzian_weighted, 2)
@@ -336,7 +360,10 @@ class GridSuprema:
     When the object is made, it estimates each of its functionals that the
     map has no estimate of.  The grid is cut by ``series.for_each_block``
     into equal blocks of at most ``series._HORNER_CHUNK`` points, run on
-    every CPU the process may use; each block gets one jet, to the highest
+    every CPU the process may use.  No array of the grid's points is made:
+    each block computes its own points from its index range, and each
+    argmax lookup its one point, through ``_grid_points``, with the bits
+    ``polar_grid`` gives them.  Each block gets one jet, to the highest
     order the functionals read, and the worker reduces each formula's values
     on the block to their ``_peak``: the first non-finite value, or the
     maximum and its argmax.  The peaks are combined in grid order, so no
@@ -364,8 +391,8 @@ class GridSuprema:
     functional whose formula raises, on the grid or at a refinement
     candidate, leaves the others as they are; its error is not stored on
     the map, and is raised each time its estimate is asked for.  The object
-    keeps the error without its traceback, whose frames would hold the
-    grid, and raises it with a fresh one each time.
+    keeps the error without its traceback, whose frames would hold a
+    block's jet, and raises it with a fresh one each time.
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
@@ -378,22 +405,23 @@ class GridSuprema:
                    if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
         if not scanned:
             return
-        z = polar_grid(r_max, *self.grid)
+        points = partial(_grid_points, r_max, *self.grid)
         order = max(fn.jet_order(f) for fn in scanned)
 
         def scan(lo, hi):
-            jet = Jet(f, z[lo:hi], order)
+            jet = Jet(f, points(lo, hi), order)
             return [_peak(jet.z, _attempt(lambda: fn.formula(jet)), fn.kind, lo)
                     for fn in scanned]
 
-        peaks = list(zip(*for_each_block(z.size, scan)))  # per functional, per block
+        n = self.grid[0] * self.grid[1] + 1
+        peaks = list(zip(*for_each_block(n, scan)))  # per functional, per block
 
         def values(points, spans):
             jet = Jet(f, points, order)
             return [_attempt(lambda: scanned[k].formula(jet.view(lo, hi))) for k, lo, hi in spans]
 
         kinds = [fn.kind for fn in scanned]
-        for fn, est in zip(scanned, _estimates(z, peaks, kinds, values, r_max, self.grid)):
+        for fn, est in zip(scanned, _estimates(points, peaks, kinds, values, r_max, self.grid)):
             if isinstance(est, Exception):
                 self._errors[fn] = est
             else:

@@ -37,7 +37,8 @@ class Jet:
     That call is made the first time a formula reads ``omega``, so a jet no
     formula reads omega from never evaluates g.  Both calls ask for
     derivatives only (``first=1``), so neither h(z) nor g(z) is evaluated,
-    and the derivatives of g are not kept.  The formulas run their own
+    and ``omega_quotients`` holds the only reference to the derivatives of
+    g, dropping each after its last use.  The formulas run their own
     checks, so formulas sharing a jet raise the errors each would raise on
     its own, in the order they run.
 
@@ -58,8 +59,9 @@ class Jet:
     def omega(self):
         """(omega, omega', ...) through order - 1, from one g.derivs call."""
         if self._omega is None:
-            gd = (None,) + tuple(self.f.g.derivs(self.z, self.order, first=1))
-            self._omega = omega_quotients(self.hd, gd, self.order - 1)
+            self._omega = omega_quotients(
+                self.hd, [None, *self.f.g.derivs(self.z, self.order, first=1)], self.order - 1
+            )
         return self._omega
 
     def view(self, lo: int, hi: int) -> "Jet":
@@ -122,7 +124,11 @@ def schwarzian_of(jet: Jet):
     _, d1, d2, d3 = jet.hd
     _nonzero_deriv(d1, jet.h.name)
     p = d2 / d1
-    return d3 / d1 - 1.5 * p * p
+    q = 1.5 * p * p
+    del p
+    out = d3 / d1
+    out -= q
+    return out
 
 
 def harmonic_pre_schwarzian_of(jet: Jet):
@@ -134,14 +140,26 @@ def harmonic_pre_schwarzian_of(jet: Jet):
 
 
 def harmonic_schwarzian_of(jet: Jet):
-    """S_f on a harmonic jet of order 3."""
+    """S_f on a harmonic jet of order 3.
+
+    S_f = (Sh + cw (w1 ph - w2)) - 1.5 (w1 cw)^2 with ph = h''/h' and
+    cw = conj(w)/(1 - |w|^2), summed in that order in place.  Each
+    temporary is dropped after its last use, and every product keeps its
+    operands in the order this expression gives them.
+    """
     _, h1, h2 = jet.hd[:3]
     _nonzero_deriv(h1, jet.h.name)
     (w, w1, w2), denom = _omega_factor(jet, 2)
-    ph = h2 / h1
-    sh = schwarzian_of(jet)
     cw = np.conj(w) / denom
-    return sh + cw * (w1 * ph - w2) - 1.5 * (w1 * cw) ** 2
+    del denom
+    ph = h2 / h1
+    out = cw * (w1 * ph - w2)
+    del ph
+    out += schwarzian_of(jet)
+    u = w1 * cw
+    del cw
+    out -= 1.5 * u ** 2
+    return out
 
 
 def omega_star_of(jet: Jet):

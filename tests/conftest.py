@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from harmdist import series
 from harmdist.catalog import CATALOG, get_map
 
 
@@ -16,6 +17,12 @@ def rng():
 @pytest.fixture(params=sorted(CATALOG))
 def catalog_map(request):
     return get_map(request.param)
+
+
+def block_edges(n: int) -> list[int]:
+    """The block edges of series.for_each_block over n points."""
+    blocks = max(1, -(-n // series._HORNER_CHUNK))
+    return [n * j // blocks for j in range(blocks + 1)]
 
 
 def disc_points(rng, n, r_hi=0.9, r_lo=0.0):

@@ -1,11 +1,15 @@
 """Catalog analytic maps: closed-form derivatives vs independent oracles."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import disc_points
 from harmdist.analytic import (
     Affine,
+    AnalyticMap,
     Compose,
     ExpMap,
     HalfPlane,
@@ -21,6 +25,7 @@ from harmdist.analytic import (
 )
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, PrecisionError, SingularError
+from harmdist.harmonic import halfplane_shear_g
 
 ALL_MAPS = [
     Identity(),
@@ -143,3 +148,84 @@ def test_derivs_from_first_keep_the_bits_of_the_full_jet(catalog_map, part, rng)
             assert len(part_jet) == order
             for got, want in zip(part_jet, full[1:]):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class _Logged(np.ndarray):
+    """An array that logs each ufunc call it takes part in to ``_Logged.log``.
+
+    Results are logged arrays too, so the log holds every array operation
+    computed from it.
+    """
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Logged.log.append(ufunc.__name__)
+        inputs = tuple(np.asarray(x) if isinstance(x, _Logged) else x for x in inputs)
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(_Logged) if isinstance(out, np.ndarray) else out
+
+
+CLOSED_FORMS = {
+    "halfplane": HalfPlane(),
+    "koebe": Koebe(),
+    "mobius": Mobius(1.0, 0.2, 0.3, 1.0),
+    "exp": ExpMap(0.5 + 0.25j),
+    "logtype": LogMap(),
+    "halfplane-shear-g": halfplane_shear_g(0.4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_derivs_from_first_do_not_compute_the_value(monkeypatch, name, rng):
+    """first=1 makes only operations that first=0 makes, and fewer of them."""
+    monkeypatch.setattr(AnalyticMap, "_check",
+                        lambda self, z: np.asarray(z, dtype=complex).view(_Logged))
+    monkeypatch.setattr(_Logged, "log", [])
+    m = CLOSED_FORMS[name]
+    z = disc_points(rng, 16, r_hi=0.7)
+    for order in range(1, 4):
+        ops = {}
+        for first in (0, 1):
+            _Logged.log.clear()
+            m.derivs(z, order, first)
+            ops[first] = Counter(_Logged.log)
+        assert ops[1] != ops[0] and not ops[1] - ops[0], order
+
+
+def test_check_takes_the_modulus_once_and_keeps_its_errors_in_order(monkeypatch):
+    """DomainError, then the boundary warning, then PrecisionError, from one |z|."""
+    series = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}).g
+    beyond = 0.5 * (1.0 + series.reliable_radius)  # inside the disc, past the reliable radius
+    near = 1.0 - 1e-13  # within BOUNDARY_FLAG_TOL of the unit circle
+    moduli = []
+
+    def counted_abs(x, *args, _orig=np.abs, **kwargs):
+        moduli.append(np.size(x))
+        return _orig(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted_abs)
+    z = np.array([0.1, 0.2j, -0.3])
+    assert HalfPlane()._check(z).tobytes() == z.astype(complex).tobytes()
+    assert moduli == [3]
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="outside the open unit disc"):
+            series._check(np.array([beyond, 1.0]))
+        with pytest.raises(PrecisionError, match="beyond reliable radius"):
+            series._check(np.array([0.1, beyond]))
+    assert not caught
+
+    for m, raises in ((HalfPlane(), None), (series, PrecisionError)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if raises is None:
+                m._check(near)
+            else:
+                with pytest.raises(raises):
+                    m._check(np.array([0.1, near]))
+        assert [str(w.message) for w in caught] == [
+            "point within 1e-12 of the unit circle; hyperbolic quantities may be inaccurate"]
+        assert caught[0].category is UserWarning
+        assert caught[0].filename.endswith("analytic.py")

@@ -1,12 +1,14 @@
 """Supremum engine and named norms, with 1-d maximization oracles."""
 
 import traceback
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import block_edges
 from harmdist import norms, series
 from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, LogMap, Monomial
 from harmdist.catalog import CATALOG, get_map
@@ -291,6 +293,83 @@ def test_grid_suprema_builds_no_grid_jet_after_a_block_raises(monkeypatch):
     assert max(sizes) <= series._HORNER_CHUNK
 
 
+# --- GridSuprema's block points: the bits of the whole grid, and no grid kept ---
+
+def _whole_grid(r_max, nr, ntheta):
+    """The polar grid as one array expression over all its points."""
+    i = np.arange(1, nr + 1)
+    radii = r_max * np.sin(0.5 * np.pi * i / nr)
+    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
+    return np.concatenate([[0.0 + 0.0j], np.outer(radii, np.exp(1j * theta)).ravel()])
+
+
+POINT_GRIDS = {"one-block": (24, 64), "five-blocks": BLOCKED_GRID, "analyze-fine": (256, 1024),
+               "mid-row-edges": (100, 333)}
+
+
+@pytest.mark.parametrize("grid", POINT_GRIDS.values(), ids=POINT_GRIDS.keys())
+def test_grid_suprema_blocks_make_the_points_of_the_whole_grid(monkeypatch, grid):
+    """Each block's jet, and each argmax lookup, gets polar_grid's points bit for bit."""
+    monkeypatch.setattr(series, "_cpus", lambda: 1)  # the blocks' jets come first, in grid order
+    made = []
+
+    class Recorded(Jet):
+        def __init__(self, f, z, order):
+            made.append(np.array(z))
+            super().__init__(f, z, order)
+
+    monkeypatch.setattr(norms, "Jet", Recorded)
+    r_max, (nr, ntheta) = 0.9, grid
+    want = _whole_grid(r_max, nr, ntheta)
+    assert polar_grid(r_max, nr, ntheta).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    fn = Functional("toy", lambda jet: _toy(jet.z), 1)
+    GridSuprema(Identity(), [fn], r_max, grid)
+    edges = block_edges(want.size)
+    blocks = made[: len(edges) - 1]
+    assert [z.size for z in blocks] == np.diff(edges).tolist()
+    for lo, z in zip(edges, blocks):
+        assert z.view(np.uint64).tobytes() == want[lo : lo + z.size].view(np.uint64).tobytes()
+    if ntheta == 333:
+        assert any((lo - 1) % ntheta for lo in edges[1:-1])  # a block starts mid-row
+    lookups = [0, 1, ntheta, ntheta + 1, want.size - 1, *edges[1:-1],
+               *np.random.default_rng(0).integers(0, want.size, 50).tolist()]
+    for i in lookups:
+        got = norms._grid_points(r_max, nr, ntheta, i, i + 1)
+        assert got.view(np.uint64).tobytes() == want[i : i + 1].view(np.uint64).tobytes(), i
+
+
+# complex128 values a point of its block that each worker holds at most in the
+# grid scan of ANALYZE_FUNCTIONALS: the block's points, its jet and omega, and
+# one formula's temporaries (10.6 measured on the series map, 11.6 on koebe,
+# with numpy 2.4)
+SCAN_TEMPS = 13
+GUARD_GRID = (512, 1024)  # 524,289 points: 17 blocks, so the grid is 17 blocks' worth
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["series", "koebe"])
+def test_the_grid_scan_holds_a_block_per_worker_and_no_grid(monkeypatch, name, cpus):
+    """tracemalloc's peak inside GridSuprema on the functionals analyze reads.
+
+    Each worker holds the points of the block it scans, their jet and a
+    formula's temporaries; an array of the grid's points, or of its values,
+    exceeds the bound.
+    """
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    f = BLOCKED_MAPS["series"]() if name == "series" else get_map(name)
+    r_max = min(DEFAULT_R_MAX, f.reliable_radius)
+    edges = block_edges(GUARD_GRID[0] * GUARD_GRID[1] + 1)
+    block = max(np.diff(edges))
+    workers = max(1, min(cpus, (len(edges) - 1) // 2))  # for_each_block's worker count
+    tracemalloc.start()
+    try:
+        GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, GUARD_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * SCAN_TEMPS * workers * block
+
+
 # --- block peaks and lockstep refinement: the estimates of one search per functional ---
 
 def _one_search_estimate(f, fn, r_max, grid, order):
@@ -416,7 +495,7 @@ def test_block_peaks_pick_the_argmax_of_the_whole_lexsort(seed):
     v = rng.choice([0.0, 1.0, 2.0], n, p=[0.2, 0.3, 0.5])
     edges = np.unique(np.concatenate([[0, n], rng.integers(1, n, rng.integers(0, 6))]))
     peaks = [norms._peak(z[lo:hi], v[lo:hi], "toy", int(lo)) for lo, hi in zip(edges, edges[1:])]
-    assert norms._grid_peak(z, peaks) == (v.max(), _lexsort_argmax(z, v))
+    assert norms._grid_peak(lambda lo, hi: z[lo:hi], peaks) == (v.max(), _lexsort_argmax(z, v))
 
 
 def _blocked_tie(jet):

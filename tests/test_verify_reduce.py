@@ -23,6 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import block_edges
 from harmdist import bounds as B
 from harmdist import series
 from harmdist.catalog import get_map
@@ -38,12 +39,6 @@ MOBIUS = "harmonic-mobius-halfplane-0.3"  # where mobius_exact is an identity
 ONE_SIDED = {"blatter": ("lower",), "kim_minda_convex": ("lower",),
              "chuaqui_pommerenke": ("lower",), "mmm": ("upper",)}
 ALL_SIDES = ("lower", "upper")
-
-
-def block_edges(n: int) -> list[int]:
-    """The block edges of series.for_each_block over n points."""
-    blocks = max(1, -(-n // series._HORNER_CHUNK))
-    return [n * j // blocks for j in range(blocks + 1)]
 
 
 def whole_array(report, sides) -> dict:
