@@ -8,13 +8,13 @@ sense-preserving test and the pointwise scale factors
     Q   = (1-|z|^2)(|h'| + |g'|),
     R_h = (1-|z|^2)|h'|,
 
-and each pair gets its pseudo-hyperbolic distance rho = rho(a, b) and
-hyperbolic distance d = d(a, b).  A bound is a formula ``bound(jet,
-**params)`` of that jet alone, returning a PairBound with the lower and/or
-upper bound on |f(a) - f(b)|.  Each formula lists the jet fields it reads
-in ``bound.reads``, so a caller can ask ``pair_jet`` for nothing more;
-jets are vectorized, so a and b may be complex arrays, in which case
-lower/upper are arrays.
+and each pair gets |f(a) - f(b)|, its pseudo-hyperbolic distance
+rho = rho(a, b) and hyperbolic distance d = d(a, b).  A bound is a
+formula ``bound(jet, **params)`` of that jet alone, returning a PairBound
+with the lower and/or upper bound on |f(a) - f(b)|.  Each formula lists
+the jet fields it reads in ``bound.reads``, so a caller can ask
+``pair_jet`` for nothing more; jets are vectorized, so a and b may be
+complex arrays, in which case lower/upper are arrays.
 
 Constants of the map that a formula needs, such as ||omega|| = sup |omega|,
 are parameters.  The verifier reads them from the map's estimates (the
@@ -27,7 +27,7 @@ ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,10 +50,15 @@ class PairBound:
 
 @dataclass(frozen=True)
 class PairJet:
-    """The point jets at a and b and the distances between them."""
+    """The point jets at a and b, |f(a) - f(b)| and the distances between them.
+
+    The point jets hold no value: f(a) and f(b) are read once, for
+    ``actual``, which no formula reads.
+    """
 
     a: PointJet
     b: PointJet
+    actual: object  # |f(a) - f(b)|, the distance the bounds bound
     rho: object  # pseudo-hyperbolic distance rho(a, b)
     d: object  # hyperbolic distance d(a, b)
     omega0: complex | None = None  # omega(0), read by the Mobius identity
@@ -62,22 +67,28 @@ class PairJet:
 def pair_jet(f, a, b, reads=ALL_READS) -> PairJet:
     """Evaluate f once at each point of the pairs (a, b).
 
-    ``reads`` names the fields to compute beyond f(a), f(b), rho and d: any
-    of "R", "Q", "Rh", "h" (h(a), h(b)) and "omega0".  Raises DomainError
-    for a point outside the disc and NotSensePreservingError where
-    |omega| >= 1.
+    ``reads`` names the fields to compute beyond |f(a) - f(b)|, rho and d:
+    any of "R", "Q", "Rh", "h" (h(a), h(b)) and "omega0".  Raises
+    DomainError for a point outside the disc and NotSensePreservingError
+    where |omega| >= 1.
     """
     require_in_disk(a, b)
     return pair_jet_in_disc(f, a, b, reads)
 
 
 def pair_jet_in_disc(f, a, b, reads=ALL_READS) -> PairJet:
-    """pair_jet for pairs the caller has checked lie in the disc."""
+    """pair_jet for pairs the caller has checked lie in the disc.
+
+    |f(a) - f(b)| is formed as soon as both point jets exist, and f(a) and
+    f(b) are dropped then, so rho, d and the formula run without them.
+    """
     f = as_harmonic(f)
     ja, jb = point_jet(f, a, reads), point_jet(f, b, reads)
-    rho = pseudo_hyperbolic_in_disc(a, b)  # after the point jets, outside their peak
+    actual = np.abs(ja.value - jb.value)
+    ja, jb = replace(ja, value=None), replace(jb, value=None)
+    rho = pseudo_hyperbolic_in_disc(a, b)
     return PairJet(
-        ja, jb, rho, hyperbolic_from_pseudo(rho),
+        ja, jb, actual, rho, hyperbolic_from_pseudo(rho),
         complex(f.omega_derivs(0.0, 0)[0]) if "omega0" in reads else None,
     )
 

@@ -17,18 +17,19 @@ import sys
 CHUNK_ROWS = 2048
 
 
-def write_rows(write, cols, lo: int, hi: int) -> None:
-    """Rows lo..hi of the columns ``cols`` as CSV lines, passed to ``write`` as bytes.
+def write_rows(write, chunk, lo: int, hi: int) -> None:
+    """Rows lo..hi of a table as CSV lines, passed to ``write`` as bytes.
 
-    Each column is sliceable and its slices have ``tolist()`` giving
-    Python floats: a float64 numpy array, or a memoryview cast to "d".
-    A row is the repr of each of its floats, with "," between fields and
-    "\\r\\n" after it; the text is formatted a column at a time,
-    CHUNK_ROWS rows per write.
+    ``chunk(i, j)`` gives rows i:j of each column, each with ``tolist()``
+    giving Python floats: a float64 numpy array, or a memoryview cast to
+    "d".  It is called once per CHUNK_ROWS rows, so a caller can compute
+    its columns one chunk at a time.  A row is the repr of each of its
+    floats, with "," between fields and "\\r\\n" after it; the text is
+    formatted a column at a time, one chunk per write.
     """
     for i in range(lo, hi, CHUNK_ROWS):
         j = min(i + CHUNK_ROWS, hi)
-        text = [map(repr, c[i:j].tolist()) for c in cols]
+        text = [map(repr, c.tolist()) for c in chunk(i, j)]
         write("".join([",".join(row) + "\r\n" for row in zip(*text)]).encode("ascii"))
 
 
@@ -39,7 +40,7 @@ def _main(argv: list[str]) -> int:
     if rows * ncols != len(data):
         return 1
     cols = [data[k * rows:(k + 1) * rows] for k in range(ncols)]
-    write_rows(sys.stdout.buffer.write, cols, 0, rows)
+    write_rows(sys.stdout.buffer.write, lambda i, j: [c[i:j] for c in cols], 0, rows)
     sys.stdout.buffer.flush()
     return 0
 

@@ -116,14 +116,23 @@ def schwarzian_order(h) -> int:
     return 3 if getattr(h, "schwarzian_exact", None) is None else 0
 
 
-def schwarzian_of(jet: Jet):
-    """S h on a jet of order ``schwarzian_order(h)`` or more."""
+def schwarzian_of(jet: Jet, pre: list | None = None):
+    """S h on a jet of order ``schwarzian_order(h)`` or more.
+
+    A caller that has formed h''/h' passes it as the one item of ``pre``,
+    and S h reads it from there instead of forming it again.  It is popped
+    from the list, so it is dropped once read when the caller keeps no
+    other reference to it.
+    """
+    p = pre.pop() if pre else None
     exact = getattr(jet.h, "schwarzian_exact", None)
     if exact is not None:
+        del p
         return exact(jet.z)
     _, d1, d2, d3 = jet.hd
-    _nonzero_deriv(d1, jet.h.name)
-    p = d2 / d1
+    if p is None:
+        _nonzero_deriv(d1, jet.h.name)
+        p = d2 / d1
     q = 1.5 * p * p
     del p
     out = d3 / d1
@@ -143,19 +152,19 @@ def harmonic_schwarzian_of(jet: Jet):
     """S_f on a harmonic jet of order 3.
 
     S_f = (Sh + cw (w1 ph - w2)) - 1.5 (w1 cw)^2 with ph = h''/h' and
-    cw = conj(w)/(1 - |w|^2), summed in that order in place.  Each
-    temporary is dropped after its last use, and every product keeps its
-    operands in the order this expression gives them.
+    cw = conj(w)/(1 - |w|^2), summed in that order in place.  ph is formed
+    once: ``schwarzian_of`` reads it for Sh.  Each temporary is dropped
+    after its last use, and every product keeps its operands in the order
+    this expression gives them.
     """
     _, h1, h2 = jet.hd[:3]
     _nonzero_deriv(h1, jet.h.name)
     (w, w1, w2), denom = _omega_factor(jet, 2)
     cw = np.conj(w) / denom
     del denom
-    ph = h2 / h1
-    out = cw * (w1 * ph - w2)
-    del ph
-    out += schwarzian_of(jet)
+    ph = [h2 / h1]
+    out = cw * (w1 * ph[0] - w2)
+    out += schwarzian_of(jet, ph)
     u = w1 * cw
     del cw
     out -= 1.5 * u ** 2
@@ -211,6 +220,11 @@ def omega_star_at(omega, z):
     return out if np.ndim(out) else float(out)
 
 
+# Points per slice of point_jet's sense-preserving test, so that g'/h' and the
+# test's temporaries exist for one slice at a time.
+_CHECK_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class PointJet:
     """f and the distortion scales at z; a field that was not asked for is None."""
@@ -225,22 +239,36 @@ class PointJet:
 def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
     """One h.derivs and one g.derivs call at z, sense-preserving test included.
 
-    ``reads`` names the fields to keep besides the value.  Each of h(z),
-    g(z), h' and g' is dropped as soon as it has been read, h(z) being kept
-    only when "h" is in reads, so no more complex arrays of the points are
-    alive at once than the four derivs gives and conj g(z).  The caller
-    checks that z lies in the disc.
+    ``reads`` names the fields to keep besides the value.  No more complex
+    arrays of the points are alive at once than the four derivs gives:
+    - each of h(z), g(z), h' and g' is dropped as soon as it has been
+      read, h(z) being kept only when "h" is in reads;
+    - f(z) = h(z) + conj(g(z)) is built in g(z)'s buffer.  Conjugation
+      and complex addition are exact componentwise, so it has the bits of
+      that expression.  Where g(z) is not a complex array of its own (a
+      scalar, or memory shared with z or another derivative, as the
+      identity map returns z itself), f(z) is a new array;
+    - the sense-preserving test reads g'/h' a slice of points at a time.
+    The caller checks that z lies in the disc.
     """
     f = as_harmonic(f)
     z = np.asarray(z, dtype=complex)
     h0, h1 = f.h.derivs(z, 1)
     g0, g1 = f.g.derivs(z, 1)
-    value = np.conj(g0)
+    if (isinstance(g0, np.ndarray) and g0.dtype == complex and g0.flags.writeable
+            and not any(np.may_share_memory(g0, x) for x in (z, h0, h1, g1))):
+        value = np.conjugate(g0, out=g0)
+        value += h0
+    else:
+        value = h0 + np.conj(g0)
     del g0
-    value = h0 + value
     h = h0 if "h" in reads else None
     del h0
-    f.check_dilatation(g1 / h1)
+    if np.ndim(h1):
+        for i in range(0, len(h1), _CHECK_POINTS):
+            f.check_dilatation(g1[i:i + _CHECK_POINTS] / h1[i:i + _CHECK_POINTS])
+    else:
+        f.check_dilatation(g1 / h1)
     ah, ag = np.abs(h1), np.abs(g1)
     del h1, g1
     w2 = 1.0 - np.abs(z) ** 2

@@ -10,16 +10,17 @@ finite.  Each sample point is evaluated once, through a pair jet.
 The pairs are checked to lie in the disc once, and then evaluated block by
 block (``series.for_each_block``), on every CPU the process may use: each
 block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
-slice of the report's stored columns (rho, |f(a) - f(b)| and the sides the
+slice of the report's stored columns (|f(a) - f(b)| and the sides the
 bound has) and reduces itself: its violation count, each side's least
 margin and first pair with it, its greatest tightness ratio and, for
 becker_harmonic, its proof-form count.  The blocks' reductions are combined
-in pair order into the bits whole-array passes give.  d and the margins are
-not stored: the report's table computes them when they are read.  A failing
-evaluation raises the error of its first failing block, in pair order,
-whatever the number of CPUs, and evaluates no pair again.  The sampler
-draws each uniform array whole, which fixes the generator's stream, and
-maps it to points block by block.
+in pair order into the bits whole-array passes give.  The report's table
+stores those columns and the pairs; rho, d and the margins are computed
+from them when read, and the CSV writer reads them one chunk of rows at a
+time, so none of them exists whole.  A failing evaluation raises the error
+of its first failing block, in pair order, whatever the number of CPUs,
+and evaluates no pair again.  The sampler draws each uniform array whole,
+which fixes the generator's stream, and maps it to points block by block.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 from . import bounds as B
 from . import criteria as C
 from . import csvrows, series
-from .disk import automorphism, hyperbolic_from_pseudo, require_in_disk
+from .disk import (automorphism, hyperbolic_from_pseudo, pseudo_hyperbolic_in_disc,
+                   require_in_disk)
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
@@ -154,42 +156,65 @@ def _read(f, name: str, params: dict, r_max: float) -> float:
 class PairTable(dict):
     """A report's per-pair columns: the stored ones, and those computed when read.
 
-    It stores re_a, im_a, re_b, im_b, rho, actual and the sides (lower,
-    upper) the bound has.  ``d`` = arctanh(rho) (``disk.hyperbolic_from_pseudo``),
-    ``lower_margin`` = actual - lower and ``upper_margin`` = upper - actual
-    are computed each time they are read and are not kept.  A side the
-    bound lacks, and its margin, read as NaN.
+    It stores the pairs a and b, actual = |f(a) - f(b)| and the sides
+    (lower, upper) the bound has.  Every other column of CSV_COLUMNS is
+    computed each time it is read and is not kept: re_a, im_a, re_b and
+    im_b are views of a and b, rho = ``disk.pseudo_hyperbolic_in_disc(a, b)``,
+    d = arctanh(rho) (``disk.hyperbolic_from_pseudo``), lower_margin =
+    actual - lower and upper_margin = upper - actual.  A side the bound
+    lacks, and its margin, read as NaN.  A column that is stored is read
+    as stored.
+
+    ``rows(key, lo, hi)`` reads rows lo:hi of a column, computing a derived
+    one for those rows alone, so a writer can read it one chunk at a time.
+    numpy gives each element the same bits whatever the length of its
+    array, so the rows have the bits of the whole column.
     """
 
+    _PARTS = {"re_a": ("a", "real"), "im_a": ("a", "imag"),
+              "re_b": ("b", "real"), "im_b": ("b", "imag")}
     _MARGINS = {"lower_margin": ("actual", "lower"), "upper_margin": ("upper", "actual")}
 
     def __missing__(self, key):
+        if key == "actual":
+            raise KeyError(key)
+        return self.rows(key, 0, len(self["actual"]))
+
+    def rows(self, key, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of column ``key``, for 0 <= lo <= hi <= the table's length."""
+        if key in self:
+            return self[key][lo:hi]
+        if key in self._PARTS:
+            pair, part = self._PARTS[key]
+            return getattr(self[pair][lo:hi], part)
+        if key == "rho":
+            return pseudo_hyperbolic_in_disc(self["a"][lo:hi], self["b"][lo:hi])
         if key == "d":
-            return hyperbolic_from_pseudo(self["rho"])
+            return hyperbolic_from_pseudo(self.rows("rho", lo, hi))
         if key in self._MARGINS:
             minuend, subtrahend = self._MARGINS[key]
-            if subtrahend in self and minuend in self:
-                return self[minuend] - self[subtrahend]
+            if minuend in self and subtrahend in self:
+                return self[minuend][lo:hi] - self[subtrahend][lo:hi]
         if key in ("lower", "upper", *self._MARGINS):
-            return np.full(len(self["actual"]), np.nan)
+            return np.full(hi - lo, np.nan)
         raise KeyError(key)
 
 
 def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> PairTable:
-    """rho, d, |f(a) - f(b)| and the bound's sides at pairs (a, b).
+    """The PairTable of pairs (a, b): |f(a) - f(b)| and the bound's sides.
 
     Each point is evaluated once, through one pair jet.  A formula returns
     a PairBound, or an exact value that is both its lower and upper side;
-    a side the bound lacks is not in the table.  The caller checks that the
-    pairs lie in the disc.
+    a side the bound lacks is not in the table.  The table also stores the
+    jet's d, which _reduce reads.  The caller checks that the pairs lie in
+    the disc.
     """
     formula = BOUND_REGISTRY[bound_name]["formula"]
     jet = B.pair_jet_in_disc(f, a, b, formula.reads)
     names = inspect.signature(formula).parameters
     out = formula(jet, **{k: v for k, v in params.items() if k in names})
     lower, upper = (out.lower, out.upper) if isinstance(out, B.PairBound) else (out, out)
-    v = PairTable(rho=np.asarray(jet.rho), d=np.asarray(jet.d),
-                  actual=np.abs(np.asarray(jet.a.value - jet.b.value)))
+    v = PairTable(a=a, b=b, d=np.asarray(jet.d), actual=np.asarray(jet.actual))
     for side, x in (("lower", lower), ("upper", upper)):
         if x is not None:
             v[side] = np.asarray(x, dtype=float)
@@ -262,8 +287,8 @@ class BoundReport:
     tightness: float | None = None
     extra: dict = field(default_factory=dict)
     # per-pair columns for CSV emission (not serialized to JSON): a PairTable,
-    # which stores rho, the sides and |f(a) - f(b)| and computes d and the
-    # margins when they are read; empty where the bound was not evaluated
+    # which stores the pairs, |f(a) - f(b)| and the sides and computes every
+    # other column when it is read; empty where the bound was not evaluated
     table: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -326,6 +351,7 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     report.skipped = int((~ok).sum())
     if report.skipped:
         a, b = a[ok], b[ok]
+    del ok
     columns, blocks = _evaluate_blocks(f, bound_name, params, a, b)
     report.pairs = int(len(a))
     report.violations = sum(r["violations"] for r in blocks)
@@ -345,12 +371,12 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     if bound_name == "becker_harmonic" and len(a):
         report.extra["proof_form_tighter_pairs"] = sum(r["proof_form"] for r in blocks)
 
-    report.table = PairTable(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag, **columns)
+    report.table = PairTable(a=a, b=b, **columns)
     return report, params
 
 
 def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
-    """The stored columns of _evaluate_pairs' values at pairs (a, b), and each block's _reduce.
+    """The columns of |f(a) - f(b)| and the sides at pairs (a, b), and each block's _reduce.
 
     The formula checks its parameters on no pairs first, so a bad parameter
     is reported as such even where the map fails at a sampled point; that
@@ -359,17 +385,17 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
     ``series.for_each_block`` and run on every CPU the process may use:
     each block evaluates its own pair jet, writes its slice of the
     full-length columns and reduces itself on the same worker, so no jet or
-    margin outlives its block.  d is not a column: the block's own table
-    has it for _reduce, and the report's table computes it from rho.  The
-    columns have the bits of one evaluation over all pairs, because no
-    block is below 16384 pairs unless it holds them all (see
-    norms.GridSuprema).  The reductions are returned in pair order.  An
+    margin outlives its block.  rho and d are not columns: the block's own
+    table has the jet's d for _reduce, and the report's table computes them
+    from the pairs.  The columns have the bits of one evaluation over all
+    pairs, because no block is below 16384 pairs unless it holds them all
+    (see norms.GridSuprema).  The reductions are returned in pair order.  An
     error is that of the first failing block, in pair order, on any number
     of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
     require_in_disk(a, b)
-    columns = {k: np.empty(len(a)) for k in empty if k != "d"}
+    columns = {k: np.empty(len(a)) for k in ("actual", "lower", "upper") if k in empty}
 
     def run(lo, hi):
         block = _evaluate_pairs(f, bound_name, params, a[lo:hi], b[lo:hi])
@@ -445,8 +471,11 @@ def write_float_csv(path: str | Path, table: dict, columns: list[str]) -> None:
 
     The bytes are those of csv.writer writing the header, then each row as
     repr(float(v)) fields: "," between fields and "\\r\\n" after each line.
-    No column name or float repr needs quoting.  Columns of different
-    lengths are a ValueError.
+    No column name or float repr needs quoting.  ``table`` is a PairTable,
+    or a dict of stored columns read as one; stored columns of different
+    lengths are a ValueError.  Every column is read through
+    ``PairTable.rows`` one ``csvrows.CHUNK_ROWS`` chunk at a time, so a
+    derived column (rho, d, a margin) never exists whole.
 
     The rows are cut into contiguous shares, one per CPU the process may
     use, but no share below ``csvrows.CHUNK_ROWS`` rows.  The calling process
@@ -460,37 +489,52 @@ def write_float_csv(path: str | Path, table: dict, columns: list[str]) -> None:
     where ``sys.executable`` is unknown, no helper starts.  Every helper
     has exited when this returns.
     """
-    cols = [np.asarray(table[c], dtype=float) for c in columns] if table else []
-    rows = len(cols[0]) if cols else 0
-    if any(len(c) != rows for c in cols):
-        raise ValueError(f"columns of different lengths: {sorted({len(c) for c in cols})}")
+    table = table if isinstance(table, PairTable) else PairTable(table)
+    lengths = {len(x) for x in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of different lengths: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
+
+    def read(column: str, lo: int, hi: int) -> np.ndarray:
+        return np.asarray(table.rows(column, lo, hi), dtype=float)
+
     # an embedded interpreter may not know its executable: then no helper starts
     shares = min(series._cpus(), rows // csvrows.CHUNK_ROWS) if sys.executable else 1
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\r\n").encode())
         if shares < 2:
-            csvrows.write_rows(fh.write, cols, 0, rows)
+            csvrows.write_rows(fh.write, _chunk(read, columns), 0, rows)
         else:
-            _write_shares(fh, cols, [rows * k // shares for k in range(shares + 1)])
+            _write_shares(fh, read, columns, [rows * k // shares for k in range(shares + 1)])
 
 
-def _write_shares(fh, cols: list, cuts: list[int]) -> None:
-    """Rows cuts[0]..cuts[-1] to fh: the first share here, each other on a helper."""
+def _chunk(read, columns: list[str]):
+    """rows(i, j): rows i:j of each named column, as ``csvrows.write_rows`` reads them."""
+    return lambda i, j: [read(c, i, j) for c in columns]
+
+
+def _write_shares(fh, read, columns: list[str], cuts: list[int]) -> None:
+    """Rows cuts[0]..cuts[-1] to fh: the first share here, each other on a helper.
+
+    read(column, lo, hi) gives rows lo:hi of a column as float64.
+    """
     import shutil
     import subprocess
     import tempfile
     from contextlib import ExitStack
 
+    chunk = _chunk(read, columns)
+
     def start(files, lo, hi):
         """The stdout file and process of a helper formatting rows lo..hi."""
         stdin = files.enter_context(tempfile.TemporaryFile())
         stdout = files.enter_context(tempfile.TemporaryFile())
-        for c in cols:  # a chunk at a time: no copy of the whole share
+        for c in columns:  # a chunk at a time: no column of the share exists whole
             for i in range(lo, hi, csvrows.CHUNK_ROWS):
-                stdin.write(c[i:min(i + csvrows.CHUNK_ROWS, hi)].tobytes())
+                stdin.write(read(c, i, min(i + csvrows.CHUNK_ROWS, hi)).tobytes())
         stdin.seek(0)
         return stdout, subprocess.Popen(
-            [sys.executable, "-I", "-S", csvrows.__file__, str(len(cols))],
+            [sys.executable, "-I", "-S", csvrows.__file__, str(len(columns))],
             stdin=stdin, stdout=stdout, stderr=subprocess.DEVNULL)
 
     def appended(stdout) -> bool:
@@ -516,10 +560,10 @@ def _write_shares(fh, cols: list, cuts: list[int]) -> None:
                     helpers.append((lo, hi, start(files, lo, hi)))
                 except OSError:
                     helpers.append((lo, hi, None))
-            csvrows.write_rows(fh.write, cols, cuts[0], cuts[1])
+            csvrows.write_rows(fh.write, chunk, cuts[0], cuts[1])
             for lo, hi, helper in helpers:
                 if helper is None or helper[1].wait() != 0 or not appended(helper[0]):
-                    csvrows.write_rows(fh.write, cols, lo, hi)  # the same bytes, made here
+                    csvrows.write_rows(fh.write, chunk, lo, hi)  # the same bytes, made here
         finally:
             for _, _, helper in helpers:
                 if helper is not None and helper[1].poll() is None:

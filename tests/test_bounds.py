@@ -34,7 +34,8 @@ def test_pair_jet_keeps_only_what_is_read():
     f = HarmonicMap(Identity(), Monomial(0.6, 2))  # omega = 1.2 z
     jet = B.pair_jet(f, 0.1, 0.2 + 0.1j, B.convex_h_bounds.reads)
     assert jet.a.Rh == pytest.approx(0.99) and jet.a.R is None and jet.a.Q is None
-    assert jet.b.value == f(0.2 + 0.1j) and jet.omega0 is None
+    assert jet.actual == abs(f(0.1) - f(0.2 + 0.1j)) and jet.omega0 is None
+    assert jet.a.value is None and jet.b.value is None  # read once, for actual
     with pytest.raises(NotSensePreservingError):
         B.pair_jet(f, 0.1, 0.95)
     with pytest.raises(DomainError):

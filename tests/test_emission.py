@@ -3,7 +3,9 @@
 On two CPUs or more a table of at least two chunks is formatted in shares,
 all but the first by helper processes.  The ``helpers`` fixture makes the
 process see 1, 2 or 3 CPUs; each case checks how many helpers started and
-how they exited, and the fixture that every one was reaped.
+how they exited, and the fixture that every one was reaped.  A pair table's
+derived columns are read one chunk at a time, with the bits of the
+whole-array expressions, and never made whole.
 """
 
 import csv
@@ -13,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +24,12 @@ from harmdist import csvrows, series
 from harmdist.catalog import get_map
 from harmdist.criteria import DEFAULT_NEHARI_EPSILON
 from harmdist.csvrows import CHUNK_ROWS as K
+from harmdist.descriptors import parse_descriptor
 from harmdist.plotting import write_margin_scatter_csv
 from harmdist.verifier import (
     CSV_COLUMNS,
     BoundReport,
+    PairTable,
     sample_pairs,
     verify_bound,
     write_float_csv,
@@ -108,6 +113,15 @@ def random_table(rows: int) -> dict:
             for c in CSV_COLUMNS}
 
 
+def random_pair_table(rows: int) -> PairTable:
+    """A PairTable of random pairs in the disc and random stored values."""
+    rng = np.random.default_rng(rows)
+    a, b = (np.sqrt(rng.uniform(0.0, 0.9, rows)) * np.exp(2j * np.pi * rng.uniform(0, 1, rows))
+            for _ in range(2))
+    return PairTable(a=a, b=b, **{c: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+                                  for c in ("actual", "lower", "upper")})
+
+
 @pytest.mark.parametrize(
     "rows", [0, 1, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 3 * K + 7, 5 * K + 3])
 def test_chunk_edges_match_csv_writer(rows, helpers, tmp_path):
@@ -168,7 +182,7 @@ def test_a_failed_helper_leaves_the_bytes(helper, helpers, failing_executable, t
             "missing": str(tmp_path / "missing"), "unknown": None,
             "exits-non-zero": failing_executable}[helper])
     rows = 5 * K + 3
-    assert_matches_oracle(report_with(random_table(rows)), tmp_path)
+    assert_matches_oracle(report_with(random_pair_table(rows)), tmp_path)
     if helper in ("missing", "unknown"):
         assert not helpers
     else:
@@ -185,7 +199,7 @@ def test_an_error_in_the_callers_share_stops_every_helper(helpers, tmp_path, mon
     monkeypatch.setattr(csvrows, "write_rows", interrupted)
     rows = 5 * K + 3
     with pytest.raises(KeyboardInterrupt):
-        write_float_csv(tmp_path / "t.csv", random_table(rows), CSV_COLUMNS)
+        write_float_csv(tmp_path / "t.csv", random_pair_table(rows), CSV_COLUMNS)
     assert len(helpers) == expected_helpers(rows)
     assert all(proc.returncode is not None for proc in helpers)
 
@@ -206,3 +220,93 @@ def test_multi_chunk_pair_csv_bytes_pinned(helpers, tmp_path):
     digest = hashlib.sha256((tmp_path / "pairs.csv").read_bytes()).hexdigest()
     assert digest == "50925dd812a6af6a454b7dc20e3f0c8112c1182627a43bb4cff39a061f4fcd00"
     assert len(helpers) == expected_helpers(report.pairs)
+
+
+# --- a pair table's derived columns, a chunk at a time ---
+
+DERIVED = ["rho", "d", "lower_margin", "upper_margin"]
+SERIES = {"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}  # reliable radius 0.796
+
+
+def whole_derived(t: PairTable) -> dict:
+    """rho, d and the margins as whole-array expressions of the stored columns."""
+    a, b, actual = t["a"], t["b"], t["actual"]
+    rho = np.abs((a - b) / (1.0 - np.conj(a) * b))
+    nan = np.full(len(actual), np.nan)
+    return {"rho": rho, "d": 0.5 * (np.log1p(rho) - np.log1p(-rho)),
+            "lower_margin": actual - t["lower"] if "lower" in t else nan,
+            "upper_margin": t["upper"] - actual if "upper" in t else nan}
+
+
+def derived_case(case: str) -> PairTable:
+    if case.startswith("rows"):  # at chunk and block edges
+        samples = sample_pairs("uniform-in-disc", int(case[4:]), 3)
+        return verify_bound(get_map("shear-halfplane-0.4z"), "convex_h", dict(CLI_PARAMS),
+                            samples).table
+    if case == "skipped":  # pairs beyond the map's reliable radius: a[ok], b[ok] copies
+        report = verify_bound(parse_descriptor(SERIES), "convex_h", dict(CLI_PARAMS),
+                              sample_pairs("uniform-in-disc", 5 * K, 3, r_max=0.95))
+        assert 0 < report.skipped and report.pairs > 2 * K
+        return report.table
+    if case == "one-block":
+        return verify_bound(get_map("shear-halfplane-0.4z"), "dhk", dict(CLI_PARAMS),
+                            sample_pairs("near-diagonal", 300, 3)).table
+    # a one-sided bound
+    return verify_bound(get_map("shear-halfplane-0.4z"), case, dict(CLI_PARAMS, force=True),
+                        sample_pairs("boundary-biased", 2 * K + 5, 3)).table
+
+
+DERIVED_CASES = [f"rows{n}" for n in (K - 1, K, K + 1, 16383, 16384, 16385, 32769)] + [
+    "skipped", "one-block", "blatter", "kim_minda_convex", "chuaqui_pommerenke", "mmm"]
+
+
+@pytest.mark.parametrize("helpers", [1, 2], indirect=True, ids=lambda n: f"cpus{n}")
+@pytest.mark.parametrize("case", DERIVED_CASES)
+def test_derived_columns_read_a_chunk_at_a_time_keep_the_whole_array_bits(case, helpers,
+                                                                           tmp_path):
+    """rho, d and the margins, read by chunk and written to CSV, as uint64.
+
+    The chunks are the writer's, and a missing side's margin is NaN.  The CSV
+    keeps each float's bits but a NaN's sign and payload.
+    """
+    t = derived_case(case)
+    rows = len(t["actual"])
+    want = {c: x.view(np.uint64) for c, x in whole_derived(t).items()}
+    for c in DERIVED:
+        got = np.concatenate([t.rows(c, i, min(i + K, rows)) for i in range(0, rows, K)])
+        np.testing.assert_array_equal(got.view(np.uint64), want[c], err_msg=c)
+    write_pairs_csv(report_with(t), tmp_path / "pairs.csv")
+    lines = (tmp_path / "pairs.csv").read_bytes().split(b"\r\n")[1:-1]
+    assert len(lines) == rows
+    fields = np.array([line.split(b",") for line in lines], dtype=float)
+    for c in DERIVED:
+        got = fields[:, CSV_COLUMNS.index(c)]
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want[c].view(float)), err_msg=c)
+        ok = ~np.isnan(got)
+        np.testing.assert_array_equal(got[ok].view(np.uint64), want[c][ok], err_msg=c)
+    if case in ("blatter", "kim_minda_convex", "chuaqui_pommerenke", "mmm"):
+        missing = "upper" if case != "mmm" else "lower"
+        assert np.isnan(fields[:, CSV_COLUMNS.index(f"{missing}_margin")]).all()
+    assert len(helpers) == expected_helpers(rows)
+
+
+# float64 values a row of one chunk that writing a pair table holds at most,
+# above its stored columns: one chunk's columns, floats and text (101 measured
+# on one CPU, up to 126 on two, with Python 3.11).  Making the 32-chunk
+# table's d and margins whole adds 96.
+CHUNK_TEMPS = 150
+
+
+@pytest.mark.parametrize("helpers", [1, 2], indirect=True, ids=lambda n: f"cpus{n}")
+def test_writing_a_pair_table_holds_a_chunk_and_no_derived_column(helpers, tmp_path):
+    """tracemalloc's peak inside write_pairs_csv, on a table of 32 chunks."""
+    report = verify_bound(get_map("shear-halfplane-0.4z"), "convex_h", dict(CLI_PARAMS),
+                          sample_pairs("uniform-in-disc", 32 * K, 4))
+    tracemalloc.start()
+    try:
+        write_pairs_csv(report, tmp_path / "pairs.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(helpers) == expected_helpers(32 * K)
+    assert peak < 8 * CHUNK_TEMPS * K

@@ -9,7 +9,7 @@ from conftest import disc_points, wirtinger_dz
 from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, SingularError
-from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
+from harmdist.harmonic import HarmonicMap, analytic_as_harmonic, harmonic_mobius, shear_linear
 from harmdist.norms import SCHWARZIAN, schwarzian_norm, sup_weighted
 from harmdist.operators import (
     Jet,
@@ -142,10 +142,11 @@ def test_distortion_quantities(rng):
 
 
 def test_point_jet_drops_each_derivative_once_read():
-    """At most h(z), h', g(z), g' and conj g(z) are alive at once: 10 float64 a point.
+    """At most h(z), h', g(z) and g' are alive at once: 8 float64 a point.
 
-    Measured with numpy 2.4 on a series g; holding the four derivatives
-    until every scale was formed took 14.
+    Measured with numpy 2.4 on a series g; forming conj g(z) beside them,
+    or g'/h' for every point at once, took 10, and holding the four
+    derivatives until every scale was formed took 14.
     """
     f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
     z = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 20_000))
@@ -156,7 +157,22 @@ def test_point_jet_drops_each_derivative_once_read():
     finally:
         tracemalloc.stop()
     assert jet.R is None and jet.h is None and jet.Rh.shape == z.shape
-    assert peak < 8 * 12 * len(z)
+    assert peak < 8 * 9 * len(z)
+
+
+def test_point_jet_builds_the_value_in_no_array_it_was_given(rng):
+    """f(z) goes into g(z)'s buffer only where g(z) is an array of its own.
+
+    The identity map returns z itself, as g(z) or h(z); neither z nor h(z)
+    is written, and f(z) has the bits of h(z) + conj(g(z)).
+    """
+    z = disc_points(rng, 50, r_hi=0.8)
+    before = z.copy()
+    for f in (HarmonicMap(Monomial(2.0, 1), Identity()), shear_linear(Identity(), 0.3)):
+        jet = point_jet(f, z, ("Rh", "h"))
+        assert jet.value.tobytes() == (f.h(z) + np.conj(f.g(z))).tobytes()
+        assert jet.h.tobytes() == f.h(z).tobytes() and z.tobytes() == before.tobytes()
+        assert not np.shares_memory(jet.value, z)
 
 
 def test_a_jet_view_reads_the_bits_of_a_jet_of_its_own_points(rng):

@@ -10,10 +10,10 @@ distance, have a side of the bound set to NaN or to a value that makes its
 margin the least, at chosen pairs: in a late block, on both sides of a
 block edge, at a block's first and last pair.
 
-The table stores rho, |f(a) - f(b)| and the sides the bound has, with
-views of the pairs; d and each margin are computed when they are read.  Its
-columns are pinned to the bytes of the table that stored all eleven, and the
-peak memory of verify_bound is bounded by the stored columns.
+The table stores the pairs, |f(a) - f(b)| and the sides the bound has;
+every other column is computed when it is read.  Its columns are pinned to
+the bytes of the table that stored all eleven, and the peak memory of
+verify_bound is bounded by the stored columns.
 """
 
 import functools
@@ -31,8 +31,8 @@ from harmdist.verifier import (BOUND_REGISTRY, CSV_COLUMNS, REL_TOL, PairSet, sa
                                verify_bound)
 
 # float64 values per pair of its block that a worker holds at most: the block's
-# pair jet, sides and reductions (18 on one worker with numpy 2.4)
-BLOCK_TEMPS = 24
+# pair jet, sides and reductions (16 on one worker with numpy 2.4)
+BLOCK_TEMPS = 22
 BLOCKED = 100_003  # four blocks of series.for_each_block, enough for two threads
 PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0, "alpha": 2.0, "beta": 2.0, "c": 1.0, "force": True}
 MOBIUS = "harmonic-mobius-halfplane-0.3"  # where mobius_exact is an identity
@@ -284,18 +284,21 @@ def test_table_reads_every_csv_column_with_the_stored_bytes(bound, maps):
 def test_a_margin_read_from_the_table_is_not_kept(maps, suite):
     """Reading the table adds no column to it, so it does not bring the peak back.
 
-    d and the margins are computed anew at each read, from the stored columns.
+    rho, d and the margins are computed anew at each read, from the stored
+    columns, and re_a ... im_b are views of the stored pairs.
     """
     for bound, stored in (("dhk", {"lower", "upper"}), ("mmm", {"upper"}),
                           ("chuaqui_pommerenke", {"lower"})):
         report = verify_bound(maps["shear-halfplane-0.4z"], bound, dict(PARAMS), suite)
-        keys = {"re_a", "im_a", "re_b", "im_b", "rho", "actual"} | stored
-        assert set(report.table) == keys
-        first, d = report.table["lower_margin"], report.table["d"]
-        assert all(len(report.table[c]) == BLOCKED for c in CSV_COLUMNS)
-        assert set(report.table) == keys
-        assert report.table["lower_margin"] is not first
-        assert report.table["d"] is not d
+        t = report.table
+        keys = {"a", "b", "actual"} | stored
+        assert set(t) == keys
+        first = {c: t[c] for c in ("rho", "d", "lower_margin", "upper_margin")}
+        assert all(len(t[c]) == BLOCKED for c in CSV_COLUMNS)
+        assert set(t) == keys
+        assert all(t[c] is not x for c, x in first.items())
+        for part, pair in (("re_a", "a"), ("im_a", "a"), ("re_b", "b"), ("im_b", "b")):
+            assert np.shares_memory(t[part], t[pair])
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -303,10 +306,10 @@ def test_verify_keeps_the_stored_columns_and_a_few_blocks_of_temporaries(cpus, m
                                                                          monkeypatch):
     """tracemalloc's peak inside verify_bound on a suite of sixteen blocks.
 
-    The four stored float64 columns (rho, actual, lower, upper) take 32
-    bytes a pair; each worker holds the temporaries of the block it
-    evaluates and reduces.  Storing d or the margins too, or reducing over
-    whole columns, exceeds the bound.
+    The three stored float64 columns (actual, lower, upper) take 24 bytes
+    a pair; the pairs are the sample's, made before.  Each worker holds the
+    temporaries of the block it evaluates and reduces.  Storing rho, d or
+    the margins too, or reducing over whole columns, exceeds the bound.
     """
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
     block = series._HORNER_CHUNK
@@ -321,4 +324,4 @@ def test_verify_keeps_the_stored_columns_and_a_few_blocks_of_temporaries(cpus, m
         tracemalloc.stop()
     assert report.pairs == n
     workers = cpus  # for_each_block's min(CPUs, blocks // 2), with 16 blocks
-    assert peak < 8 * (4 * n + BLOCK_TEMPS * workers * block)
+    assert peak < 8 * (3 * n + BLOCK_TEMPS * workers * block)
