@@ -5,8 +5,9 @@ hand-coded closed forms (catalog entries) or by term-wise differentiation
 of a truncated Taylor series; ``derivs(z, order, first=1)`` leaves out the
 value for a caller that reads derivatives only.  Closed forms are exact on
 the whole open disc; series-backed maps certify a ``reliable_radius`` only.  A series map
-evaluates its derivative series with ``series.horner``, a cache-blocked,
-in-place Horner loop that gives the same bits as numpy's ``polyval``.
+evaluates its derivative series with ``series.horner``, a blocked, in-place
+Horner pass over all of them at once that gives the same bits as numpy's
+``polyval``.
 
 Derivatives are hand-coded rather than finite-differenced because the
 Schwarzian amplifies derivative noise quadratically.
@@ -153,15 +154,16 @@ class HalfPlane(AnalyticMap):
     name = "halfplane"
 
     def derivs(self, z, order: int = 3, first: int = 0):
+        """z/w and k!/w**(k + 1), w = 1 - z; w is dropped after its last power."""
         z = self._check(z)
         w = 1.0 - z
         out = [z / w if first == 0 else None]
-        if order >= 1:
-            out.append(1.0 / w**2)
-        if order >= 2:
-            out.append(2.0 / w**3)
-        if order >= 3:
-            out.append(6.0 / w**4)
+        for k, factorial in zip(range(1, order + 1), (1.0, 2.0, 6.0)):
+            p = w ** (k + 1)
+            if k == order:
+                del w
+            out.append(factorial / p)
+            del p
         return tuple(out[first:])
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
@@ -287,8 +289,10 @@ class SeriesMap(AnalyticMap):
     """A map backed by a truncated Taylor series.
 
     ``derivs`` evaluates the series' term-wise derivatives ``first`` through
-    ``order`` with one ``series.horner`` call: one Horner pass per
-    derivative, in cache-sized blocks, with the bits of numpy's ``polyval``.
+    ``order`` with one ``series.horner`` call: one stacked Horner pass over
+    all of them, block by block, with the bits of numpy's ``polyval``.  The
+    derivatives are the rows of one array, so their memory is freed only
+    once every one of them is dropped.
     """
 
     def __init__(self, s: TaylorSeries, name: str = "series"):

@@ -30,12 +30,37 @@ def require_in_disk(*points, name: str = "point"):
         if np.any(mod >= 1.0):
             raise DomainError(f"{name} outside the open unit disc (|z| >= 1)")
         if np.any(mod >= 1.0 - BOUNDARY_FLAG_TOL):
-            warnings.warn(
-                f"{name} within {BOUNDARY_FLAG_TOL} of the unit circle; "
-                "hyperbolic quantities may be inaccurate",
-                stacklevel=2,
-            )
+            _warn_near_boundary(name)
     return mod
+
+
+def inside_radius(r: float, *points):
+    """The mask of the indices where every array of points has modulus below r < 1.
+
+    Each modulus is taken once, and NaN fails the test.  The points kept
+    lie in the disc, so ``require_in_disk`` on them would raise nothing; it
+    would warn for each array with a kept point within BOUNDARY_FLAG_TOL of
+    the unit circle, which r that close to 1 allows, and so does this.
+    """
+    ok, near = None, []
+    for p in points:
+        mod = np.abs(np.asarray(p, dtype=complex))
+        ok = mod < r if ok is None else ok & (mod < r)
+        if r > 1.0 - BOUNDARY_FLAG_TOL:
+            near.append(mod >= 1.0 - BOUNDARY_FLAG_TOL)
+        del mod
+    for flagged in near:
+        if np.any(flagged & ok):
+            _warn_near_boundary("point")
+    return ok
+
+
+def _warn_near_boundary(name: str):
+    warnings.warn(
+        f"{name} within {BOUNDARY_FLAG_TOL} of the unit circle; "
+        "hyperbolic quantities may be inaccurate",
+        stacklevel=3,
+    )
 
 
 def pseudo_hyperbolic(a, b):

@@ -84,9 +84,12 @@ def omega_quotients(hv, gv, order: int):
     omega'' = g'''/h' - (2 g'' h'' + g' h''')/h'^2 + 2 g' h''^2/h'^3
 
     gv is a list, and each g derivative is dropped from it after its last
-    use, so a caller that keeps no other reference to them frees each one
-    then.  Every product is the expression the formulas above write, so
-    its operands keep their order; quotients and sums run in place.
+    use.  The derivatives of one ``derivs`` call share one buffer (a
+    series map's are the rows of one ``series.horner`` output), so a caller
+    that keeps no other reference to them frees that buffer once g' is
+    dropped, after the last read of any of them.  Every product is the
+    expression the formulas above write, so its operands keep their order;
+    quotients and sums run in place.
     """
     h1 = hv[1]
     out = [gv[1] / h1]
@@ -206,15 +209,21 @@ def halfplane_shear_g(coef: complex) -> AnalyticMap:
         name = f"halfplane-shear-g({coef})"
 
         def derivs(self, z, order: int = 3, first: int = 0):
+            """w = 1 - z is dropped after its last power, and each power once divided by."""
             z = self._check(z)
             w = 1.0 - z
             out = [coef * (1.0 / w + np.log(w) - 1.0) if first == 0 else None]
-            if order >= 1:
-                out.append(coef * z / w**2)
-            if order >= 2:
-                out.append(coef * (1.0 + z) / w**3)
-            if order >= 3:
-                out.append(coef * 2.0 * (2.0 + z) / w**4)
+            for k in range(1, order + 1):
+                p = w ** (k + 1)
+                if k == order:
+                    del w
+                if k == 1:
+                    out.append(coef * z / p)
+                elif k == 2:
+                    out.append(coef * (1.0 + z) / p)
+                else:
+                    out.append(coef * 2.0 * (2.0 + z) / p)
+                del p
             return tuple(out[first:])
 
         def taylor(self, order: int = 40) -> ts.TaylorSeries:

@@ -359,19 +359,20 @@ class GridSuprema:
 
     When the object is made, it estimates each of its functionals that the
     map has no estimate of.  The grid is cut by ``series.for_each_block``
-    into equal blocks of at most ``series._HORNER_CHUNK`` points, run on
-    every CPU the process may use.  No array of the grid's points is made:
-    each block computes its own points from its index range, and each
-    argmax lookup its one point, through ``_grid_points``, with the bits
-    ``polar_grid`` gives them.  Each block gets one jet, to the highest
-    order the functionals read, and the worker reduces each formula's values
-    on the block to their ``_peak``: the first non-finite value, or the
-    maximum and its argmax.  The peaks are combined in grid order, so no
-    grid of values is kept.  Then the grid argmaxes are refined in lockstep
-    by ``_refine``: each step builds one jet over the candidates of every
-    search, and each formula reads its own points through a ``Jet.view``.
-    Any other functional, or a capped one whose r_max the reliable radius
-    lowers, is estimated on a grid of its own when it is asked for.
+    into equal blocks of 16384 to 32767 points (or one block, for a smaller
+    grid), one worker per block up to the CPUs the process may use.  No
+    array of the grid's points is made: each block computes its own points
+    from its index range, and each argmax lookup its one point, through
+    ``_grid_points``, with the bits ``polar_grid`` gives them.  Each block
+    gets one jet, to the highest order the functionals read, and the worker
+    reduces each formula's values on the block to their ``_peak``: the
+    first non-finite value, or the maximum and its argmax.  The peaks are
+    combined in grid order, so no grid of values is kept.  Then the grid
+    argmaxes are refined in lockstep by ``_refine``: each step builds one
+    jet over the candidates of every search, and each formula reads its own
+    points through a ``Jet.view``.  Any other functional, or a capped one
+    whose r_max the reliable radius lowers, is estimated on a grid of its
+    own when it is asked for.
 
     The values have the bits a single jet over the whole grid gives, because
     no block is smaller than 16384 points unless it is the whole grid.
@@ -379,10 +380,10 @@ class GridSuprema:
     temporary is at least 256 KiB (16384 complex points), and a complex
     product is not bitwise commutative; so a formula rounds differently on
     a block below that size than on a grid above it.  The block rule keeps
-    every block at 16384 points or more once the grid exceeds 32768 points,
-    and a smaller grid is one block.  Below that size a point's bits do not
-    depend on the length of its array, so a search reads the values it
-    would read on a jet of its own candidates.
+    every block at 16384 points or more, and a smaller grid is one block.
+    Below that size a point's bits do not depend on the length of its
+    array, so a search reads the values it would read on a jet of its own
+    candidates.
 
     A formula that raises on a block makes its error that block's peak, so
     a functional's grid error is that of its first failing block in grid

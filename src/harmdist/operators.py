@@ -38,7 +38,8 @@ class Jet:
     formula reads omega from never evaluates g.  Both calls ask for
     derivatives only (``first=1``), so neither h(z) nor g(z) is evaluated,
     and ``omega_quotients`` holds the only reference to the derivatives of
-    g, dropping each after its last use.  The formulas run their own
+    g, dropping each after its last use; they share one buffer, freed with
+    the last of them.  The formulas run their own
     checks, so formulas sharing a jet raise the errors each would raise on
     its own, in the order they run.
 
@@ -242,7 +243,11 @@ def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
     ``reads`` names the fields to keep besides the value.  No more complex
     arrays of the points are alive at once than the four derivs gives:
     - each of h(z), g(z), h' and g' is dropped as soon as it has been
-      read, h(z) being kept only when "h" is in reads;
+      read, h(z) being kept only when "h" is in reads.  The two arrays of
+      one derivs call may share one buffer (a series map's are the rows of
+      one ``series.horner`` output), which is freed only with the last
+      reference to either: then g' stays alive, in g(z)'s buffer, for as
+      long as f(z) does, and h' for as long as a kept h(z);
     - f(z) = h(z) + conj(g(z)) is built in g(z)'s buffer.  Conjugation
       and complex addition are exact componentwise, so it has the bits of
       that expression.  Where g(z) is not a complex array of its own (a

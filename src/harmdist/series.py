@@ -24,13 +24,12 @@ COMPOSE_RADIUS_FACTOR = 0.7
 
 _TAIL_TARGET = 1e-12
 
-# Most points in one block of `for_each_block`, which cuts `horner`'s points,
-# `norms.GridSuprema`'s grid and the verifier's pairs.  A block of z and its
-# accumulator (2 x 512 KiB of complex128) stay in a 2 MiB per-core L2 cache
-# across all of a series' coefficients, and long blocks make worker threads
-# hand each other the GIL between ufuncs less often: with two workers, 32768
-# ran faster than 16384 (BENCH_series_threads.json).
-_HORNER_CHUNK = 32768
+# numpy's threshold for eliding temporaries, 256 KiB, counted in complex128
+# points.  `for_each_block` cuts `horner`'s points, `norms.GridSuprema`'s grid
+# and the verifier's pairs into blocks of at least this many points (unless
+# one block holds them all), so that a formula rounds on a block as it does
+# on the whole array (see norms.GridSuprema), and of fewer than twice as many.
+_ELISION_POINTS = 256 * 1024 // 16
 
 
 def _polyval(z, c):
@@ -51,14 +50,14 @@ def _cpus() -> int:
 def for_each_block(n: int, run) -> list:
     """run(lo, hi) of each block of range(n), in block order, on every CPU the process may use.
 
-    range(n) is cut into equal blocks of at most ``_HORNER_CHUNK`` points;
-    n = 0 is one empty block, so there is always a result.  The blocks are
-    dealt into interleaved shares, one per worker thread, the calling
-    thread being one of them: as many workers as the process has CPUs, but
-    at least two blocks each, so that fewer than four blocks run on the
-    calling thread alone.  numpy releases the GIL inside each ufunc, so the
-    shares run at once.  Workers run in a copy of the caller's context,
-    which carries its ``np.errstate``.
+    range(n) is cut into ``max(1, n // _ELISION_POINTS)`` equal blocks, so
+    each holds at least ``_ELISION_POINTS`` points and fewer than twice as
+    many, unless it is the only block; n = 0 is one empty block, so there
+    is always a result.  The blocks are dealt into interleaved shares, one
+    per worker thread, the calling thread being one of them: one worker per
+    block, up to the number of CPUs the process may use.  numpy releases
+    the GIL inside each ufunc, so the shares run at once.  Workers run in a
+    copy of the caller's context, which carries its ``np.errstate``.
 
     A share stops at its first block that raises.  Once every share has
     stopped, the error of the first failing block, in block order, is
@@ -73,7 +72,7 @@ def for_each_block(n: int, run) -> list:
     Its users: ``horner``, ``norms.GridSuprema``'s grid scan, and the
     verifier's pair evaluation and point sampler.
     """
-    blocks = max(1, -(-n // _HORNER_CHUNK))
+    blocks = max(1, n // _ELISION_POINTS)
     edges = [n * j // blocks for j in range(blocks + 1)]
     spans = list(enumerate(zip(edges, edges[1:])))
     results = [None] * blocks
@@ -87,7 +86,7 @@ def for_each_block(n: int, run) -> list:
                 errors[j] = exc
                 return
 
-    workers = min(_cpus(), blocks // 2)
+    workers = min(_cpus(), blocks)
     if workers < 2:
         share(spans)
     else:
@@ -107,13 +106,19 @@ def for_each_block(n: int, run) -> list:
 def horner(z, coeff_arrays) -> list:
     """Evaluate each coefficient array c_0..c_N at z, with numpy polyval's bits.
 
-    Each array gets its own Horner pass, ``acc = c_N + z*0`` and then
+    All the arrays run in one stacked pass.  The results are the rows of
+    one (m, z.size) output, reshaped to z's shape, so they share one buffer:
+    a row is freed only once every row of the call is dropped.  Row i runs
+    array i's Horner recurrence, ``acc = c_N + z*0`` and then
     ``acc = c_k + acc*z`` for k = N-1 .. 0: the same roundings, in the same
-    order, as numpy's ``polynomial.polyval``.  The flattened z is cut into
-    blocks by ``for_each_block``, and each pass runs in place in its block
-    of the output, so no step allocates and the block stays in cache.  A
-    block writes only its own slice of the outputs, so the bits do not
-    depend on the number of workers.  The results have z's shape.
+    order, as numpy's ``polynomial.polyval``.  The rows start together, at
+    their top coefficients, and a shorter array's row stops earlier; the
+    rows are stored longest first, so each step runs in place on the rows
+    still running, with one multiply by z and one add of a column of their
+    coefficients.  The flattened z is cut into blocks by ``for_each_block``,
+    each running the pass on its own columns of the output, so no step
+    allocates, and the bits depend neither on the number of workers nor on
+    how many arrays share the pass.
 
     A z of at most one point takes the polyval expression on the value as
     given.  numpy's scalar complex arithmetic and its array loop round
@@ -122,23 +127,30 @@ def horner(z, coeff_arrays) -> list:
     and no block has a single point.
     """
     z = np.asarray(z, dtype=complex)
-    if z.size <= 1:
+    if z.size <= 1 or not coeff_arrays:
         return [_polyval(z, c) for c in coeff_arrays]
     flat = z.ravel()
-    out = [np.empty(flat.shape, dtype=complex) for _ in coeff_arrays]
+    rank = sorted(range(len(coeff_arrays)), key=lambda i: -len(coeff_arrays[i]))  # longest first
+    lengths = [len(coeff_arrays[i]) for i in rank]
+    steps = np.zeros((len(rank), lengths[0]), dtype=complex)  # row k: its c_N .. c_0
+    for k, i in enumerate(rank):
+        steps[k, : lengths[k]] = coeff_arrays[i][::-1]
+    # the coefficients step s adds, one column of the rows still running
+    columns = [steps[: sum(n > s for n in lengths), s : s + 1] for s in range(lengths[0])]
+    out = np.empty((len(rank), flat.size), dtype=complex)
 
     def run(lo, hi):
         zz = flat[lo:hi]
-        for c, res in zip(coeff_arrays, out):
-            acc = res[lo:hi]
-            np.multiply(zz, 0, out=acc)
-            acc += c[-1]
-            for ck in c[-2::-1]:
-                acc *= zz
-                acc += ck
+        acc = out[:, lo:hi]
+        np.multiply(zz, 0, out=acc)
+        acc += columns[0]
+        for col in columns[1:]:
+            rows = acc[: len(col)]
+            rows *= zz
+            rows += col
 
     for_each_block(flat.size, run)
-    return [res.reshape(z.shape) for res in out]
+    return [out[rank.index(i)].reshape(z.shape) for i in range(len(rank))]
 
 
 def reliable_radius_from_coeffs(coeffs: np.ndarray, cap: float = 0.95) -> float:

@@ -7,12 +7,14 @@ comparisons: a pair counts as a violation when it fails by more than
 REL_TOL * max(1, |f(a) - f(b)|), or when its bound or |f(a) - f(b)| is not
 finite.  Each sample point is evaluated once, through a pair jet.
 
-The pairs are checked to lie in the disc once, and then evaluated block by
-block (``series.for_each_block``), on every CPU the process may use: each
-block gets its own pair jet (``bounds.pair_jet_in_disc``), writes its
-slice of the report's stored columns (|f(a) - f(b)| and the sides the
-bound has) and reduces itself: its violation count, each side's least
-margin and first pair with it, its greatest tightness ratio and, for
+Each point's modulus is taken once, to skip the pairs with a point
+outside the sample's radius (NaN included); the pairs kept lie in the
+disc.  They are evaluated block by block (``series.for_each_block``: 16384
+to 32767 pairs a block, one worker per block up to the CPUs the process
+may use).  Each block gets its own pair jet (``bounds.pair_jet_in_disc``),
+writes its slice of the report's stored columns (|f(a) - f(b)| and the
+sides the bound has) and reduces itself: its violation count, each side's
+least margin and first pair with it, its greatest tightness ratio and, for
 becker_harmonic, its proof-form count.  The blocks' reductions are combined
 in pair order into the bits whole-array passes give.  The report's table
 stores those columns and the pairs; rho, d and the margins are computed
@@ -36,8 +38,8 @@ import numpy as np
 from . import bounds as B
 from . import criteria as C
 from . import csvrows, series
-from .disk import (automorphism, hyperbolic_from_pseudo, pseudo_hyperbolic_in_disc,
-                   require_in_disk)
+from .disk import (automorphism, hyperbolic_from_pseudo, inside_radius,
+                   pseudo_hyperbolic_in_disc, require_in_disk)
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
@@ -346,13 +348,8 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
         params[reads] = _read(f, reads, params, r_eff)
     report.parameters = _jsonable({k: v for k, v in params.items() if k != "force"})
 
-    a, b = samples.a, samples.b
-    ok = (np.abs(a) < r_eff) & (np.abs(b) < r_eff)
-    report.skipped = int((~ok).sum())
-    if report.skipped:
-        a, b = a[ok], b[ok]
-    del ok
-    columns, blocks = _evaluate_blocks(f, bound_name, params, a, b)
+    a, b, columns, blocks = _evaluate_blocks(f, bound_name, params, samples.a, samples.b, r_eff)
+    report.skipped = len(samples.a) - len(a)
     report.pairs = int(len(a))
     report.violations = sum(r["violations"] for r in blocks)
     worst, worst_margin = None, np.inf
@@ -375,13 +372,19 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     return report, params
 
 
-def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
-    """The columns of |f(a) - f(b)| and the sides at pairs (a, b), and each block's _reduce.
+def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff=None):
+    """The pairs kept, the columns of |f(a) - f(b)| and the sides there, and each block's _reduce.
 
     The formula checks its parameters on no pairs first, so a bad parameter
     is reported as such even where the map fails at a sampled point; that
-    call also gives the sides the bound has.  Then the pairs are checked
-    to lie in the disc, once, on the calling thread.  They are cut by
+    call also gives the sides the bound has.  Then each point's modulus is
+    taken once, on the calling thread.  With ``r_eff``, the sample's
+    radius below 1, a pair is kept when both points lie inside it, so a
+    point at |z| >= 1 or NaN is skipped (``disk.inside_radius``), and the
+    kept pairs are copied only when a pair is skipped.  Without it every
+    pair is kept, and a point outside the disc raises DomainError
+    (``disk.require_in_disk``).  Either way a kept point near the unit
+    circle warns.  The kept pairs are cut by
     ``series.for_each_block`` and run on every CPU the process may use:
     each block evaluates its own pair jet, writes its slice of the
     full-length columns and reduces itself on the same worker, so no jet or
@@ -394,7 +397,13 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
     of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
-    require_in_disk(a, b)
+    if r_eff is None:
+        require_in_disk(a, b)
+    else:
+        ok = inside_radius(r_eff, a, b)
+        if not ok.all():
+            a, b = a[ok], b[ok]
+        del ok
     columns = {k: np.empty(len(a)) for k in ("actual", "lower", "upper") if k in empty}
 
     def run(lo, hi):
@@ -403,7 +412,7 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b):
             x[lo:hi] = block[k]
         return _reduce(block, lo, bound_name)
 
-    return columns, for_each_block(len(a), run)
+    return a, b, columns, for_each_block(len(a), run)
 
 
 def counterexample_search(

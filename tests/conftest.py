@@ -21,7 +21,7 @@ def catalog_map(request):
 
 def block_edges(n: int) -> list[int]:
     """The block edges of series.for_each_block over n points."""
-    blocks = max(1, -(-n // series._HORNER_CHUNK))
+    blocks = max(1, n // series._ELISION_POINTS)
     return [n * j // blocks for j in range(blocks + 1)]
 
 

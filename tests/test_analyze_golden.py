@@ -39,7 +39,7 @@ GOLDEN = {
 # the same on 1 and 3 CPUs.  The series and harmonic-mobius-halfplane-0.3
 # digests were recorded before the grid scan was cut into blocks, the rest
 # before the blocks were reduced to their argmax.  The 131,073 grid points
-# make five blocks, where the default grid is one.
+# make eight blocks, where the default grid is one.
 BLOCKED_GRID = "128,1024"
 GOLDEN_BLOCKED = {
     "exp": "30fee259d3ca4beb384bb5e791b5d4848d01f54f087a71f9f9443c05a407b1ce",

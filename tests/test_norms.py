@@ -199,7 +199,7 @@ def test_an_estimate_that_raised_is_not_kept(estimates_made):
 
 # --- GridSuprema's blocks: the bits of one whole-grid jet, the caller's errstate ---
 
-BLOCKED_GRID = (128, 1024)  # 131,073 points: five blocks of the grid scan
+BLOCKED_GRID = (128, 1024)  # 131,073 points: eight blocks of the grid scan
 BLOCKED_MAPS = {
     "harmonic-mobius-halfplane-0.3": lambda: get_map("harmonic-mobius-halfplane-0.3"),
     "series": lambda: parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}),
@@ -225,7 +225,7 @@ def test_grid_suprema_blocks_keep_the_bits_of_one_grid_jet(monkeypatch, name, cp
     by_block = {}
     for lo, v in reduced:
         by_block.setdefault(lo, []).append(v)
-    assert len(by_block) == 5
+    assert len(by_block) == 8
     assert all(len(vs) == len(ANALYZE_FUNCTIONALS) for vs in by_block.values())
     jet = Jet(f, z, max(fn.order for fn in ANALYZE_FUNCTIONALS))
     for k, fn in enumerate(ANALYZE_FUNCTIONALS):
@@ -234,7 +234,7 @@ def test_grid_suprema_blocks_keep_the_bits_of_one_grid_jet(monkeypatch, name, cp
         assert got.tobytes() == want.tobytes(), fn.kind
 
 
-def _pole_in_block(block, r_max=0.9, blocks=5):
+def _pole_in_block(block, r_max=0.9, blocks=8):
     """A functional that divides by zero at one grid point, in block ``block`` only."""
     z = polar_grid(r_max, *BLOCKED_GRID)
     edges = [z.size * j // blocks for j in range(blocks + 1)]
@@ -242,7 +242,7 @@ def _pole_in_block(block, r_max=0.9, blocks=5):
     return Functional("pole", lambda jet: np.abs(1.0 / (jet.z - pole)), 1)
 
 
-@pytest.mark.parametrize("block", range(5))
+@pytest.mark.parametrize("block", range(8))
 def test_grid_suprema_blocks_raise_under_the_callers_errstate(monkeypatch, block):
     monkeypatch.setattr(series, "_cpus", lambda: 3)
     fn = _pole_in_block(block)
@@ -250,7 +250,7 @@ def test_grid_suprema_blocks_raise_under_the_callers_errstate(monkeypatch, block
         GridSuprema(Identity(), [fn], 0.9, BLOCKED_GRID).estimate(fn)
 
 
-@pytest.mark.parametrize("block", range(5))
+@pytest.mark.parametrize("block", range(8))
 def test_grid_suprema_blocks_stay_silent_under_the_callers_errstate(monkeypatch, block):
     monkeypatch.setattr(series, "_cpus", lambda: 3)
     fn = _pole_in_block(block)
@@ -289,8 +289,8 @@ def test_grid_suprema_builds_no_grid_jet_after_a_block_raises(monkeypatch):
     sups = GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
     with pytest.raises(SingularError):
         sups.estimate(HARMONIC_SCHWARZIAN)
-    assert len(sizes) > 5
-    assert max(sizes) <= series._HORNER_CHUNK
+    assert len(sizes) > 8
+    assert max(sizes) < 2 * series._ELISION_POINTS
 
 
 # --- GridSuprema's block points: the bits of the whole grid, and no grid kept ---
@@ -303,7 +303,7 @@ def _whole_grid(r_max, nr, ntheta):
     return np.concatenate([[0.0 + 0.0j], np.outer(radii, np.exp(1j * theta)).ravel()])
 
 
-POINT_GRIDS = {"one-block": (24, 64), "five-blocks": BLOCKED_GRID, "analyze-fine": (256, 1024),
+POINT_GRIDS = {"one-block": (24, 64), "eight-blocks": BLOCKED_GRID, "analyze-fine": (256, 1024),
                "mid-row-edges": (100, 333)}
 
 
@@ -340,11 +340,12 @@ def test_grid_suprema_blocks_make_the_points_of_the_whole_grid(monkeypatch, grid
 
 # complex128 values a point of its block that each worker holds at most in the
 # grid scan of ANALYZE_FUNCTIONALS: the block's points, its jet and omega, and
-# one formula's temporaries (10.6 measured on the series map and 11.6 on koebe,
-# with numpy 2.4: S_f's Sh has no closed form there, and holds h''/h' and
-# 1.5 h''/h' beside S_f's two temporaries)
+# one formula's temporaries (12.7 measured on the series map, whose g', g''
+# and g''' are rows of one array that omega frees once it is formed, and 11.6
+# on koebe, with numpy 2.4: S_f's Sh has no closed form there, and holds
+# h''/h' and 1.5 h''/h' beside S_f's two temporaries)
 SCAN_TEMPS = {"series": 13, "koebe": 12}
-GUARD_GRID = (512, 1024)  # 524,289 points: 17 blocks, so the grid is 17 blocks' worth
+GUARD_GRID = (512, 1024)  # 524,289 points: 32 blocks, so the grid is 32 blocks' worth
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -361,7 +362,7 @@ def test_the_grid_scan_holds_a_block_per_worker_and_no_grid(monkeypatch, name, c
     r_max = min(DEFAULT_R_MAX, f.reliable_radius)
     edges = block_edges(GUARD_GRID[0] * GUARD_GRID[1] + 1)
     block = max(np.diff(edges))
-    workers = max(1, min(cpus, (len(edges) - 1) // 2))  # for_each_block's worker count
+    workers = min(cpus, len(edges) - 1)  # for_each_block's worker count
     tracemalloc.start()
     try:
         GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, GUARD_GRID)
@@ -405,7 +406,7 @@ ALL_MAPS = {**{name: (lambda name=name: get_map(name)) for name in CATALOG},
             "series": BLOCKED_MAPS["series"]}
 
 
-@pytest.mark.parametrize("grid", [(24, 64), BLOCKED_GRID], ids=["one-block", "five-blocks"])
+@pytest.mark.parametrize("grid", [(24, 64), BLOCKED_GRID], ids=["one-block", "eight-blocks"])
 @pytest.mark.parametrize("name", sorted(ALL_MAPS))
 def test_lockstep_refinement_keeps_the_bits_of_one_search_per_functional(name, grid):
     f = ALL_MAPS[name]()
@@ -511,8 +512,8 @@ def test_a_tie_picks_the_point_of_the_whole_grid_lexsort(monkeypatch, formula, c
     fn = Functional("tie", formula, 1)
     z = polar_grid(0.999, *BLOCKED_GRID)
     v = np.asarray(formula(Jet(Identity(), z, 1)))
-    edges = [z.size * j // 5 for j in range(6)]
-    assert len({j for j in range(5) if (v[edges[j]:edges[j + 1]] == v.max()).any()}) > 1
+    edges = [z.size * j // 8 for j in range(9)]
+    assert len({j for j in range(8) if (v[edges[j]:edges[j + 1]] == v.max()).any()}) > 1
     est = GridSuprema(Identity(), [fn], 0.999, BLOCKED_GRID).estimate(fn)
     assert est.argmax_point == z[_lexsort_argmax(z, v)]
     assert est.value == v.max()
@@ -520,7 +521,7 @@ def test_a_tie_picks_the_point_of_the_whole_grid_lexsort(monkeypatch, formula, c
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_the_first_non_finite_value_across_blocks_names_its_point(monkeypatch, cpus):
-    """NaN and inf in three of five blocks: the message of the first, in grid order."""
+    """NaN and inf in three of eight blocks: the message of the first, in grid order."""
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
     z = polar_grid(0.9, *BLOCKED_GRID)
     bad = {z[100_000]: np.inf, z[60_000]: -np.inf, z[90_000]: np.nan}
@@ -569,7 +570,7 @@ PINNED_REPRS = {
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("grid", sorted(PINNED_REPRS), ids=["one-block", "five-blocks"])
+@pytest.mark.parametrize("grid", sorted(PINNED_REPRS), ids=["one-block", "eight-blocks"])
 def test_bare_suprema_and_the_renormalized_order_keep_their_pinned_bits(monkeypatch, grid, cpus):
     from harmdist.analytic import Affine
 
@@ -591,8 +592,8 @@ def test_sup_weighted_calls_its_function_one_block_at_a_time(monkeypatch):
         return _toy(z)
 
     sup_weighted(toy, "toy", 0.9, BLOCKED_GRID)
-    assert len(sizes) > 5
-    assert max(sizes) <= series._HORNER_CHUNK
+    assert len(sizes) > 8
+    assert max(sizes) < 2 * series._ELISION_POINTS
 
 
 def test_the_renormalized_order_reads_h_one_block_at_a_time(monkeypatch):
@@ -607,8 +608,8 @@ def test_the_renormalized_order_reads_h_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(Koebe, "derivs", derivs)
     assert not order_of(Affine(Koebe(), 2.0, 0.5), grid=BLOCKED_GRID).normalized
-    assert len(sizes) > 5
-    assert max(sizes) <= series._HORNER_CHUNK
+    assert len(sizes) > 8
+    assert max(sizes) < 2 * series._ELISION_POINTS
 
 
 def test_sup_weighted_refuses_a_grid_that_reaches_the_unit_circle():

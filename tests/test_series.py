@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial.polynomial import polyval
@@ -16,7 +16,7 @@ from numpy.polynomial.polynomial import polyval
 from harmdist import series as ts
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, PrecisionError, SingularError
-from harmdist.series import _HORNER_CHUNK as K
+from harmdist.series import _ELISION_POINTS as K
 from harmdist.series import TaylorSeries, horner
 
 coeff_lists = st.lists(
@@ -118,10 +118,10 @@ def assert_same_bits(z, coeff_arrays):
         assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
-# 16383-16385 and 49159 are the edges of the former 16384-point blocks, which
-# are edges of half a block now; K - 1 to 3K + 7 are the edges of today's.
-@pytest.mark.parametrize("n", [0, 1, 2, 16383, 16384, 16385, 49159,
-                               K - 1, K, K + 1, 3 * K + 7])
+# K - 1 to K + 1 and 2K - 1 to 2K + 1 are the edges of the one- and
+# two-block calls; 3K + 7 and 6K + 7 are three and six blocks.
+@pytest.mark.parametrize("n", [0, 1, 2, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1,
+                               3 * K + 7, 6 * K + 7])
 def test_horner_matches_polyval_at_block_edges(n):
     assert_same_bits(_points(n, seed=n), SHEAR._dcoeffs)
 
@@ -183,21 +183,45 @@ def _fan_out(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus, blocks, workers", [
-    (2, 3, 1),  # one point fewer than the smallest fan-out: 3K points
-    (2, 4, 2),  # the smallest fan-out: 3K + 1 points, two blocks a worker
+    (2, 1, 1),  # one point fewer than the smallest fan-out: 2K - 1 points
+    (2, 2, 2),  # the smallest fan-out: 2K points, one block a worker
     (3, 7, 3),  # seven blocks dealt 3 + 2 + 2
-    (4, 5, 2),  # the worker count is capped by blocks // 2, not by the CPUs
+    (4, 3, 3),  # the worker count is capped by the blocks, not by the CPUs
 ])
 def test_horner_threads_keep_polyval_bits(monkeypatch, cpus, blocks, workers):
     copies = _fan_out(monkeypatch, cpus)
-    n = (blocks - 1) * K + 1 if workers > 1 else blocks * K
+    n = blocks * K if workers > 1 else (blocks + 1) * K - 1
     assert_same_bits(_points(n, seed=blocks), SHEAR._dcoeffs[:2])
     assert len(copies) == workers - 1
 
 
+# Coefficient lengths of up to four arrays evaluated in one call.
+STACKS = {"mixed": (122, 3, 40, 1), "equal": (9, 9, 9, 9), "unsorted": (2, 121, 5, 122)}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 37, K - 1, K, K + 1, 3 * K + 5])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_horner_runs_every_array_in_one_stacked_pass_with_polyval_bits(monkeypatch, stack,
+                                                                       n, cpus):
+    """m = 0 to 4 arrays: each result has polyval's bits and is a row of one (m, n) output."""
+    _fan_out(monkeypatch, cpus)
+    z = _points(n, seed=n)
+    for m in range(5):
+        coeffs = [_points(length, seed=length + k, r=2.0)
+                  for k, length in enumerate(STACKS[stack][:m])]
+        got = horner(z, coeffs)
+        assert len(got) == m
+        for c, value in zip(coeffs, got):
+            assert value.tobytes() == polyval(z, c).tobytes()
+        if m:
+            assert got[0].base.shape == (m, n)
+            assert all(value.base is got[0].base for value in got)
+
+
 def test_horner_threads_keep_the_bits_of_a_strided_grid(monkeypatch):
     copies = _fan_out(monkeypatch, 2)
-    z = _points((3 * K // 1000 + 2, 1000)).T  # 2-D, not contiguous, 4 blocks
+    z = _points((3 * K // 1000 + 2, 1000)).T  # 2-D, not contiguous, 3 blocks
     assert not z.flags.c_contiguous
     assert_same_bits(z, SHEAR._dcoeffs[:2])
     assert len(copies) == 1
@@ -269,6 +293,24 @@ def test_for_each_block_raises_the_first_failing_blocks_error(monkeypatch, cpus)
     assert 1 in ran and set(ran) <= set(range(6))
 
 
+@given(n=st.integers(0, 2_000_000), cpus=st.integers(1, 4))
+@example(n=2 * K, cpus=1)
+@example(n=3 * K, cpus=2)
+@settings(max_examples=100, deadline=None)
+def test_for_each_block_cuts_blocks_of_the_elision_floor_one_worker_each(n, cpus):
+    """The blocks cover range(n) in order, each of K to 2K - 1 points unless it
+    is the only one, and a worker runs per block, up to the CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        copies = _fan_out(mp, cpus)
+        spans = ts.for_each_block(n, lambda lo, hi: (lo, hi))
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    sizes = [hi - lo for lo, hi in spans]
+    assert len(spans) == 1 or min(sizes) >= K
+    assert max(sizes) < 2 * K
+    assert len(copies) == min(cpus, len(spans)) - 1
+
+
 def test_for_each_block_runs_no_points_as_one_empty_block():
     spans = []
     ts.for_each_block(0, lambda lo, hi: spans.append((lo, hi)))
@@ -278,7 +320,7 @@ def test_for_each_block_runs_no_points_as_one_empty_block():
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_for_each_block_returns_each_blocks_result_in_block_order(monkeypatch, cpus):
     _fan_out(monkeypatch, cpus)
-    n = 7 * K - 3
+    n = 8 * K - 3
     edges = [n * j // 7 for j in range(8)]
     assert ts.for_each_block(n, lambda lo, hi: (lo, hi)) == list(zip(edges, edges[1:]))
 

@@ -30,7 +30,7 @@ from harmdist.verifier import (
 )
 
 N = 2000  # desk-scale pair counts keep the suite fast
-BLOCKED = 100_003  # four blocks of series.for_each_block, enough for two threads
+BLOCKED = 100_003  # six blocks of series.for_each_block, enough for three threads
 
 
 def test_sample_pairs_deterministic_and_in_range():
@@ -232,7 +232,7 @@ def test_each_sample_point_is_evaluated_once_in_blocks(monkeypatch):
     s = sample_pairs("uniform-in-disc", BLOCKED, seed=2)
     r = verify_bound(f, "dhk", {"alpha": 2.0}, s)
     assert r.pairs == BLOCKED
-    assert max(seen["h"]) <= series._HORNER_CHUNK
+    assert max(seen["h"]) < 2 * series._ELISION_POINTS
     assert {k: sum(v) for k, v in seen.items()} == {"h": 2 * r.pairs, "g": 2 * r.pairs}
 
 
@@ -281,7 +281,7 @@ def test_block_workers_lose_no_violation(monkeypatch):
     """More workers than cores and a short switch interval: every block's count is kept."""
     monkeypatch.setattr(series, "_cpus", lambda: 4)
     f = analytic_as_harmonic(Koebe())
-    s = sample_pairs("uniform-in-disc", 8 * series._HORNER_CHUNK + 1, seed=4)
+    s = sample_pairs("uniform-in-disc", 8 * series._ELISION_POINTS + 1, seed=4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -310,6 +310,37 @@ def test_point_outside_the_disc_in_a_late_block_raises(monkeypatch):
     a[BLOCKED - 10] = 1.2
     with pytest.raises(DomainError, match="outside the open unit disc"):
         verifier._evaluate_blocks(f, "blatter", {}, a, s.b)
+
+
+def test_a_hand_built_pair_set_counts_points_outside_the_disc_and_nan_as_skipped(monkeypatch):
+    """Each modulus is taken once: a pair with a point at |z| >= 1 or NaN is skipped, not raised."""
+    monkeypatch.setattr(series, "_cpus", lambda: 3)
+    s = sample_pairs("uniform-in-disc", BLOCKED, 0)
+    a, b = s.a.copy(), s.b.copy()
+    a[3], b[40_000], a[70_000], b[BLOCKED - 1] = 1.0, 1.5j, complex(np.nan, 0.0), np.inf
+    keep = np.ones(BLOCKED, dtype=bool)
+    keep[[3, 40_000, 70_000, BLOCKED - 1]] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_bound(get_map("shear-halfplane-0.4z"), "dhk", {},
+                              PairSet(a, b, s.strategy, s.seed, s.r_max))
+    assert (report.skipped, report.pairs) == (4, BLOCKED - 4)
+    assert report.table["a"].tobytes() == a[keep].tobytes()
+    assert report.table["b"].tobytes() == b[keep].tobytes()
+
+
+def test_a_kept_point_near_the_unit_circle_warns_and_a_skipped_one_does_not():
+    near = 1.0 - 5e-13  # within BOUNDARY_FLAG_TOL of the circle, inside r_max
+    r_max = 1.0 - 1e-13
+    z = np.full(100, 0.3 + 0.1j)
+    f = get_map("halfplane")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        skipped = PairSet(np.append(z, near), np.append(-z, 1.0), "uniform-in-disc", 0, r_max)
+        assert verify_bound(f, "blatter", {}, skipped).skipped == 1
+    with pytest.warns(UserWarning, match="point within 1e-12 of the unit circle"):
+        kept = PairSet(np.append(z, near), np.append(-z, 0.5), "uniform-in-disc", 0, r_max)
+        assert verify_bound(f, "blatter", {}, kept).skipped == 0
 
 
 @pytest.mark.parametrize("r_max", [-0.5, np.nan, 0.0, 1.5], ids=["negative", "nan", "zero", "big"])
@@ -357,7 +388,7 @@ def test_a_failing_block_evaluates_no_pair_twice(monkeypatch):
     s = _with_point(sample_pairs("uniform-in-disc", BLOCKED, 0, 0.45), BLOCKED // 2, 0.7, 0.9)
     with pytest.raises(NotSensePreservingError):
         verify_bound(f, "blatter", {"force": True}, s)
-    assert max(sizes) <= series._HORNER_CHUNK
+    assert max(sizes) < 2 * series._ELISION_POINTS
     assert sum(sizes) <= BLOCKED
 
 

@@ -2,8 +2,8 @@
 
 Each case digests the sampled pairs, then for every registry bound the JSON
 report and the raw bytes of every pair-table column.  The pair counts sit
-at and across the block edges of `series.for_each_block` (at most 32768
-points a block, and worker threads from four blocks on), and one case
+at and across the block edges of `series.for_each_block` (16384 to 32767
+points a block, and worker threads from two blocks on), and one case
 skips pairs beyond the series map's reliable radius.  The digests were recorded while the pairs were still evaluated as
 whole arrays on one thread; a blocked evaluation must reproduce them byte
 for byte on any number of CPUs.

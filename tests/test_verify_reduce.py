@@ -4,7 +4,7 @@ The report's least margins, worst pair, tightness, Becker proof-form count
 and violation count must be those of the whole-array reductions over the
 report's table: np.argmin and min find the first NaN, ties go to the
 earliest pair, and the tightness maximum propagates NaN.  The suites span
-four blocks of `series.for_each_block`, on the calling thread (1 CPU) and
+six blocks of `series.for_each_block`, on the calling thread (1 CPU) and
 on worker threads (3 CPUs).  Marker pairs, found by their pseudo-hyperbolic
 distance, have a side of the bound set to NaN or to a value that makes its
 margin the least, at chosen pairs: in a late block, on both sides of a
@@ -31,9 +31,9 @@ from harmdist.verifier import (BOUND_REGISTRY, CSV_COLUMNS, REL_TOL, PairSet, sa
                                verify_bound)
 
 # float64 values per pair of its block that a worker holds at most: the block's
-# pair jet, sides and reductions (16 on one worker with numpy 2.4)
+# pair jet, sides and reductions (14 on one worker with numpy 2.4)
 BLOCK_TEMPS = 22
-BLOCKED = 100_003  # four blocks of series.for_each_block, enough for two threads
+BLOCKED = 100_003  # six blocks of series.for_each_block, enough for three threads
 PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0, "alpha": 2.0, "beta": 2.0, "c": 1.0, "force": True}
 MOBIUS = "harmonic-mobius-halfplane-0.3"  # where mobius_exact is an identity
 ONE_SIDED = {"blatter": ("lower",), "kim_minda_convex": ("lower",),
@@ -175,7 +175,7 @@ def marked_suite(suite: PairSet, marks: list, bound: str, monkeypatch) -> PairSe
     return PairSet(a, b, suite.strategy, suite.seed, suite.r_max)
 
 
-_E = block_edges(BLOCKED)  # 0, 25000, 50001, 75002, 100003
+_E = block_edges(BLOCKED)  # 0, 16667, 33334, 50001, 66668, 83335, 100003
 SCENARIOS = {
     "nan-lower-in-a-late-block": [(_E[3] + 7, NAN_LOWER), (_E[3] + 9, NAN_LOWER)],
     "nan-upper-in-a-late-block": [(_E[3] + 7, NAN_UPPER)],
@@ -312,7 +312,7 @@ def test_verify_keeps_the_stored_columns_and_a_few_blocks_of_temporaries(cpus, m
     the margins too, or reducing over whole columns, exceeds the bound.
     """
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
-    block = series._HORNER_CHUNK
+    block = series._ELISION_POINTS
     n = 16 * block
     samples = sample_pairs("uniform-in-disc", n, 6)
     f = maps["shear-halfplane-0.4z"]
@@ -323,5 +323,5 @@ def test_verify_keeps_the_stored_columns_and_a_few_blocks_of_temporaries(cpus, m
     finally:
         tracemalloc.stop()
     assert report.pairs == n
-    workers = cpus  # for_each_block's min(CPUs, blocks // 2), with 16 blocks
+    workers = cpus  # for_each_block's min(CPUs, blocks), with 16 blocks
     assert peak < 8 * (3 * n + BLOCK_TEMPS * workers * block)
