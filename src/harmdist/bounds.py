@@ -18,11 +18,11 @@ complex arrays, in which case lower/upper are arrays.
 
 Constants of the map that a formula needs, such as ||omega|| = sup |omega|,
 are parameters.  The verifier reads them from the map's estimates (the
-``reads`` entry of its registry) unless the caller gives them, and a
+``reads`` entry of ``BOUND_REGISTRY``) unless the caller gives them, and a
 formula rejects a given ||omega|| outside [0, 1).  Validity of each bound
 is gated elsewhere (verifier harness) on the verdict of its hypothesis, a
-row of criteria.CRITERIA; the formulas themselves only check parameter
-ranges.
+row of criteria.CRITERIA named in ``BOUND_REGISTRY``; the formulas
+themselves only check parameter ranges.
 """
 
 from __future__ import annotations
@@ -310,3 +310,29 @@ def growth_sandwich(phi, z, alpha: float = 2.0):
     lo = (1.0 - ((1.0 - r) / (1.0 + r)) ** alpha) / (2.0 * alpha)
     up = (((1.0 + r) / (1.0 - r)) ** alpha - 1.0) / (2.0 * alpha)
     return _out(lo), _out(up)
+
+
+# Bound registry: formula, hypothesis and the map supremum a formula reads.
+#
+# ``hypothesis`` names the bound's row of criteria.CRITERIA; ``fixes`` holds
+# any criterion parameter the bound fixes; ``reads`` names the map supremum
+# the formula takes as a parameter, computed unless the caller gives it.
+# A formula is called with the entries of params that it names.
+BOUND_REGISTRY: dict[str, dict] = {
+    "blatter": dict(formula=blatter_lower, hypothesis="assumed"),
+    "kim_minda_convex": dict(formula=kim_minda_convex_lower, hypothesis="convexity",
+                             reads="omega_inf"),
+    "chuaqui_pommerenke": dict(formula=chuaqui_pommerenke_lower,
+                               hypothesis="nehari_analytic", fixes={"t": 1.0}),
+    "mmm": dict(formula=mmm_upper, hypothesis="nehari_analytic"),
+    "dhk": dict(formula=dhk_bounds, hypothesis="normalized"),
+    "becker_analytic": dict(formula=becker_analytic_bounds,
+                            hypothesis="becker_analytic[paper]"),
+    "becker_harmonic": dict(formula=becker_harmonic_bounds, hypothesis="becker_harmonic"),
+    "nehari_harmonic": dict(formula=nehari_harmonic_bounds, hypothesis="nehari_harmonic"),
+    "convex_h": dict(formula=convex_h_bounds, hypothesis="convexity", reads="omega_inf"),
+    "linconn": dict(formula=linconn_bounds, hypothesis="theorem_d", reads="omega_inf"),
+    "corollary": dict(formula=corollary_bounds, hypothesis="theorem_d",
+                      reads="beta_lambda"),
+    "mobius_exact": dict(formula=mobius_exact, hypothesis="assumed"),
+}

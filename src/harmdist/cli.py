@@ -1,6 +1,8 @@
 """Command-line front end: catalog, analyze, verify, plot.
 
 Each subcommand takes only the options it reads; see `harmdist <command> -h`.
+`verify` and `plot` import the verifier and the plot writers when they run,
+so `catalog` and `analyze` never load them.
 
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option or
@@ -27,8 +29,9 @@ import numpy as np
 
 from . import __version__
 from . import criteria as C
+from .bounds import BOUND_REGISTRY
 from .catalog import CATALOG, get_map, listing
-from .criteria import DEFAULT_NEHARI_EPSILON
+from .criteria import DEFAULT_NEHARI_EPSILON, _jsonable
 from .descriptors import load_descriptor
 from .errors import ConfigError, HarmdistError, ParameterError
 from .harmonic import HarmonicMap
@@ -44,20 +47,6 @@ from .norms import (
     GridSuprema,
 )
 from .operators import Jet, harmonic_pre_schwarzian_of, harmonic_schwarzian_of
-from .plotting import (
-    image_polylines,
-    write_margin_scatter_csv,
-    write_polylines_csv,
-    write_polylines_svg,
-)
-from .verifier import (
-    BOUND_REGISTRY,
-    _jsonable,
-    sample_pairs,
-    verify_bound,
-    write_pairs_csv,
-    write_report_json,
-)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -217,6 +206,8 @@ def _c(z) -> list[float]:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from .verifier import sample_pairs, verify_bound, write_pairs_csv, write_report_json
+
     f = _resolve_map(ns.map)
     out = _outdir(ns)
     params = _params(ns)
@@ -251,6 +242,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_plot(ns: argparse.Namespace) -> int:
+    from .plotting import (image_polylines, write_margin_scatter_csv, write_polylines_csv,
+                           write_polylines_svg)
+    from .verifier import sample_pairs, verify_bound
+
     f = _resolve_map(ns.map)
     out = _outdir(ns)
     if ns.bound:  # a bad seed or pair count is rejected before any file is written

@@ -16,8 +16,10 @@ computed; a caller that evaluates the map before its verdicts calls
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .analytic import AnalyticMap
 from .errors import ParameterError
@@ -51,6 +53,23 @@ class CriterionVerdict:
     margin: float
     witness: complex
     parameters: dict = field(default_factory=dict)
+
+
+def _jsonable(x):
+    """x as JSON values: dicts and verdicts sorted by key, a complex as [re, im]."""
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(x.items())}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
+        return x.item()
+    if isinstance(x, np.ndarray):
+        return _jsonable(list(x))
+    if isinstance(x, CriterionVerdict):
+        return _jsonable(asdict(x))
+    return x
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .analytic import (
     AnalyticMap,
     HalfPlane,
     Identity,
+    LinearCombo,
     Mobius,
     Monomial,
     SeriesMap,
@@ -144,8 +145,15 @@ def from_h_and_omega(
 
     The resulting map is sense-preserving by construction provided
     |omega| < 1 on the sampled disc; omega attaining modulus >= 1 there is
-    rejected.
+    rejected.  A polynomial omega of degree above ``order`` is a
+    ParameterError, raised before omega is evaluated: the series would
+    drop its top terms and describe another map.
     """
+    degree = _polynomial_degree(omega)
+    if degree is not None and degree > order:
+        raise ParameterError(
+            f"{omega.name}: omega has degree {degree}, above the series order {order}"
+        )
     _reject_large_omega(omega)
     h1 = ts.differentiate(h.taylor(order + 1))
     w = omega.taylor(order)
@@ -170,8 +178,6 @@ def affine_transform(f: HarmonicMap, a: complex) -> HarmonicMap:
     """f + a conj(f) = (h + a g) + conj(g + conj(a) h); P and S are invariant."""
     if abs(a) >= 1.0:
         raise NotSensePreservingError("affine parameter must satisfy |a| < 1")
-    from .analytic import LinearCombo
-
     a = complex(a)
     h2 = LinearCombo([(1.0, f.h), (a, f.g)])
     g2 = LinearCombo([(1.0, f.g), (np.conj(a), f.h)])
@@ -180,11 +186,26 @@ def affine_transform(f: HarmonicMap, a: complex) -> HarmonicMap:
 
 def shear_phi_lambda(f: HarmonicMap, lam: complex) -> AnalyticMap:
     """The analytic family phi_lambda = h + lambda g."""
-    from .analytic import LinearCombo
-
     if f.g is ZERO or lam == 0:
         return f.h
     return LinearCombo([(1.0, f.h), (complex(lam), f.g)], name=f"phi_lambda({lam})")
+
+
+def _polynomial_degree(m: AnalyticMap) -> int | None:
+    """The degree of a monomial, a series map or a sum of them; None for other maps."""
+    if isinstance(m, Monomial):
+        top = m.power
+    elif isinstance(m, SeriesMap):
+        top = len(m.series.coefficients) - 1
+    elif isinstance(m, LinearCombo):
+        tops = [_polynomial_degree(term) for _, term in m.terms]
+        if None in tops:
+            return None
+        top = max(tops)
+    else:
+        return None
+    nonzero = np.flatnonzero(m.taylor(top).coefficients)
+    return int(nonzero[-1]) if nonzero.size else 0
 
 
 def _reject_large_omega(omega: AnalyticMap, r: float = 0.999):

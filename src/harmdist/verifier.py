@@ -30,7 +30,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,8 @@ import numpy as np
 from . import bounds as B
 from . import criteria as C
 from . import csvrows, series
+from .bounds import BOUND_REGISTRY
+from .criteria import _jsonable
 from .disk import (automorphism, hyperbolic_from_pseudo, inside_radius,
                    pseudo_hyperbolic_in_disc, require_in_disk)
 from .errors import ParameterError
@@ -119,33 +121,6 @@ def sample_pairs(
         b = automorphism(a, w)
         b = np.where(np.abs(b) >= r_max, a, b)
     return PairSet(a, b, strategy, seed, r_max)
-
-
-# ---------------------------------------------------------------------------
-# Bound registry: formula, hypothesis and the map supremum a formula reads.
-#
-# ``hypothesis`` names the bound's row of criteria.CRITERIA; ``fixes`` holds
-# any criterion parameter the bound fixes; ``reads`` names the map supremum
-# the formula takes as a parameter, computed unless the caller gives it.
-# A formula is called with the entries of params that it names.
-BOUND_REGISTRY: dict[str, dict] = {
-    "blatter": dict(formula=B.blatter_lower, hypothesis="assumed"),
-    "kim_minda_convex": dict(formula=B.kim_minda_convex_lower, hypothesis="convexity",
-                             reads="omega_inf"),
-    "chuaqui_pommerenke": dict(formula=B.chuaqui_pommerenke_lower,
-                               hypothesis="nehari_analytic", fixes={"t": 1.0}),
-    "mmm": dict(formula=B.mmm_upper, hypothesis="nehari_analytic"),
-    "dhk": dict(formula=B.dhk_bounds, hypothesis="normalized"),
-    "becker_analytic": dict(formula=B.becker_analytic_bounds,
-                            hypothesis="becker_analytic[paper]"),
-    "becker_harmonic": dict(formula=B.becker_harmonic_bounds, hypothesis="becker_harmonic"),
-    "nehari_harmonic": dict(formula=B.nehari_harmonic_bounds, hypothesis="nehari_harmonic"),
-    "convex_h": dict(formula=B.convex_h_bounds, hypothesis="convexity", reads="omega_inf"),
-    "linconn": dict(formula=B.linconn_bounds, hypothesis="theorem_d", reads="omega_inf"),
-    "corollary": dict(formula=B.corollary_bounds, hypothesis="theorem_d",
-                      reads="beta_lambda"),
-    "mobius_exact": dict(formula=B.mobius_exact, hypothesis="assumed"),
-}
 
 
 def _read(f, name: str, params: dict, r_max: float) -> float:
@@ -295,22 +270,6 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return _jsonable({k.name: getattr(self, k.name) for k in fields(self) if k.name != "table"})
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(x.items())}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return _jsonable(list(x))
-    if isinstance(x, C.CriterionVerdict):
-        return _jsonable(asdict(x))
-    return x
 
 
 def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> BoundReport:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import harmdist
-from harmdist import cli
+from harmdist import cli, plotting, verifier
 from harmdist.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -98,8 +98,9 @@ def test_unusable_out_is_config_error_before_any_work(command, out, tmp_path, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work began before --out was checked")
 
-    for name in ("GridSuprema", "Jet", "verify_bound", "image_polylines"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((cli, "GridSuprema"), (cli, "Jet"), (verifier, "verify_bound"),
+                         (plotting, "image_polylines")):
+        monkeypatch.setattr(module, name, no_work)
     (tmp_path / "file").write_text("kept\n")
     args = [*command, "--map", "koebe", "--out", str(tmp_path / out)]
     assert main(args) == EXIT_CONFIG
@@ -191,6 +192,23 @@ def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith("configuration error: descriptor omega")
         assert "1.2z" in err
+
+
+@pytest.mark.parametrize("omega, degree", [
+    ({"expr": "0.4z^200"}, 200),
+    ({"expr": "0.1z + 0.3z^121"}, 121),
+    ({"coefficients": [0] * 150 + [0.3]}, 150),
+], ids=["monomial-200", "sum-to-121", "coefficients-150"])
+def test_descriptor_omega_above_the_series_order_is_config_error(omega, degree, tmp_path,
+                                                                 capsys):
+    """g would drop omega's top terms, so the map analyzed would not be the one described."""
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps({"h": {"name": "identity"}, "omega": omega}))
+    assert main(["analyze", "--map", str(path), "--grid", "16,64"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("configuration error: ")
+    assert f"degree {degree}" in err and "order 120" in err
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])

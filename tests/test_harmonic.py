@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import disc_points, wirtinger_dz
-from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, Mobius, Monomial
+from harmdist.analytic import (ExpMap, HalfPlane, Identity, Koebe, LinearCombo, Mobius, Monomial,
+                               SeriesMap)
 from harmdist.errors import NotSensePreservingError, ParameterError
 from harmdist.harmonic import (
     HarmonicMap,
@@ -17,6 +18,7 @@ from harmdist.harmonic import (
     shear_linear,
     shear_phi_lambda,
 )
+from harmdist.series import TaylorSeries
 
 
 def test_analytic_wrapper_evaluates_like_h(rng):
@@ -89,6 +91,28 @@ def test_sense_preservation_guard():
     f = HarmonicMap(Identity(), Monomial(0.6, 2))  # omega = 1.2 z
     with pytest.raises(NotSensePreservingError):
         f.check_sense_preserving(0.95)
+
+
+def test_polynomial_omega_above_the_series_order_is_refused_before_it_is_evaluated(
+        monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("omega was evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(Monomial, "derivs", no_eval)
+        with pytest.raises(ParameterError, match="degree 81, above the series order 80"):
+            from_h_and_omega(Identity(), Monomial(0.4, 81), order=80)
+        with pytest.raises(ParameterError, match="degree 90, above the series order 80"):
+            from_h_and_omega(Identity(), LinearCombo([(1.0, Monomial(0.3, 1)),
+                                                      (1.0, Monomial(0.1, 90))]), order=80)
+    # Terms that cancel, and zeros above the order, leave omega = 0.3z: g = 0.15z^2.
+    cancelled = LinearCombo([(1.0, Monomial(0.3, 1)), (1.0, Monomial(0.1, 90)),
+                             (-1.0, Monomial(0.1, 90))])
+    padded = SeriesMap(TaylorSeries(np.r_[0.0, 0.3, np.zeros(100)]))
+    for omega in (cancelled, padded):
+        g = from_h_and_omega(Identity(), omega, order=80).g.series.coefficients
+        np.testing.assert_array_equal(g[:3], [0.0, 0.0, 0.15])
+        assert not np.any(g[3:])
 
 
 def test_harmonic_mobius_requirements():
