@@ -19,10 +19,12 @@ complex arrays, in which case lower/upper are arrays.
 Constants of the map that a formula needs, such as ||omega|| = sup |omega|,
 are parameters.  The verifier reads them from the map's estimates (the
 ``reads`` entry of ``BOUND_REGISTRY``) unless the caller gives them, and a
-formula rejects a given ||omega|| outside [0, 1).  Validity of each bound
-is gated elsewhere (verifier harness) on the verdict of its hypothesis, a
-row of criteria.CRITERIA named in ``BOUND_REGISTRY``; the formulas
-themselves only check parameter ranges.
+formula rejects a given ||omega|| outside [0, 1).  Every other parameter
+of a criterion or a bound is a row of ``PARAMETERS``: its default, taken
+where a caller gives none, and the interval its value must lie in, which
+``parameter`` checks.  Validity of each bound is gated elsewhere (verifier
+harness) on the verdict of its hypothesis, a row of criteria.CRITERIA named
+in ``BOUND_REGISTRY``; the formulas themselves only check parameter ranges.
 """
 
 from __future__ import annotations
@@ -38,6 +40,53 @@ from .operators import PointJet, point_jet
 
 # Every field a formula may read; pair_jet computes all of them by default.
 ALL_READS = frozenset({"R", "Q", "Rh", "h", "omega0"})
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """A parameter's default, and the interval [low, high] with the brackets ``ends``."""
+
+    default: float
+    low: float
+    high: float
+    ends: str = "[]"
+
+    def __contains__(self, value) -> bool:  # false for NaN
+        return ((self.low <= value if self.ends[0] == "[" else self.low < value)
+                and (value <= self.high if self.ends[1] == "]" else value < self.high))
+
+
+# Each parameter a criterion or a bound takes; an open end at inf admits
+# finite values only.
+PARAMETERS: dict[str, Parameter] = {
+    # the harmonic Nehari threshold is non-constructive: a conservative default
+    "epsilon": Parameter(0.1, 0.0, np.inf, "()"),
+    "t": Parameter(1.0, 0.0, 1.0),
+    "c": Parameter(1.0, 1.0, np.inf, "[)"),  # linear-connectivity constant
+    "p": Parameter(2.0, 1.0, np.inf, "()"),
+    "alpha": Parameter(2.0, 1.0, np.inf, "[)"),
+    "beta": Parameter(2.0, 1.0, 2.0),
+    "beta_lambda": Parameter(2.0, 1.0, 2.0),
+}
+
+
+def parameter(name: str, value=None):
+    """``value``, or the default of ``name`` if None; a ParameterError outside its interval."""
+    row = PARAMETERS[name]
+    if value is None:
+        return row.default
+    if value not in row:
+        low, high = row.ends
+        raise ParameterError(
+            f"{name} must lie in {low}{row.low:g}, {row.high:g}{high}, got {value}")
+    return value
+
+
+def check_parameters(params: dict) -> None:
+    """Check every entry of ``params`` that ``PARAMETERS`` names; ignore the others."""
+    for name, value in params.items():
+        if name in PARAMETERS:
+            parameter(name, value)
 
 
 @dataclass(frozen=True)
@@ -118,6 +167,12 @@ def _given(omega_inf, formula: str) -> float:
     return omega_inf
 
 
+def _sandwich(k, d, lower, upper, lower_scale=1.0, upper_scale=1.0) -> PairBound:
+    """lower_scale (1 - e^{-kd})/k lower, and upper_scale (e^{kd} - 1)/k upper."""
+    return PairBound(lower=_out(lower_scale * (1.0 - np.exp(-k * d)) / k * lower),
+                     upper=_out(upper_scale * (np.exp(k * d) - 1.0) / k * upper))
+
+
 @_reads("R")
 def blatter_lower(jet) -> PairBound:
     """lower^2 = sinh^2(2d) (R(a)^2 + R(b)^2) / (8 cosh(4d))."""
@@ -127,7 +182,8 @@ def blatter_lower(jet) -> PairBound:
 
 
 @_reads("Rh")
-def kim_minda_convex_lower(jet, p: float = 2.0, omega_inf: float | None = None) -> PairBound:
+def kim_minda_convex_lower(jet, p: float | None = None,
+                           omega_inf: float | None = None) -> PairBound:
     """Convex-map lower bound, parametrized by p > 1.
 
     lower = (1 - ||omega||) sinh(d)/(2 cosh(pd)^{1/p}) (R_h(a)^p + R_h(b)^p)^{1/p}
@@ -142,8 +198,7 @@ def kim_minda_convex_lower(jet, p: float = 2.0, omega_inf: float | None = None) 
     [h(a), h(b)] back through the convex map h gives a path gamma with
     int_gamma |h'| |dz| = |h(a)-h(b)|, so |g(a)-g(b)| <= ||omega|| |h(a)-h(b)|.
     """
-    if not 1.0 < p < np.inf:  # also false for NaN
-        raise ParameterError(f"kim_minda_convex_lower requires a finite p > 1, got {p}")
+    p = parameter("p", p)
     omega_inf = _given(omega_inf, "kim_minda_convex_lower")
     d = jet.d
     lo = (
@@ -162,46 +217,35 @@ def chuaqui_pommerenke_lower(jet) -> PairBound:
 
 
 @_reads("R")
-def mmm_upper(jet, t: float = 1.0) -> PairBound:
+def mmm_upper(jet, t: float | None = None) -> PairBound:
     """upper = sqrt(R(a)R(b)/(1+t)) sinh(sqrt(1+t) d) under ||S phi|| <= 2t."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("mmm_upper requires t in [0, 1]")
+    t = parameter("t", t)
     up = np.sqrt(jet.a.R * jet.b.R / (1.0 + t)) * np.sinh(np.sqrt(1.0 + t) * jet.d)
     return PairBound(upper=_out(up))
 
 
 @_reads("R", "Q")
-def dhk_bounds(jet, alpha: float = 2.0) -> PairBound:
+def dhk_bounds(jet, alpha: float | None = None) -> PairBound:
     """Growth sandwich for normalized univalent harmonic maps of order alpha.
 
     lower = (1/(2a))(1 - e^{-2ad}) max(R(a), R(b))
     upper = (1/(2a))(e^{2ad} - 1) min(Q(a), Q(b))
     """
-    if not np.isfinite(alpha):
-        raise ParameterError(f"dhk_bounds requires a finite alpha, got {alpha}")
-    if alpha < 1.0:
-        raise ParameterError("dhk_bounds requires alpha >= 1")
-    d = jet.d
-    lo = (1.0 - np.exp(-2.0 * alpha * d)) / (2.0 * alpha) * np.maximum(jet.a.R, jet.b.R)
-    up = (np.exp(2.0 * alpha * d) - 1.0) / (2.0 * alpha) * np.minimum(jet.a.Q, jet.b.Q)
-    return PairBound(lower=_out(lo), upper=_out(up))
+    return _sandwich(2.0 * parameter("alpha", alpha), jet.d,
+                     np.maximum(jet.a.R, jet.b.R), np.minimum(jet.a.Q, jet.b.Q))
 
 
 @_reads("R")
 def becker_analytic_bounds(jet) -> PairBound:
     """Sandwich (1 -/+ e^{-/+3d})/3 sqrt(R(a)R(b)) under the paper Becker hypothesis."""
     s = np.sqrt(jet.a.R * jet.b.R)
-    lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * s
-    up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * s
-    return PairBound(lower=_out(lo), upper=_out(up))
+    return _sandwich(3.0, jet.d, s, s)
 
 
 @_reads("R", "Q")
 def becker_harmonic_bounds(jet) -> PairBound:
     """Harmonic Becker sandwich: R-side lower, Q-side upper."""
-    lo = (1.0 - np.exp(-3.0 * jet.d)) / 3.0 * np.sqrt(jet.a.R * jet.b.R)
-    up = (np.exp(3.0 * jet.d) - 1.0) / 3.0 * np.sqrt(jet.a.Q * jet.b.Q)
-    return PairBound(lower=_out(lo), upper=_out(up))
+    return _sandwich(3.0, jet.d, np.sqrt(jet.a.R * jet.b.R), np.sqrt(jet.a.Q * jet.b.Q))
 
 
 def becker_harmonic_proof_upper(d, upper):
@@ -244,28 +288,22 @@ def convex_h_bounds(jet, omega_inf: float) -> PairBound:
 
 @_reads("Rh")
 def linconn_bounds(
-    jet, c: float = 1.0, beta: float = 2.0, omega_inf: float | None = None
+    jet, c: float | None = None, beta: float | None = None, omega_inf: float | None = None
 ) -> PairBound:
     """(1 -/+ c||omega||) (1/(2b))(1 - e^{-2bd} / e^{2bd} - 1) sqrt(R_h R_h).
 
     The upper-bound exponential is read as (e^{2 beta d} - 1), consistent
     with the lower bound and the growth formula.
     """
-    if not 1.0 <= c < np.inf:  # also false for NaN
-        raise ParameterError(f"linconn_bounds requires a finite c >= 1, got {c}")
-    if not 1.0 <= beta <= 2.0:
-        raise ParameterError("linconn_bounds requires beta in [1, 2]")
+    c, beta = parameter("c", c), parameter("beta", beta)
     if c * _given(omega_inf, "linconn_bounds") >= 1.0:
         raise ParameterError("linconn_bounds hypothesis violated: c ||omega|| >= 1")
-    d = jet.d
     s = np.sqrt(jet.a.Rh * jet.b.Rh)
-    lo = (1.0 - c * omega_inf) * (1.0 - np.exp(-2.0 * beta * d)) / (2.0 * beta) * s
-    up = (1.0 + c * omega_inf) * (np.exp(2.0 * beta * d) - 1.0) / (2.0 * beta) * s
-    return PairBound(lower=_out(lo), upper=_out(up))
+    return _sandwich(2.0 * beta, jet.d, s, s, 1.0 - c * omega_inf, 1.0 + c * omega_inf)
 
 
 @_reads("R", "Q")
-def corollary_bounds(jet, beta_lambda: float = 2.0) -> PairBound:
+def corollary_bounds(jet, beta_lambda: float | None = None) -> PairBound:
     """Growth sandwich via the shears phi = h + lambda g of order <= beta_lambda.
 
     lower = (1/(2bl))(1 - e^{-2bl d}) sqrt(R(a)R(b))
@@ -275,13 +313,8 @@ def corollary_bounds(jet, beta_lambda: float = 2.0) -> PairBound:
     R <= (1-|z|^2)|phi'| <= Q pointwise, so the harmonic R feeds the lower
     bound and Q the upper (R on the upper side fails numerically).
     """
-    if not 1.0 <= beta_lambda <= 2.0:
-        raise ParameterError("corollary_bounds requires beta_lambda in [1, 2]")
-    d = jet.d
-    bl = beta_lambda
-    lo = (1.0 - np.exp(-2.0 * bl * d)) / (2.0 * bl) * np.sqrt(jet.a.R * jet.b.R)
-    up = (np.exp(2.0 * bl * d) - 1.0) / (2.0 * bl) * np.sqrt(jet.a.Q * jet.b.Q)
-    return PairBound(lower=_out(lo), upper=_out(up))
+    return _sandwich(2.0 * parameter("beta_lambda", beta_lambda), jet.d,
+                     np.sqrt(jet.a.R * jet.b.R), np.sqrt(jet.a.Q * jet.b.Q))
 
 
 @_reads("Rh", "h", "omega0")
@@ -302,10 +335,9 @@ def mobius_exact(jet):
     return _out(val)
 
 
-def growth_sandwich(phi, z, alpha: float = 2.0):
+def growth_sandwich(phi, z, alpha: float | None = None):
     """Growth bounds (1/(2a))(((1+-r)/(1-+r))^a -/+ 1) for |phi(z)|, r = |z|."""
-    if not 1.0 <= alpha < np.inf:  # also false for NaN
-        raise ParameterError(f"growth_sandwich requires a finite alpha >= 1, got {alpha}")
+    alpha = parameter("alpha", alpha)
     r = np.abs(np.asarray(z, dtype=complex))
     lo = (1.0 - ((1.0 - r) / (1.0 + r)) ** alpha) / (2.0 * alpha)
     up = (((1.0 + r) / (1.0 - r)) ** alpha - 1.0) / (2.0 * alpha)

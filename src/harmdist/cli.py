@@ -7,12 +7,12 @@ so `catalog` and `analyze` never load them.
 Exit codes: 0 = all checks passed; 2 = violations found; 3 = hypothesis
 not met (without --allow-unmet); 4 = configuration error (a bad option or
 one the subcommand does not take, such as an --r-max outside (0, 1), a
-negative --seed or a NaN or infinite --alpha, --p, --c or --epsilon; an
---out that cannot be made a directory, checked before any work; a --map
-file that cannot be read; a descriptor entry that cannot be built, such as
-a Mobius map with its pole in the closed disc; or a bad map, descriptor or
-parameter, also on a map that fails numerically, since every parameter is
-checked before a sampled point is evaluated);
+negative --seed, or an --epsilon, --t, --c, --p, --alpha or --beta outside
+its interval, NaN included, which is checked before any supremum is read or
+file written, also where the gate or the map would fail; an --out that
+cannot be made a directory, checked before any work; a --map file that
+cannot be read; a descriptor entry that cannot be built, such as a Mobius
+map with its pole in the closed disc; or a bad map or descriptor);
 5 = numerical error (at a sampled point the map is singular, not
 sense-preserving, or not evaluable: outside the disc or beyond its
 reliable radius; or a supremum's functional is not finite).
@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from . import criteria as C
-from .bounds import BOUND_REGISTRY
+from .bounds import BOUND_REGISTRY, PARAMETERS, check_parameters
 from .catalog import CATALOG, get_map, listing
-from .criteria import DEFAULT_NEHARI_EPSILON, _jsonable
+from .criteria import _jsonable
 from .descriptors import load_descriptor
 from .errors import ConfigError, HarmdistError, ParameterError
 from .harmonic import HarmonicMap
@@ -94,14 +94,11 @@ def _build_parser() -> _Parser:
                         help="catalog name or path to a JSON mapping descriptor")
         sp.add_argument("--r-max", type=_parse_r_max, default=DEFAULT_R_MAX)
         sp.add_argument("--out", type=Path, default=None)
-        # the criterion parameters
-        sp.add_argument("--epsilon", type=float, default=DEFAULT_NEHARI_EPSILON)
-        sp.add_argument("--t", type=float, default=1.0)
-        sp.add_argument("--c", type=float, default=1.0)
+        for name in ("epsilon", "t", "c"):  # the criterion parameters
+            sp.add_argument(f"--{name}", type=float, default=PARAMETERS[name].default)
     for sp in (verify, plot):  # the bound parameters and the pair sample
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--alpha", type=float, default=2.0)
-        sp.add_argument("--beta", type=float, default=2.0)
+        for name in ("p", "alpha", "beta"):
+            sp.add_argument(f"--{name}", type=float, default=PARAMETERS[name].default)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--pairs", type=int, default=10_000)
     return parser
@@ -146,8 +143,7 @@ def _outdir(ns: argparse.Namespace) -> Path:
 
 def _params(ns: argparse.Namespace) -> dict:
     """The criterion and bound parameters the subcommand takes."""
-    return {k: v for k, v in vars(ns).items()
-            if k in ("epsilon", "t", "p", "alpha", "beta", "c")}
+    return {k: v for k, v in vars(ns).items() if k in PARAMETERS}
 
 
 def cmd_catalog() -> int:
@@ -158,8 +154,7 @@ def cmd_catalog() -> int:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     f = _resolve_map(ns.map)
     params = _params(ns)
-    for name in C.CRITERIA:  # a bad parameter is reported before any point is evaluated
-        C.parameter(name, params)
+    check_parameters(params)  # before any point is evaluated or file written
     out = _outdir(ns) if ns.out else None
     r_max = min(ns.r_max, f.reliable_radius)
     report: dict = {"map": f.name, "r_max": r_max, "grid": list(ns.grid)}
@@ -247,6 +242,8 @@ def cmd_plot(ns: argparse.Namespace) -> int:
     from .verifier import sample_pairs, verify_bound
 
     f = _resolve_map(ns.map)
+    params = _params(ns)
+    check_parameters(params)  # before any file is written, also without --bound
     out = _outdir(ns)
     if ns.bound:  # a bad seed or pair count is rejected before any file is written
         samples = sample_pairs(
@@ -257,7 +254,7 @@ def cmd_plot(ns: argparse.Namespace) -> int:
     write_polylines_csv(polylines, out / "image.csv")
     wrote = ["image.svg", "image.csv"]
     if ns.bound:
-        report = verify_bound(f, ns.bound, _params(ns), samples)
+        report = verify_bound(f, ns.bound, params, samples)
         write_margin_scatter_csv(report, out / f"{ns.bound}-margins.csv")
         wrote.append(f"{ns.bound}-margins.csv")
     print("wrote " + ", ".join(str(out / w) for w in wrote))

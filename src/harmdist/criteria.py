@@ -5,23 +5,23 @@ norms engine and is reported as a verdict with a signed margin: positive
 margin means the criterion holds with that much slack.
 
 Every criterion is one row of ``CRITERIA``, and ``verdict`` applies a row:
-it checks the criterion's parameter through ``parameter``, then reads the
-supremum of the row's functional through a ``norms.GridSuprema``, which on
-a harmonic map is the estimate the map already holds if any caller made
-it.  A bad parameter is therefore reported before any supremum is
-computed; a caller that evaluates the map before its verdicts calls
-``parameter`` on every row first.
+it reads the criterion's parameter, checked against its row of
+``bounds.PARAMETERS``, then reads the supremum of the row's functional
+through a ``norms.GridSuprema``, which on a harmonic map is the estimate
+the map already holds if any caller made it.  A bad parameter is therefore
+reported before any supremum is computed; a caller that evaluates the map
+before its verdicts calls ``bounds.check_parameters`` first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .analytic import AnalyticMap
+from .bounds import parameter
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import (
@@ -37,9 +37,6 @@ from .norms import (
     Functional,
     GridSuprema,
 )
-
-# Conservative default for the (non-constructive) harmonic Nehari threshold.
-DEFAULT_NEHARI_EPSILON = 0.1
 
 # Boundary cases sit exactly on their thresholds; sup estimates carry a few
 # ulps of float noise, which must not flip a verdict.
@@ -77,9 +74,8 @@ class Criterion:
     """Holds when the supremum of ``functional`` is at most ``threshold``.
 
     The margin is threshold - supremum.  ``param`` names the criterion's
-    parameter, if it has one: ``threshold`` is then a function of it,
-    ``default`` its value when the caller gives none, and ``valid`` its
-    range check, with ``invalid`` the ParameterError message.  ``fixed``
+    parameter, if it has one: ``threshold`` is then a function of it, and
+    its default and range are its row of ``bounds.PARAMETERS``.  ``fixed``
     parameters are only recorded, and ``reports`` names the recorded
     supremum (convexity records the infimum, minus the supremum).  A row
     without a functional is judged on the map alone: ``threshold(f)`` is
@@ -89,9 +85,6 @@ class Criterion:
     functional: Functional | None
     threshold: float | Callable
     param: str | None = None
-    default: float = 1.0
-    valid: Callable[[float], bool] = lambda value: True
-    invalid: str = ""
     fixed: dict = field(default_factory=dict)
     reports: Callable[[float], dict] = lambda s: {"supremum": s}
 
@@ -105,58 +98,36 @@ CRITERIA: dict[str, Criterion] = {
     # the harmonic Becker functional stays <= 1
     "becker_harmonic": Criterion(BECKER_HARMONIC, 1.0),
     # ||S phi|| <= 2t for t in [0, 1]
-    "nehari_analytic": Criterion(
-        SCHWARZIAN, lambda t: 2.0 * t, "t", 1.0, lambda t: 0.0 <= t <= 1.0,
-        "t must lie in [0, 1]"),
+    "nehari_analytic": Criterion(SCHWARZIAN, lambda t: 2.0 * t, "t"),
     # ||S_f|| <= epsilon; epsilon is caller-supplied (it is non-constructive)
-    "nehari_harmonic": Criterion(
-        HARMONIC_SCHWARZIAN, lambda epsilon: epsilon, "epsilon", DEFAULT_NEHARI_EPSILON,
-        lambda epsilon: 0.0 < epsilon < math.inf,  # also false for NaN
-        "epsilon must be positive and finite, got {}"),
+    "nehari_harmonic": Criterion(HARMONIC_SCHWARZIAN, lambda epsilon: epsilon, "epsilon"),
     # inf Re(1 + z h''/h') >= 0, the classical convexity characterization
     "convexity": Criterion(CONVEXITY, 0.0, reports=lambda s: {"infimum": -s}),
     # ||omega||_inf < 1/c for h(D) a c-linearly connected domain; read up to
     # the reliable radius, which the verdict records as its r_max
-    "theorem_d": Criterion(
-        OMEGA_ABS, lambda c: 1.0 / c, "c", 1.0, lambda c: 1.0 <= c < math.inf,
-        "linear-connectivity constant c must be finite and >= 1, got {}",
-        reports=lambda s: {"omega_inf": s}),
+    "theorem_d": Criterion(OMEGA_ABS, lambda c: 1.0 / c, "c",
+                           reports=lambda s: {"omega_inf": s}),
     # gates of bounds that need no supremum
     "normalized": Criterion(None, lambda f: 0.0 if f.normalized else -1.0),
     "assumed": Criterion(None, lambda f: 0.0),
 }
 
 
-def parameter(name: str, params: dict | None = None) -> float | None:
-    """The parameter of the row ``name``: its entry in ``params``, or its default.
-
-    None for a row without a parameter; ParameterError for a value outside
-    the row's range.  ``params`` may hold any other entries, which are
-    ignored.
-    """
-    row = CRITERIA[name]
-    if row.param is None:
-        return None
-    value = (params or {}).get(row.param, row.default)
-    if not row.valid(value):
-        raise ParameterError(row.invalid.format(value))
-    return value
-
-
 def verdict(name: str, sups: GridSuprema, params: dict | None = None) -> CriterionVerdict:
     """The row ``name`` of CRITERIA applied to the map of ``sups``, over its grid.
 
-    The row's parameter is read from ``params`` and checked, by
-    ``parameter``, before any supremum is read.
+    The row's parameter is read from ``params``, or is its default, and is
+    checked by ``bounds.parameter`` before any supremum is read.  ``params``
+    may hold any other entries, which are ignored.
     """
     row = CRITERIA[name]
-    value = parameter(name, params)
     witness, recorded = 0j, dict(row.fixed)
     if row.functional is None:
         margin = row.threshold(sups.f)
     else:
         threshold = row.threshold
         if row.param is not None:
+            value = parameter(row.param, (params or {}).get(row.param))
             threshold, recorded[row.param] = threshold(value), value
         est = sups.estimate(row.functional)
         margin, witness = threshold - est.value, est.argmax_point
@@ -184,7 +155,7 @@ def becker_harmonic(
 
 
 def nehari_analytic(
-    phi: AnalyticMap, t: float = 1.0, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
+    phi: AnalyticMap, t: float | None = None, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """||S phi|| <= 2t for t in [0, 1]."""
     return verdict("nehari_analytic", GridSuprema(phi, (), r_max, grid), {"t": t})
@@ -192,7 +163,7 @@ def nehari_analytic(
 
 def nehari_harmonic(
     f,
-    epsilon: float = DEFAULT_NEHARI_EPSILON,
+    epsilon: float | None = None,
     r_max: float = DEFAULT_R_MAX,
     grid=DEFAULT_GRID,
 ) -> CriterionVerdict:
@@ -209,7 +180,7 @@ def convexity_check(
 
 
 def theorem_d_harmonic(
-    f, c: float = 1.0, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
+    f, c: float | None = None, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> CriterionVerdict:
     """||omega||_inf < 1/c for h(D) a c-linearly connected domain."""
     return verdict("theorem_d", GridSuprema(as_harmonic(f), (), r_max, grid), {"c": c})

@@ -42,7 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .analytic import AnalyticMap, Identity, koebe_transform
-from .errors import NonFiniteError, NormalizationError, ParameterError
+from .bounds import parameter
+from .errors import NonFiniteError, NormalizationError
 from .harmonic import HarmonicMap, as_harmonic
 from .operators import (
     Jet,
@@ -508,9 +509,7 @@ def order_of(
 
 
 def beta_lambda(
-    beta: float, omega, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
+    beta: float | None, omega, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
 ) -> float:
-    """beta_lambda = min(2, beta + ||omega*||), the order of h + lambda g."""
-    if not 1.0 <= beta <= 2.0:
-        raise ParameterError("beta must lie in [1, 2]")
-    return min(2.0, beta + omega_star_norm(omega, r_max, grid).value)
+    """beta_lambda = min(2, beta + ||omega*||), the order of h + lambda g (beta None: default)."""
+    return min(2.0, parameter("beta", beta) + omega_star_norm(omega, r_max, grid).value)

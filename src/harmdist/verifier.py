@@ -41,7 +41,7 @@ from . import csvrows, series
 from .bounds import BOUND_REGISTRY
 from .criteria import _jsonable
 from .disk import (automorphism, hyperbolic_from_pseudo, inside_radius,
-                   pseudo_hyperbolic_in_disc, require_in_disk)
+                   pseudo_hyperbolic_in_disc)
 from .errors import ParameterError
 from .harmonic import as_harmonic
 from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
@@ -127,7 +127,7 @@ def _read(f, name: str, params: dict, r_max: float) -> float:
     """The map supremum ``name``: ||omega||, or beta_lambda = min(2, beta + ||omega*||)."""
     if name == "omega_inf":
         return omega_inf_norm(f, r_max=r_max).value
-    return beta_lambda(params.get("beta", 1.0), f, r_max=r_max)
+    return beta_lambda(params.get("beta"), f, r_max=r_max)
 
 
 class PairTable(dict):
@@ -278,11 +278,16 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
 
 
 def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
-    """verify_bound's report and the params the bound was evaluated with."""
+    """verify_bound's report and the params the bound was evaluated with.
+
+    Each given parameter is checked before the gate reads a supremum; one
+    not given is not added to params, and each reader takes its default.
+    """
     if bound_name not in BOUND_REGISTRY:
         raise ParameterError(f"unknown bound {bound_name!r}")
     spec = BOUND_REGISTRY[bound_name]
     params = dict(params or {})
+    B.check_parameters(params)
     f = as_harmonic(f)
     r_eff = min(samples.r_max, f.reliable_radius)
     verdict = C.verdict(spec["hypothesis"], GridSuprema(f, (), r_eff),
@@ -331,19 +336,17 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     return report, params
 
 
-def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff=None):
+def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff: float):
     """The pairs kept, the columns of |f(a) - f(b)| and the sides there, and each block's _reduce.
 
-    The formula checks its parameters on no pairs first, so a bad parameter
-    is reported as such even where the map fails at a sampled point; that
-    call also gives the sides the bound has.  Then each point's modulus is
-    taken once, on the calling thread.  With ``r_eff``, the sample's
-    radius below 1, a pair is kept when both points lie inside it, so a
-    point at |z| >= 1 or NaN is skipped (``disk.inside_radius``), and the
-    kept pairs are copied only when a pair is skipped.  Without it every
-    pair is kept, and a point outside the disc raises DomainError
-    (``disk.require_in_disk``).  Either way a kept point near the unit
-    circle warns.  The kept pairs are cut by
+    The formula is called on no pairs first: that call gives the sides the
+    bound has, and runs the formula's own checks, such as linconn's
+    c ||omega|| < 1, before any sampled point is evaluated.  Then each
+    point's modulus is taken once, on the calling thread: a pair is kept
+    when both points lie inside ``r_eff``, the sample's radius below 1, so
+    a point at |z| >= 1 or NaN is skipped (``disk.inside_radius``), and the
+    kept pairs are copied only when a pair is skipped.  A kept point near
+    the unit circle warns.  The kept pairs are cut by
     ``series.for_each_block`` and run on every CPU the process may use:
     each block evaluates its own pair jet, writes its slice of the
     full-length columns and reduces itself on the same worker, so no jet or
@@ -356,13 +359,10 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff=None):
     of CPUs.
     """
     empty = _evaluate_pairs(f, bound_name, params, a[:0], b[:0])
-    if r_eff is None:
-        require_in_disk(a, b)
-    else:
-        ok = inside_radius(r_eff, a, b)
-        if not ok.all():
-            a, b = a[ok], b[ok]
-        del ok
+    ok = inside_radius(r_eff, a, b)
+    if not ok.all():
+        a, b = a[ok], b[ok]
+    del ok
     columns = {k: np.empty(len(a)) for k in ("actual", "lower", "upper") if k in empty}
 
     def run(lo, hi):

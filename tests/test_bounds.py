@@ -140,6 +140,45 @@ def test_non_finite_parameter_is_rejected(call, value):
         call(B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2), value)
 
 
+@pytest.mark.parametrize("name", sorted(B.PARAMETERS))
+def test_each_parameter_default_lies_in_its_interval(name):
+    row = B.PARAMETERS[name]
+    assert B.parameter(name) == row.default and row.default in row
+    assert np.nan not in row
+    assert (row.low in row) is (row.ends[0] == "[")
+    assert (row.high in row) is (row.ends[1] == "]")
+
+
+def test_a_parameter_outside_its_interval_is_named_with_its_value():
+    with pytest.raises(ParameterError, match=r"^t must lie in \[0, 1\], got 1.5$"):
+        B.parameter("t", 1.5)
+    with pytest.raises(ParameterError, match=r"^epsilon must lie in \(0, inf\), got 0.0$"):
+        B.check_parameters({"epsilon": 0.0, "omega_inf": 7.0, "force": True})
+    B.check_parameters({"p": 1.5, "omega_inf": 7.0})  # a name the table lacks is not checked
+
+
+@pytest.mark.parametrize("formula, name, extra", [
+    (B.kim_minda_convex_lower, "p", {"omega_inf": 0.3}),
+    (B.mmm_upper, "t", {}),
+    (B.dhk_bounds, "alpha", {}),
+    (B.linconn_bounds, "c", {"omega_inf": 0.3}),
+    (B.linconn_bounds, "beta", {"omega_inf": 0.3}),
+    (B.corollary_bounds, "beta_lambda", {}),
+], ids=["kim_minda_convex-p", "mmm-t", "dhk-alpha", "linconn-c", "linconn-beta",
+        "corollary-beta_lambda"])
+def test_a_formula_called_without_a_parameter_takes_the_table_default(formula, name, extra):
+    jet = B.pair_jet(shear_linear(Identity(), 0.3), np.array([0.1, 0.5j]), np.array([0.2, -0.3]))
+    bare = formula(jet, **extra)
+    given = formula(jet, **extra, **{name: B.PARAMETERS[name].default})
+    for side in ("lower", "upper"):
+        assert np.array_equal(getattr(bare, side), getattr(given, side))
+
+
+def test_growth_sandwich_without_alpha_takes_the_table_default():
+    assert (B.growth_sandwich(Koebe(), 0.5)
+            == B.growth_sandwich(Koebe(), 0.5, alpha=B.PARAMETERS["alpha"].default))
+
+
 OMEGA_INF_FORMULAS = {
     "kim_minda_convex": lambda jet, w: B.kim_minda_convex_lower(jet, p=2.0, omega_inf=w),
     "convex_h": lambda jet, w: B.convex_h_bounds(jet, omega_inf=w),

@@ -168,7 +168,8 @@ def test_option_the_subcommand_does_not_take_is_config_error(args, tmp_path, cap
 
 @pytest.mark.parametrize("args, named", [
     (["verify", "--bound", "dhk", "--alpha", "nan", "--pairs", "200"], "alpha"),
-    (["verify", "--bound", "kim_minda_convex", "--p", "0.5", "--pairs", "200"], "p > 1"),
+    (["verify", "--bound", "kim_minda_convex", "--p", "0.5", "--pairs", "200"],
+     "p must lie in (1, inf), got 0.5"),
     (["analyze", "--t", "2"], "t must lie"),
 ], ids=["dhk-alpha-nan", "kim_minda_convex-p", "analyze-t"])
 def test_bad_parameter_on_a_numerically_failing_map_is_config_error(
@@ -182,6 +183,26 @@ def test_bad_parameter_on_a_numerically_failing_map_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and named in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args, named", [
+    (["verify", "--map", "koebe", "--bound", "kim_minda_convex", "--p", "nan"],
+     "p must lie in (1, inf), got nan"),
+    (["verify", "--map", "shear-halfplane-0.4z", "--bound", "corollary", "--c", "3",
+      "--beta", "7"], "beta must lie in [1, 2], got 7.0"),
+    (["plot", "--map", "koebe", "--bound", "kim_minda_convex", "--p", "nan"],
+     "p must lie in (1, inf), got nan"),
+    (["verify", "--map", "shear-halfplane-0.4z", "--bound", "convex_h", "--p", "0.5"],
+     "p must lie in (1, inf), got 0.5"),
+], ids=["verify-koebe-p-nan", "verify-corollary-beta-7", "plot-koebe-p-nan",
+        "verify-convex_h-p"])
+def test_bad_parameter_where_the_gate_fails_or_the_bound_reads_none_is_config_error(
+        args, named, tmp_path, capsys):
+    """Every given parameter is checked before the gate, also one the bound does not read."""
+    assert main([*args, *PAIRS, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_descriptor_omega_reaching_the_unit_circle_is_config_error(tmp_path, capsys):

@@ -22,7 +22,6 @@ import pytest
 
 from harmdist import csvrows, series
 from harmdist.catalog import get_map
-from harmdist.criteria import DEFAULT_NEHARI_EPSILON
 from harmdist.csvrows import CHUNK_ROWS as K
 from harmdist.descriptors import parse_descriptor
 from harmdist.plotting import write_margin_scatter_csv
@@ -37,7 +36,7 @@ from harmdist.verifier import (
 )
 
 # The parameters `harmdist verify` passes by default.
-CLI_PARAMS = {"epsilon": DEFAULT_NEHARI_EPSILON, "t": 1.0, "p": 2.0,
+CLI_PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0,
               "alpha": 2.0, "beta": 2.0, "c": 1.0}
 
 MARGIN_COLUMNS = ["rho", "lower_margin", "upper_margin"]

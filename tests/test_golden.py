@@ -11,7 +11,6 @@ import pytest
 
 from harmdist.analytic import Koebe
 from harmdist.catalog import get_map
-from harmdist.criteria import DEFAULT_NEHARI_EPSILON
 from harmdist.harmonic import analytic_as_harmonic
 from harmdist.norms import DEFAULT_R_MAX
 from harmdist.verifier import (
@@ -24,7 +23,7 @@ from harmdist.verifier import (
 )
 
 # The parameters `harmdist verify` passes by default.
-CLI_PARAMS = {"epsilon": DEFAULT_NEHARI_EPSILON, "t": 1.0, "p": 2.0,
+CLI_PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0,
               "alpha": 2.0, "beta": 2.0, "c": 1.0}
 
 # (bound, strategy) -> (SHA-256 of the JSON report, SHA-256 of the pair CSV)

@@ -12,7 +12,6 @@ import hashlib
 
 import pytest
 
-from harmdist.criteria import DEFAULT_NEHARI_EPSILON
 from harmdist.descriptors import parse_descriptor
 from harmdist.norms import DEFAULT_R_MAX
 from harmdist.verifier import (
@@ -27,7 +26,7 @@ SERIES_DESCRIPTOR = {"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}
 PAIRS = 20_000
 
 # The parameters `harmdist verify` passes by default.
-CLI_PARAMS = {"epsilon": DEFAULT_NEHARI_EPSILON, "t": 1.0, "p": 2.0,
+CLI_PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0,
               "alpha": 2.0, "beta": 2.0, "c": 1.0}
 
 # bound -> (SHA-256 of the JSON report, SHA-256 of the pair CSV)

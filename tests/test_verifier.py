@@ -11,13 +11,14 @@ import pytest
 from harmdist import series, verifier
 from harmdist.analytic import HalfPlane, Identity, Koebe
 from harmdist.catalog import get_map
-from harmdist.errors import DomainError, NotSensePreservingError, ParameterError
+from harmdist.errors import NotSensePreservingError, ParameterError
 from harmdist.harmonic import (
     SENSE_TOL,
     analytic_as_harmonic,
     harmonic_mobius,
     shear_linear,
 )
+from harmdist.norms import GridSuprema
 from harmdist.verifier import (
     BOUND_REGISTRY,
     REL_TOL,
@@ -106,6 +107,33 @@ def test_detector_flags_deliberate_violations():
     assert r.violations > 0
     assert r.min_upper_margin < -REL_TOL
     assert r.worst_pair is not None
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["verify_bound", "counterexample_search"])
+def test_a_bad_parameter_is_rejected_before_any_supremum_is_read(monkeypatch, search):
+    """Koebe fails the convexity gate, but p is checked before the gate reads a supremum."""
+    def estimate(self, fn):
+        raise AssertionError("a supremum was read")
+
+    monkeypatch.setattr(GridSuprema, "estimate", estimate)
+    f, s = get_map("koebe"), sample_pairs("uniform-in-disc", 200, seed=0)
+    with pytest.raises(ParameterError, match=re.escape("p must lie in (1, inf), got nan")):
+        if search:
+            counterexample_search(f, "kim_minda_convex", {"p": np.nan}, samples=s)
+        else:
+            verify_bound(f, "kim_minda_convex", {"p": np.nan}, s)
+
+
+def test_a_parameter_not_given_takes_the_default_and_is_not_recorded():
+    """corollary without beta reads beta_lambda with the default beta = 2, as --beta does."""
+    f, s = get_map("shear-halfplane-0.4z"), sample_pairs("uniform-in-disc", 300, seed=1)
+    bare = verify_bound(f, "corollary", {}, s)
+    given = verify_bound(f, "corollary", {"beta": 2.0}, s)
+    assert bare.parameters == {"beta_lambda": 2.0}
+    assert given.parameters == {"beta": 2.0, "beta_lambda": 2.0}
+    assert bare.pairs == given.pairs == 300
+    for column in verifier.CSV_COLUMNS:
+        assert bare.table[column].tobytes() == given.table[column].tobytes()
 
 
 def test_prepare_injects_norm_parameters():
@@ -299,17 +327,6 @@ def _with_point(samples: PairSet, k: int, z: complex, r_max: float) -> PairSet:
     a = samples.a.copy()
     a[k] = z
     return PairSet(a, samples.b, samples.strategy, samples.seed, r_max)
-
-
-def test_point_outside_the_disc_in_a_late_block_raises(monkeypatch):
-    """A PairSet keeps r_max below 1, so the pairs reach the disc check directly."""
-    monkeypatch.setattr(series, "_cpus", lambda: 3)
-    f = get_map("shear-halfplane-0.4z")
-    s = sample_pairs("uniform-in-disc", BLOCKED, 0)
-    a = s.a.copy()
-    a[BLOCKED - 10] = 1.2
-    with pytest.raises(DomainError, match="outside the open unit disc"):
-        verifier._evaluate_blocks(f, "blatter", {}, a, s.b)
 
 
 def test_a_hand_built_pair_set_counts_points_outside_the_disc_and_nan_as_skipped(monkeypatch):

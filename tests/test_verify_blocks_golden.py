@@ -17,7 +17,6 @@ import pytest
 
 from harmdist import series
 from harmdist.catalog import get_map
-from harmdist.criteria import DEFAULT_NEHARI_EPSILON
 from harmdist.descriptors import parse_descriptor
 from harmdist.norms import DEFAULT_R_MAX
 from harmdist.verifier import BOUND_REGISTRY, CSV_COLUMNS, sample_pairs, verify_bound
@@ -25,7 +24,7 @@ from harmdist.verifier import BOUND_REGISTRY, CSV_COLUMNS, sample_pairs, verify_
 SERIES_DESCRIPTOR = {"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}
 
 # The parameters `harmdist verify` passes by default.
-CLI_PARAMS = {"epsilon": DEFAULT_NEHARI_EPSILON, "t": 1.0, "p": 2.0,
+CLI_PARAMS = {"epsilon": 0.1, "t": 1.0, "p": 2.0,
               "alpha": 2.0, "beta": 2.0, "c": 1.0}
 
 # (map, strategy, pairs, r_max; None samples up to min(DEFAULT_R_MAX, reliable radius))
