@@ -4,8 +4,9 @@ Each criterion reduces to a disc supremum (or infimum) computed by the
 norms engine and is reported as a verdict with a signed margin: positive
 margin means the criterion holds with that much slack.
 
-Every criterion is one row of ``CRITERIA``, and ``verdict`` applies a row:
-it reads the criterion's parameter, checked against its row of
+Every criterion is one row of ``CRITERIA``, and ``verdict`` applies a row,
+as ``verdict(name, GridSuprema(f, (), r_max, grid), params)`` for any map
+f: it reads the criterion's parameter, checked against its row of
 ``bounds.PARAMETERS``, then reads the supremum of the row's functional
 through a ``norms.GridSuprema``, which on a harmonic map is the estimate
 the map already holds if any caller made it.  A bad parameter is therefore
@@ -20,15 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import AnalyticMap
 from .bounds import parameter
 from .errors import ParameterError
-from .harmonic import as_harmonic
 from .norms import (
     BECKER_HARMONIC,
     CONVEXITY,
-    DEFAULT_GRID,
-    DEFAULT_R_MAX,
     HARMONIC_SCHWARZIAN,
     OMEGA_ABS,
     PRE_SCHWARZIAN,
@@ -118,8 +115,11 @@ def verdict(name: str, sups: GridSuprema, params: dict | None = None) -> Criteri
 
     The row's parameter is read from ``params``, or is its default, and is
     checked by ``bounds.parameter`` before any supremum is read.  ``params``
-    may hold any other entries, which are ignored.
+    may hold any other entries, which are ignored.  A name that is no row
+    raises ParameterError.
     """
+    if name not in CRITERIA:
+        raise ParameterError(f"unknown criterion {name!r}")
     row = CRITERIA[name]
     witness, recorded = 0j, dict(row.fixed)
     if row.functional is None:
@@ -133,54 +133,3 @@ def verdict(name: str, sups: GridSuprema, params: dict | None = None) -> Criteri
         margin, witness = threshold - est.value, est.argmax_point
         recorded.update(row.reports(est.value), r_max=est.r_max)
     return CriterionVerdict(name, margin >= -MARGIN_TOL, float(margin), witness, recorded)
-
-
-def becker_analytic(
-    phi: AnalyticMap,
-    variant: str = "paper",
-    r_max: float = DEFAULT_R_MAX,
-    grid=DEFAULT_GRID,
-) -> CriterionVerdict:
-    """sup (1-|z|^2)|P phi| <= 1 ("paper") or with a |z| factor ("classical")."""
-    if variant not in ("paper", "classical"):
-        raise ParameterError(f"unknown becker variant {variant!r}")
-    return verdict(f"becker_analytic[{variant}]", GridSuprema(phi, (), r_max, grid))
-
-
-def becker_harmonic(
-    f, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> CriterionVerdict:
-    """Harmonic Becker criterion: the combined functional stays <= 1."""
-    return verdict("becker_harmonic", GridSuprema(as_harmonic(f), (), r_max, grid))
-
-
-def nehari_analytic(
-    phi: AnalyticMap, t: float | None = None, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> CriterionVerdict:
-    """||S phi|| <= 2t for t in [0, 1]."""
-    return verdict("nehari_analytic", GridSuprema(phi, (), r_max, grid), {"t": t})
-
-
-def nehari_harmonic(
-    f,
-    epsilon: float | None = None,
-    r_max: float = DEFAULT_R_MAX,
-    grid=DEFAULT_GRID,
-) -> CriterionVerdict:
-    """||S_f|| <= epsilon; epsilon is caller-supplied (it is non-constructive)."""
-    return verdict("nehari_harmonic", GridSuprema(as_harmonic(f), (), r_max, grid),
-                   {"epsilon": epsilon})
-
-
-def convexity_check(
-    h: AnalyticMap, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> CriterionVerdict:
-    """inf Re(1 + z h''/h') >= 0, the classical convexity characterization."""
-    return verdict("convexity", GridSuprema(h, (), r_max, grid))
-
-
-def theorem_d_harmonic(
-    f, c: float | None = None, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> CriterionVerdict:
-    """||omega||_inf < 1/c for h(D) a c-linearly connected domain."""
-    return verdict("theorem_d", GridSuprema(as_harmonic(f), (), r_max, grid), {"c": c})

@@ -15,12 +15,15 @@ argmax is then refined by a compass pattern search, ``_refine``.
 ``GridSuprema`` shares each block's jet among several functionals of the
 same map, r_max and grid, runs the blocks on every CPU the process may use,
 refines all their argmaxes in lockstep on one jet per step, and keeps each
-estimate on a harmonic map, so that every later reader of the same
-supremum gets it without a second grid pass.  It is the only grid scan:
-``sup_weighted`` runs a bare pointwise function of z through it as a
-functional of the identity map, and the order of a map whose analytic part
-is not normalized is its estimate on the renormalized map
-(``GridSuprema.order``).
+estimate on the map, made harmonic, so that every later reader of the same
+supremum gets it without a second grid pass.  It is the only grid scan and
+the one entry for a supremum of a map: a norm is
+``GridSuprema(f, (), r_max, grid).estimate(FN)`` for a named functional
+FN below, the order is ``.order()``, and a criterion is
+``criteria.verdict`` over it.  ``sup_weighted`` runs a bare pointwise
+function of z through it as a functional of the identity map, and the
+order of a map whose analytic part is not normalized is its estimate on
+the renormalized map (``GridSuprema.order``).
 
 Estimates are sampled lower estimates of the true supremum (sampling can
 only under-estimate it, and nothing bounds the shortfall); the ``refined``
@@ -43,13 +46,12 @@ import numpy as np
 
 from .analytic import AnalyticMap, Identity, koebe_transform
 from .bounds import parameter
-from .errors import NonFiniteError, NormalizationError
-from .harmonic import HarmonicMap, as_harmonic
+from .errors import NonFiniteError, NormalizationError, ParameterError
+from .harmonic import as_harmonic
 from .operators import (
     Jet,
     harmonic_pre_schwarzian_of,
     harmonic_schwarzian_of,
-    omega_star_at,
     omega_star_of,
     pre_schwarzian_of,
     schwarzian_of,
@@ -269,8 +271,9 @@ def sup_weighted(
 
     ``GridSuprema`` estimates func as a functional of the identity map, so
     func runs on one block of the grid at a time, possibly on several
-    threads at once, and must be thread-safe.  An r_max of 1 raises
-    DomainError, as it does for every supremum.
+    threads at once, and must be thread-safe.  As for every supremum, an
+    r_max of 1 raises DomainError, and an r_max that is NaN or at most 0,
+    or a grid count that is not a positive integer, ParameterError.
     """
     fn = Functional(kind, lambda jet: func(jet.z), 0)
     return GridSuprema(Identity(), [fn], r_max, grid).estimate(fn)
@@ -295,10 +298,8 @@ class Functional:
     order_on: Callable[[AnalyticMap], int] | None = None
 
     def jet_order(self, f) -> int:
-        """The jet order the formula reads on the map f."""
-        if self.order_on is None:
-            return self.order
-        return self.order_on(f.h if isinstance(f, HarmonicMap) else f)
+        """The jet order the formula reads on the harmonic map f."""
+        return self.order if self.order_on is None else self.order_on(f.h)
 
 
 def _pre_schwarzian_weighted(jet, with_z=False):
@@ -353,10 +354,16 @@ CONVEXITY = Functional(
 class GridSuprema:
     """Suprema of functionals of one map over one polar grid.
 
-    A harmonic map keeps each estimate made of it in ``f.estimates``, per
-    (functional, r_max, grid), so that every gate, prepare step, norm and
-    report that asks for a supremum reads the one estimate.  The map keeps
-    estimates, never grid values; an analytic map keeps none.
+    Any map is accepted: it is made harmonic once (``as_harmonic``), and
+    ``self.f`` is that harmonic map.  It keeps each estimate made of it in
+    ``f.estimates``, per (functional, r_max, grid), so that every gate,
+    prepare step, norm and report that asks for a supremum reads the one
+    estimate.  The map keeps estimates, never grid values; an analytic map
+    is wrapped afresh each time, so its estimates last as long as the
+    object.  An r_max that is NaN or at most 0, or a grid that is not two
+    positive integer counts, raises ParameterError before any point is
+    evaluated; an r_max of 1 or more raises DomainError when the grid is
+    evaluated.
 
     When the object is made, it estimates each of its functionals that the
     map has no estimate of.  The grid is cut by ``series.for_each_block``
@@ -398,10 +405,14 @@ class GridSuprema:
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-        self.f = f
+        if not r_max > 0.0:  # also true for NaN
+            raise ParameterError(f"r_max must lie in (0, 1), got {r_max}")
+        if len(grid) != 2 or not all(isinstance(n, (int, np.integer)) and n > 0 for n in grid):
+            raise ParameterError(f"grid must be two positive integer counts, got {grid}")
+        self.f = f = as_harmonic(f)
         self.r_max = r_max
         self.grid = tuple(grid)
-        self._memo = f.estimates if isinstance(f, HarmonicMap) else {}
+        self._memo = f.estimates
         self._errors = {}
         scanned = [fn for fn in functionals
                    if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
@@ -449,7 +460,7 @@ class GridSuprema:
         a grid of its own, and a failure to renormalize h raises
         NormalizationError.
         """
-        h = self.f.h if isinstance(self.f, HarmonicMap) else self.f
+        h = self.f.h
         normalized = bool(h.is_normalized())
         sups = self
         if not normalized:
@@ -463,53 +474,11 @@ class GridSuprema:
 
 
 # ---------------------------------------------------------------------------
-# Norms and orders: each an estimate of the map (on a harmonic map, its
-# stored one), or of a bare function of z through sup_weighted.
+# A bound parameter read from a map's estimates.
 
-def pre_schwarzian_norm(phi, with_z=False, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    fn = PRE_SCHWARZIAN_Z if with_z else PRE_SCHWARZIAN
-    return GridSuprema(phi, (), r_max, grid).estimate(fn)
+def beta_lambda(beta: float | None, sups: GridSuprema) -> float:
+    """beta_lambda = min(2, beta + ||omega*||), the order of h + lambda g (beta None: default).
 
-
-def schwarzian_norm(phi: AnalyticMap, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return GridSuprema(phi, (), r_max, grid).estimate(SCHWARZIAN)
-
-
-def harmonic_schwarzian_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return GridSuprema(as_harmonic(f), (), r_max, grid).estimate(HARMONIC_SCHWARZIAN)
-
-
-def omega_inf_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    """sup |omega|; boundary-dominated, so the r_max cap is part of the result."""
-    if isinstance(omega, HarmonicMap):
-        return GridSuprema(omega, (), r_max, grid).estimate(OMEGA_ABS)
-    r_max = min(r_max, getattr(omega, "reliable_radius", 1.0))
-    return sup_weighted(lambda z: np.abs(omega(z)), OMEGA_ABS.kind, r_max, grid)
-
-
-def omega_star_norm(omega, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    if isinstance(omega, HarmonicMap):
-        return GridSuprema(omega, (), r_max, grid).estimate(OMEGA_STAR)
-    rr = getattr(omega, "reliable_radius", 1.0)
-    return sup_weighted(
-        lambda z: omega_star_at(omega, z), OMEGA_STAR.kind, min(r_max, rr), grid
-    )
-
-
-def becker_harmonic_norm(f, r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
-    return GridSuprema(as_harmonic(f), (), r_max, grid).estimate(BECKER_HARMONIC)
-
-
-def order_of(
-    phi: AnalyticMap, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> OrderEstimate:
-    """Sampled order sup |(1/2)(1-|z|^2) P phi - conj z|, of koebe_transform(phi, 0)
-    if phi is not normalized: ``GridSuprema.order``."""
-    return GridSuprema(phi, (), r_max, grid).order()
-
-
-def beta_lambda(
-    beta: float | None, omega, r_max: float = DEFAULT_R_MAX, grid=DEFAULT_GRID
-) -> float:
-    """beta_lambda = min(2, beta + ||omega*||), the order of h + lambda g (beta None: default)."""
-    return min(2.0, parameter("beta", beta) + omega_star_norm(omega, r_max, grid).value)
+    ||omega*|| is the OMEGA_STAR estimate of ``sups``: of its map, over its grid.
+    """
+    return min(2.0, parameter("beta", beta) + sups.estimate(OMEGA_STAR).value)

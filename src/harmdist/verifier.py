@@ -44,7 +44,7 @@ from .disk import (automorphism, hyperbolic_from_pseudo, inside_radius,
                    pseudo_hyperbolic_in_disc)
 from .errors import ParameterError
 from .harmonic import as_harmonic
-from .norms import DEFAULT_R_MAX, GridSuprema, beta_lambda, omega_inf_norm
+from .norms import DEFAULT_R_MAX, OMEGA_ABS, GridSuprema, beta_lambda
 from .series import for_each_block
 
 REL_TOL = 1e-9
@@ -123,11 +123,11 @@ def sample_pairs(
     return PairSet(a, b, strategy, seed, r_max)
 
 
-def _read(f, name: str, params: dict, r_max: float) -> float:
-    """The map supremum ``name``: ||omega||, or beta_lambda = min(2, beta + ||omega*||)."""
+def _read(sups: GridSuprema, name: str, params: dict) -> float:
+    """The map supremum ``name`` read of sups: ||omega||, or min(2, beta + ||omega*||)."""
     if name == "omega_inf":
-        return omega_inf_norm(f, r_max=r_max).value
-    return beta_lambda(params.get("beta"), f, r_max=r_max)
+        return sups.estimate(OMEGA_ABS).value
+    return beta_lambda(params.get("beta"), sups)
 
 
 class PairTable(dict):
@@ -280,18 +280,22 @@ def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> B
 def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     """verify_bound's report and the params the bound was evaluated with.
 
-    Each given parameter is checked before the gate reads a supremum; one
-    not given is not added to params, and each reader takes its default.
+    Each given parameter is checked before the gate reads a supremum, and
+    so is a given ||omega|| of a bound that reads it (``bounds._given``);
+    one not given is not added to params, and each reader takes its default.
     """
     if bound_name not in BOUND_REGISTRY:
         raise ParameterError(f"unknown bound {bound_name!r}")
     spec = BOUND_REGISTRY[bound_name]
+    reads = spec.get("reads")
     params = dict(params or {})
     B.check_parameters(params)
+    if reads == "omega_inf" and reads in params:
+        B._given(params[reads], spec["formula"].__name__)
     f = as_harmonic(f)
     r_eff = min(samples.r_max, f.reliable_radius)
-    verdict = C.verdict(spec["hypothesis"], GridSuprema(f, (), r_eff),
-                        {**params, **spec.get("fixes", {})})
+    sups = GridSuprema(f, (), r_eff)
+    verdict = C.verdict(spec["hypothesis"], sups, {**params, **spec.get("fixes", {})})
 
     report = BoundReport(
         bound_name=bound_name,
@@ -307,9 +311,8 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
         report.parameters = _jsonable(params)
         return report, params
 
-    reads = spec.get("reads")
     if reads and reads not in params:
-        params[reads] = _read(f, reads, params, r_eff)
+        params[reads] = _read(sups, reads, params)
     report.parameters = _jsonable({k: v for k, v in params.items() if k != "force"})
 
     a, b, columns, blocks = _evaluate_blocks(f, bound_name, params, samples.a, samples.b, r_eff)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from harmdist import bounds as B
+from harmdist import criteria as C
 from harmdist.analytic import (
     Compose,
     ExpMap,
@@ -27,17 +28,17 @@ from harmdist.analytic import (
     disk_automorphism_map,
 )
 from harmdist.catalog import CATALOG, get_map
-from harmdist.criteria import becker_analytic, convexity_check
 from harmdist.harmonic import (
     affine_transform,
     analytic_as_harmonic,
     harmonic_mobius,
     shear_linear,
 )
-from harmdist.norms import order_of, polar_grid, schwarzian_norm
+from harmdist.norms import SCHWARZIAN, GridSuprema, polar_grid, sup_weighted
 from harmdist.operators import (
     harmonic_pre_schwarzian,
     harmonic_schwarzian,
+    omega_star_at,
     schwarzian,
 )
 from harmdist.verifier import sample_pairs, verify_bound
@@ -122,8 +123,6 @@ def test_03_affine_invariance(capsys, rng):
 
 
 def test_04_schwarz_pick_ceiling(capsys):
-    from harmdist.norms import omega_star_norm
-
     with verdict(capsys, 4, "schwarz-pick-ceiling") as failures:
         omegas = {
             "0.3z": Monomial(0.3, 1),
@@ -132,7 +131,7 @@ def test_04_schwarz_pick_ceiling(capsys):
             "sigma_0.4(0.8z)": Compose(disk_automorphism_map(0.4), Monomial(0.8, 1)),
         }
         for label, omega in omegas.items():
-            est = omega_star_norm(omega)
+            est = sup_weighted(lambda z: omega_star_at(omega, z), "omega_star")
             if est.value > 1.0 + 1e-12:
                 failures.append(f"{label}: ||omega*|| = {est.value!r}")
 
@@ -157,15 +156,15 @@ def test_05_operator_oracle_agreement(capsys, rng):
 
 def test_06_order_fixtures(capsys):
     with verdict(capsys, 6, "order-fixtures") as failures:
-        ko = order_of(Koebe()).alpha
+        ko = GridSuprema(Koebe()).order().alpha
         if not 1.9999 <= ko <= 2.000001:
             failures.append(f"koebe order {ko!r}")
-        hp = order_of(HalfPlane()).alpha
+        hp = GridSuprema(HalfPlane()).order().alpha
         if not 0.9999 <= hp <= 1.000001:
             failures.append(f"halfplane order {hp!r}")
         for phi in (ExpMap(1.0), Identity()):
-            if becker_analytic(phi, "paper").holds:
-                al = order_of(phi).alpha
+            if C.verdict("becker_analytic[paper]", GridSuprema(phi)).holds:
+                al = GridSuprema(phi).order().alpha
                 if al > 1.5 + 1e-6:
                     failures.append(f"{phi.name}: order {al!r} exceeds 3/2")
             else:
@@ -176,10 +175,10 @@ def test_07_schwarzian_norm_fixtures(capsys):
     from harmdist.analytic import LogMap
 
     with verdict(capsys, 7, "schwarzian-norm-fixtures") as failures:
-        ko = schwarzian_norm(Koebe()).value
+        ko = GridSuprema(Koebe()).estimate(SCHWARZIAN).value
         if not 5.999 <= ko <= 6.0 + 1e-6:
             failures.append(f"koebe norm {ko!r}")
-        lo = schwarzian_norm(LogMap()).value
+        lo = GridSuprema(LogMap()).estimate(SCHWARZIAN).value
         if not 1.999 <= lo <= 2.0 + 1e-6:
             failures.append(f"logtype norm {lo!r}")
 
@@ -266,9 +265,9 @@ def test_09_reduction_identities(capsys, rng):
 
 def test_10_negative_controls(capsys):
     with verdict(capsys, 10, "negative-controls") as failures:
-        if convexity_check(Koebe()).holds:
+        if C.verdict("convexity", GridSuprema(Koebe())).holds:
             failures.append("koebe passed the convexity check")
-        if becker_analytic(Koebe(), "paper").holds:
+        if C.verdict("becker_analytic[paper]", GridSuprema(Koebe())).holds:
             failures.append("koebe passed the Becker criterion")
         rep = verify_bound(
             analytic_as_harmonic(Koebe()), "dhk", {"alpha": 1.0},

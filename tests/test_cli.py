@@ -20,8 +20,9 @@ from harmdist.cli import (
     EXIT_VIOLATIONS,
     main,
 )
-from harmdist.criteria import convexity_check
+from harmdist.criteria import verdict
 from harmdist.descriptors import parse_descriptor
+from harmdist.norms import DEFAULT_R_MAX, GridSuprema
 
 PAIRS = ["--pairs", "400"]
 
@@ -312,7 +313,7 @@ def test_analyze_evaluates_one_jet_per_grid(monkeypatch, capsys):
     # omega = g'/h' never reads g(z), so the grid's g call leaves it out
     assert firsts["g"][sizes["g"].index(points)] == 1
     sizes["g"].clear()
-    convexity_check(f.h, grid=grid)
+    verdict("convexity", GridSuprema(f.h, (), DEFAULT_R_MAX, grid))
     assert sizes["g"] == []
 
 

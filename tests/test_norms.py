@@ -15,25 +15,22 @@ from harmdist.catalog import CATALOG, get_map
 from harmdist.cli import ANALYZE_FUNCTIONALS
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import HarmdistError, NonFiniteError, ParameterError, SingularError
-from harmdist.harmonic import HarmonicMap, shear_linear
+from harmdist.harmonic import HarmonicMap, as_harmonic, shear_linear
 from harmdist.norms import (
+    BECKER_HARMONIC,
     DEFAULT_R_MAX,
     HARMONIC_SCHWARZIAN,
+    OMEGA_ABS,
     PRE_SCHWARZIAN,
+    PRE_SCHWARZIAN_Z,
+    SCHWARZIAN,
     Functional,
     GridSuprema,
     beta_lambda,
-    becker_harmonic_norm,
-    harmonic_schwarzian_norm,
-    omega_inf_norm,
-    omega_star_norm,
-    order_of,
     polar_grid,
-    pre_schwarzian_norm,
-    schwarzian_norm,
     sup_weighted,
 )
-from harmdist.operators import Jet
+from harmdist.operators import Jet, omega_star_at
 
 GRID = (48, 128)  # slightly coarse for speed; refinement recovers accuracy
 
@@ -90,45 +87,44 @@ def test_sup_engine_rejects_non_finite_refinement_values():
 
 
 def test_schwarzian_norm_fixtures_vs_oracle():
-    from harmdist.norms import SCHWARZIAN
-
-    est = schwarzian_norm(Koebe(), grid=GRID)
+    est = GridSuprema(Koebe(), (), DEFAULT_R_MAX, GRID).estimate(SCHWARZIAN)
     oracle = _oracle_radial(
-        lambda z: SCHWARZIAN.formula(Jet(Koebe(), z, SCHWARZIAN.jet_order(Koebe()))))
+        lambda z: SCHWARZIAN.formula(Jet(Koebe(), z, SCHWARZIAN.jet_order(as_harmonic(Koebe())))))
     assert est.value == pytest.approx(6.0, abs=2e-4)
     assert est.value == pytest.approx(oracle, rel=1e-6)
 
-    est = schwarzian_norm(LogMap(), grid=GRID)
+    est = GridSuprema(LogMap(), (), DEFAULT_R_MAX, GRID).estimate(SCHWARZIAN)
     assert est.value == pytest.approx(2.0, abs=2e-4)
 
 
 def test_pre_schwarzian_norm_variants():
     # (1 - |z|^2)|P exp| = 1 - |z|^2 -> sup exactly 1 at z = 0
-    est = pre_schwarzian_norm(ExpMap(1.0), with_z=False, grid=GRID)
+    est = GridSuprema(ExpMap(1.0), (), DEFAULT_R_MAX, GRID).estimate(PRE_SCHWARZIAN)
     assert est.value == pytest.approx(1.0, abs=1e-12)
     assert est.argmax_point == 0.0
     # classical variant multiplies by |z| and peaks at r = 1/sqrt(3)
-    est = pre_schwarzian_norm(ExpMap(1.0), with_z=True, grid=GRID)
+    est = GridSuprema(ExpMap(1.0), (), DEFAULT_R_MAX, GRID).estimate(PRE_SCHWARZIAN_Z)
     assert est.value == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-6)
 
 
 def test_harmonic_schwarzian_norm_of_harmonic_mobius():
     from harmdist.harmonic import harmonic_mobius
 
-    est = harmonic_schwarzian_norm(harmonic_mobius(HalfPlane(), 0.3), grid=GRID)
+    f = harmonic_mobius(HalfPlane(), 0.3)
+    est = GridSuprema(f, (), DEFAULT_R_MAX, GRID).estimate(HARMONIC_SCHWARZIAN)
     assert est.value <= 1e-9
 
 
 def test_omega_inf_norm():
     f = shear_linear(Identity(), 0.3)
-    est = omega_inf_norm(f, grid=GRID)
+    est = GridSuprema(f, (), DEFAULT_R_MAX, GRID).estimate(OMEGA_ABS)
     # sup |0.3 z| on |z| <= 0.999
     assert est.value == pytest.approx(0.3 * 0.999, rel=1e-9)
 
 
 def test_omega_star_norm_schwarz_pick_ceiling():
     for omega in (Monomial(0.3, 1), Monomial(1.0, 1), Monomial(1.0, 2)):
-        est = omega_star_norm(omega, grid=GRID)
+        est = sup_weighted(lambda z: omega_star_at(omega, z), "omega_star", 0.999, GRID)
         assert est.value <= 1.0 + 1e-12
 
 
@@ -137,19 +133,19 @@ def test_becker_harmonic_norm_zero_dilatation_reduces():
     from harmdist.harmonic import analytic_as_harmonic
 
     f = analytic_as_harmonic(ExpMap(1.0))
-    est = becker_harmonic_norm(f, grid=GRID)
-    ref = pre_schwarzian_norm(ExpMap(1.0), with_z=True, grid=GRID)
+    est = GridSuprema(f, (), DEFAULT_R_MAX, GRID).estimate(BECKER_HARMONIC)
+    ref = GridSuprema(ExpMap(1.0), (), DEFAULT_R_MAX, GRID).estimate(PRE_SCHWARZIAN_Z)
     assert est.value == pytest.approx(ref.value, rel=1e-9)
 
 
 def test_order_fixtures_vs_radial_oracle():
     from harmdist.norms import ORDER
 
-    est = order_of(Koebe(), grid=GRID)
+    est = GridSuprema(Koebe(), (), DEFAULT_R_MAX, GRID).order()
     assert est.alpha == pytest.approx(2.0, abs=1e-4)
     assert est.alpha == pytest.approx(_oracle_radial(
         lambda z: ORDER.formula(Jet(Koebe(), z, ORDER.order))), rel=1e-5)
-    est = order_of(HalfPlane(), grid=GRID)
+    est = GridSuprema(HalfPlane(), (), DEFAULT_R_MAX, GRID).order()
     assert est.alpha == pytest.approx(1.0, abs=1e-4)
 
 
@@ -157,16 +153,19 @@ def test_order_renormalizes_when_needed():
     from harmdist.analytic import Affine
 
     shifted = Affine(Koebe(), 2.0, 0.5, name="scaled-koebe")
-    est = order_of(shifted, grid=GRID)
+    est = GridSuprema(shifted, (), DEFAULT_R_MAX, GRID).order()
     assert not est.normalized
     assert est.alpha == pytest.approx(2.0, abs=1e-4)
 
 
 def test_beta_lambda_policy():
-    assert beta_lambda(1.0, Monomial(0.5, 1), grid=GRID) == pytest.approx(1.5, abs=1e-6)
-    assert beta_lambda(2.0, Monomial(1.0, 1), grid=GRID) == 2.0  # capped
+    def sups(c):  # omega = c z, so ||omega*|| = c
+        return GridSuprema(shear_linear(Identity(), c), (), DEFAULT_R_MAX, GRID)
+
+    assert beta_lambda(1.0, sups(0.5)) == pytest.approx(1.5, abs=1e-6)
+    assert beta_lambda(2.0, sups(1.0)) == 2.0  # capped
     with pytest.raises(ParameterError):
-        beta_lambda(0.5, Monomial(0.3, 1))
+        beta_lambda(0.5, sups(0.3))
 
 
 # --- the estimates a harmonic map keeps: one per (functional, r_max, grid) ---
@@ -174,12 +173,12 @@ def test_beta_lambda_policy():
 def test_an_estimate_is_kept_per_map_r_max_and_grid(estimates_made):
     made = estimates_made
     f = shear_linear(Identity(), 0.3)
-    first = omega_inf_norm(f, 0.9, GRID)
-    assert omega_inf_norm(f, 0.9, GRID) is first
+    first = GridSuprema(f, (), 0.9, GRID).estimate(OMEGA_ABS)
+    assert GridSuprema(f, (), 0.9, GRID).estimate(OMEGA_ABS) is first
     assert len(made) == 1
-    omega_inf_norm(f, 0.8, GRID)
-    omega_inf_norm(f, 0.9, (16, 64))
-    again = omega_inf_norm(shear_linear(Identity(), 0.3), 0.9, GRID)
+    GridSuprema(f, (), 0.8, GRID).estimate(OMEGA_ABS)
+    GridSuprema(f, (), 0.9, (16, 64)).estimate(OMEGA_ABS)
+    again = GridSuprema(shear_linear(Identity(), 0.3), (), 0.9, GRID).estimate(OMEGA_ABS)
     assert len(made) == 4
     assert again == first and again is not first
     assert len(f.estimates) == 3
@@ -190,10 +189,10 @@ def test_an_estimate_that_raised_is_not_kept(estimates_made):
     f = HarmonicMap(Identity(), Monomial(0.99, 2))  # |omega| = 1.98|z| reaches 1
     for _ in range(2):
         with pytest.raises(SingularError):
-            harmonic_schwarzian_norm(f, 0.9, GRID)
+            GridSuprema(f, (), 0.9, GRID).estimate(HARMONIC_SCHWARZIAN)
     assert f.estimates == {}
     assert made == []
-    assert harmonic_schwarzian_norm(f, 0.45, GRID).value >= 0.0
+    assert GridSuprema(f, (), 0.45, GRID).estimate(HARMONIC_SCHWARZIAN).value >= 0.0
     assert len(f.estimates) == 1
 
 
@@ -547,7 +546,7 @@ def _toy(z):
     return np.abs(z) * (1.0 - np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(3.0 * np.angle(z) - 0.7))
 
 
-# repr of each estimate, pinned when sup_weighted and order_of scanned the
+# repr of each estimate, pinned when sup_weighted and the order scanned the
 # whole grid with one call; the order as repr((alpha, argmax_point))
 PINNED_REPRS = {
     (64, 256): (
@@ -577,10 +576,12 @@ def test_bare_suprema_and_the_renormalized_order_keep_their_pinned_bits(monkeypa
     monkeypatch.setattr(series, "_cpus", lambda: cpus)
     toy, order, omega_star = PINNED_REPRS[grid]
     assert repr(sup_weighted(_toy, "toy", 0.9, grid)) == toy
-    est = order_of(Affine(Koebe(), 2.0, 0.5), grid=grid)
+    est = GridSuprema(Affine(Koebe(), 2.0, 0.5), (), DEFAULT_R_MAX, grid).order()
     assert repr((est.alpha, est.argmax_point)) == order
     assert est.normalized is False
-    assert repr(omega_star_norm(Monomial(0.9, 2), grid=grid)) == omega_star
+    w = Monomial(0.9, 2)
+    est = sup_weighted(lambda z: omega_star_at(w, z), "omega_star", 0.999, grid)
+    assert repr(est) == omega_star
 
 
 def test_sup_weighted_calls_its_function_one_block_at_a_time(monkeypatch):
@@ -607,7 +608,8 @@ def test_the_renormalized_order_reads_h_one_block_at_a_time(monkeypatch):
         return _orig(self, z, order, first)
 
     monkeypatch.setattr(Koebe, "derivs", derivs)
-    assert not order_of(Affine(Koebe(), 2.0, 0.5), grid=BLOCKED_GRID).normalized
+    sups = GridSuprema(Affine(Koebe(), 2.0, 0.5), (), DEFAULT_R_MAX, BLOCKED_GRID)
+    assert not sups.order().normalized
     assert len(sizes) > 8
     assert max(sizes) < 2 * series._ELISION_POINTS
 
@@ -617,3 +619,28 @@ def test_sup_weighted_refuses_a_grid_that_reaches_the_unit_circle():
 
     with pytest.raises(DomainError):
         sup_weighted(_toy, "toy", 1.0, (8, 16))
+
+
+BAD_R_MAX = [np.nan, -0.5, 0.0]
+BAD_GRIDS = [(0, 16), (2.5, 4), (16, -4), (16,)]
+
+
+@pytest.mark.parametrize("r_max, grid", [(r, (8, 16)) for r in BAD_R_MAX]
+                         + [(0.9, g) for g in BAD_GRIDS],
+                         ids=[f"r_max={r}" for r in BAD_R_MAX] + [f"grid={g}" for g in BAD_GRIDS])
+def test_a_bad_r_max_or_grid_is_a_parameter_error_before_any_point(r_max, grid):
+    f = get_map("shear-halfplane-0.4z")
+    points = []
+    for part in (f.h, f.g):
+        def counted(z, *args, _derivs=part.derivs, **kwargs):
+            points.append(np.size(z))
+            return _derivs(z, *args, **kwargs)
+
+        object.__setattr__(part, "derivs", counted)
+    with pytest.raises(ParameterError):
+        GridSuprema(f, [OMEGA_ABS], r_max, grid)
+    with pytest.raises(ParameterError):
+        GridSuprema(f, (), r_max, grid).estimate(OMEGA_ABS)
+    with pytest.raises(ParameterError):
+        sup_weighted(lambda z: points.append(np.size(z)) or np.abs(z), "toy", r_max, grid)
+    assert points == [] and f.estimates == {}

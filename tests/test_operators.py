@@ -10,7 +10,7 @@ from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomi
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, SingularError
 from harmdist.harmonic import HarmonicMap, analytic_as_harmonic, harmonic_mobius, shear_linear
-from harmdist.norms import SCHWARZIAN, schwarzian_norm, sup_weighted
+from harmdist.norms import DEFAULT_R_MAX, SCHWARZIAN, GridSuprema, sup_weighted
 from harmdist.operators import (
     Jet,
     distortion_quantities,
@@ -56,7 +56,8 @@ def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, ma
     z = disc_points(rng, 25, r_hi=0.9)
     grid = (8, 32)
     want = schwarzian_of(Jet(phi, z, 3))
-    want_norm = sup_weighted(lambda z: SCHWARZIAN.formula(Jet(phi, z, SCHWARZIAN.jet_order(phi))),
+    f = analytic_as_harmonic(phi)  # its construction reads h at 0, before the count
+    want_norm = sup_weighted(lambda z: SCHWARZIAN.formula(Jet(phi, z, SCHWARZIAN.jet_order(f))),
                              SCHWARZIAN.kind, grid=grid)
     orders = []
     derivs = type(phi).derivs
@@ -66,7 +67,7 @@ def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, ma
     assert schwarzian(phi, z).tobytes() == want.tobytes()
     assert set(orders) == {order}
     orders.clear()
-    assert schwarzian_norm(phi, grid=grid) == want_norm
+    assert GridSuprema(f, (), DEFAULT_R_MAX, grid).estimate(SCHWARZIAN) == want_norm
     assert set(orders) == {order}
     with pytest.raises(DomainError):
         schwarzian(phi, np.append(z, 1.0))

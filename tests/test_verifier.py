@@ -154,6 +154,22 @@ def test_bad_caller_omega_inf_is_rejected_not_scored(bound, value):
         verify_bound(get_map("shear-halfplane-0.4z"), bound, {"omega_inf": value}, s)
 
 
+@pytest.mark.parametrize("value, error, message", [
+    (np.nan, ParameterError, "requires omega_inf = sup |omega| >= 0, got nan"),
+    (3.0, NotSensePreservingError, "requires ||omega|| < 1"),
+], ids=["nan", "3.0"])
+@pytest.mark.parametrize("name", ["koebe", "shear-halfplane-0.4z"])
+def test_a_given_omega_inf_is_checked_before_the_gate(monkeypatch, name, value, error, message):
+    """Koebe fails the convexity gate and the shear meets it: both refuse the same value."""
+    def estimate(self, fn):
+        raise AssertionError("a supremum was read")
+
+    monkeypatch.setattr(GridSuprema, "estimate", estimate)
+    s = sample_pairs("uniform-in-disc", 200, seed=0)
+    with pytest.raises(error, match=re.escape(f"kim_minda_convex_lower {message}")):
+        verify_bound(get_map(name), "kim_minda_convex", {"omega_inf": value}, s)
+
+
 def test_corollary_estimates_each_supremum_once(estimates_made):
     """The gate's sup |omega| and the prepare step's ||omega*|| are made once per map."""
     kinds = estimates_made
@@ -211,19 +227,10 @@ def test_counterexample_search_digs_deeper():
     assert abs(a) < 1.0 and abs(b) < 1.0
 
 
-def test_counterexample_search_prepares_once(monkeypatch):
-    """The prepare step (omega_inf_norm for convex_h) runs once per search."""
-    from harmdist import verifier
-
-    calls = []
-
-    def counted(*args, _orig=verifier.omega_inf_norm, **kwargs):
-        calls.append(args)
-        return _orig(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "omega_inf_norm", counted)
+def test_counterexample_search_prepares_once(estimates_made):
+    """The prepare step (the OMEGA_ABS scan for convex_h) runs once per search."""
     counterexample_search(get_map("shear-identity-0.3z"), "convex_h", {}, budget=16)
-    assert len(calls) == 1
+    assert estimates_made.count("omega_inf") == 1
 
 
 def test_each_sample_point_is_evaluated_once():
