@@ -157,13 +157,19 @@ def _out(x):
     return x if x.ndim else float(x)
 
 
-def _given(omega_inf, formula: str) -> float:
-    """A caller's ||omega||; fails closed unless 0 <= omega_inf < 1."""
+def _given(omega_inf, formula: str, c: float = 1.0) -> float:
+    """A caller's ||omega||; fails closed unless 0 <= omega_inf < 1 and c ||omega|| < 1.
+
+    c is linconn's linear-connectivity constant; at c = 1, the default, the
+    last test is the one before it.
+    """
     if omega_inf is None or not omega_inf >= 0.0:  # also true for NaN
         raise ParameterError(
             f"{formula} requires omega_inf = sup |omega| >= 0, got {omega_inf}")
     if omega_inf >= 1.0:
         raise NotSensePreservingError(f"{formula} requires ||omega|| < 1")
+    if c * omega_inf >= 1.0:
+        raise ParameterError(f"{formula} hypothesis violated: c ||omega|| >= 1")
     return omega_inf
 
 
@@ -296,8 +302,7 @@ def linconn_bounds(
     with the lower bound and the growth formula.
     """
     c, beta = parameter("c", c), parameter("beta", beta)
-    if c * _given(omega_inf, "linconn_bounds") >= 1.0:
-        raise ParameterError("linconn_bounds hypothesis violated: c ||omega|| >= 1")
+    omega_inf = _given(omega_inf, "linconn_bounds", c)
     s = np.sqrt(jet.a.Rh * jet.b.Rh)
     return _sandwich(2.0 * beta, jet.d, s, s, 1.0 - c * omega_inf, 1.0 + c * omega_inf)
 

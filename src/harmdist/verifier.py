@@ -281,8 +281,9 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     """verify_bound's report and the params the bound was evaluated with.
 
     Each given parameter is checked before the gate reads a supremum, and
-    so is a given ||omega|| of a bound that reads it (``bounds._given``);
-    one not given is not added to params, and each reader takes its default.
+    so is a given ||omega|| of a bound that reads it, with the checks its
+    formula runs (``bounds._given``: linconn's c ||omega|| < 1 too); one
+    not given is not added to params, and each reader takes its default.
     """
     if bound_name not in BOUND_REGISTRY:
         raise ParameterError(f"unknown bound {bound_name!r}")
@@ -291,7 +292,10 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     params = dict(params or {})
     B.check_parameters(params)
     if reads == "omega_inf" and reads in params:
-        B._given(params[reads], spec["formula"].__name__)
+        formula = spec["formula"]
+        takes_c = "c" in inspect.signature(formula).parameters  # linconn
+        c = B.parameter("c", params.get("c")) if takes_c else 1.0
+        B._given(params[reads], formula.__name__, c)
     f = as_harmonic(f)
     r_eff = min(samples.r_max, f.reliable_radius)
     sups = GridSuprema(f, (), r_eff)

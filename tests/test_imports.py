@@ -2,7 +2,10 @@
 
 `import harmdist` loads no submodule and not numpy; a submodule loads the
 submodules its top-level imports name, and nothing else; `analyze` never
-loads the verifier, the plot writers or the CSV row formatter.
+loads the verifier, the plot writers or the CSV row formatter.  The CLI
+starts numpy with a one-thread BLAS pool unless the caller set
+OPENBLAS_NUM_THREADS, and no library module touches that setting; the
+source makes no BLAS call that a pool would serve but one small dot.
 """
 
 import ast
@@ -20,16 +23,25 @@ PACKAGE = Path(harmdist.__file__).parent
 SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def loaded_after(code: str) -> set[str]:
-    """The harmdist modules, and numpy if loaded, after running code in a fresh interpreter."""
-    probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps([m for m in sys.modules\n"
-             "                  if m == 'numpy' or m.startswith('harmdist')]))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+def after(code: str, result: str, env: dict | None = None):
+    """The JSON value of the expression result after running code in a fresh interpreter.
+
+    The interpreter gets this process's environment updated with env, where
+    a variable set to None is removed: the pytest process holds
+    OPENBLAS_NUM_THREADS once any test has imported harmdist.cli.
+    """
+    probe = f"{code}\nimport json, os, sys\nprint(json.dumps({result}))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), **(env or {})}
+    env = {k: v for k, v in env.items() if v is not None}
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True)
     assert run.returncode == 0, run.stderr
-    return set(json.loads(run.stdout.splitlines()[-1]))
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str) -> set[str]:
+    """The harmdist modules, and numpy if loaded, after running code in a fresh interpreter."""
+    return set(after(code, "[m for m in sys.modules if m == 'numpy' or m.startswith('harmdist')]"))
 
 
 def top_level_imports(name: str) -> set[str]:
@@ -83,3 +95,79 @@ def test_analyze_loads_no_verifier_plots_or_csv_rows(tmp_path):
     loaded = loaded_after(code)
     assert "harmdist.norms" in loaded and (tmp_path / "analyze.json").exists()
     assert not loaded & {"harmdist.verifier", "harmdist.plotting", "harmdist.csvrows"}
+
+
+BLAS = "OPENBLAS_NUM_THREADS"
+
+
+def test_the_cli_sets_one_blas_thread_unless_the_caller_set_one():
+    assert after("import harmdist.cli", f"os.environ.get({BLAS!r})", {BLAS: None}) == "1"
+    assert after("import harmdist.cli", f"os.environ.get({BLAS!r})", {BLAS: "2"}) == "2"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_the_cli_starts_numpy_without_a_blas_pool_thread():
+    found = after("import harmdist.cli",
+                  "['numpy' in sys.modules, len(os.listdir('/proc/self/task'))]", {BLAS: None})
+    assert found == [True, 1]
+
+
+@pytest.mark.parametrize("name", [m for m in SUBMODULES if m != "cli"])
+def test_a_library_module_leaves_the_blas_setting_to_its_caller(name):
+    assert after(f"import harmdist.{name}", f"os.environ.get({BLAS!r})", {BLAS: None}) is None
+
+
+# numpy calls that BLAS serves: functions and modules of numpy, by name, and
+# ndarray's one BLAS method, .dot; "@" is the operator.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg", "polyfit",
+              "lstsq"}
+
+
+def blas_calls(name: str) -> list[tuple[str, str, str]]:
+    """(submodule, innermost function, call) of each BLAS-backed call in a submodule."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    numpy_names = set()  # the names a numpy module or function is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update((a.asname or a.name).split(".")[0] for a in node.names
+                               if a.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            numpy_names.update(a.asname or a.name for a in node.names)
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            call = None
+            if isinstance(child, ast.Attribute) and child.attr in BLAS_CALLS:
+                root = child.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if child.attr == "dot" or getattr(root, "id", None) in numpy_names:
+                    call = child.attr
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):  # from numpy import dot, ...
+                dotted = [getattr(child, "module", None) or "", *(a.name for a in child.names)]
+                parts = {part for d in dotted for part in d.split(".")}
+                if "numpy" in parts:
+                    call = min(parts & BLAS_CALLS, default=None)
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op,
+                                                                             ast.MatMult):
+                call = "@"
+            if call:
+                found.append((name, function, call))
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_blas_call_would_use_a_pool():
+    """The one-thread pool the CLI sets costs nothing only while this holds.
+
+    The one BLAS call is series.reciprocal's 1-d dot of at most 121 entries;
+    a new one needs the pool setting in cli.py measured again.
+    """
+    found = [call for name in SUBMODULES for call in blas_calls(name)]
+    assert found == [("series", "reciprocal", "dot")]

@@ -170,6 +170,19 @@ def test_a_given_omega_inf_is_checked_before_the_gate(monkeypatch, name, value, 
         verify_bound(get_map(name), "kim_minda_convex", {"omega_inf": value}, s)
 
 
+@pytest.mark.parametrize("name", ["shear-identity-0.3z", "shear-halfplane-0.4z"])
+def test_linconns_c_omega_check_on_a_given_omega_inf_runs_before_the_gate(monkeypatch, name):
+    """The identity shear meets theorem_d at c = 3 and the half-plane one does not."""
+    def estimate(self, fn):
+        raise AssertionError("a supremum was read")
+
+    monkeypatch.setattr(GridSuprema, "estimate", estimate)
+    s = sample_pairs("uniform-in-disc", 200, seed=0)
+    with pytest.raises(ParameterError,
+                       match=re.escape("linconn_bounds hypothesis violated: c ||omega|| >= 1")):
+        verify_bound(get_map(name), "linconn", {"c": 3.0, "omega_inf": 0.5}, s)
+
+
 def test_corollary_estimates_each_supremum_once(estimates_made):
     """The gate's sup |omega| and the prepare step's ||omega*|| are made once per map."""
     kinds = estimates_made
