@@ -340,15 +340,6 @@ def mobius_exact(jet):
     return _out(val)
 
 
-def growth_sandwich(phi, z, alpha: float | None = None):
-    """Growth bounds (1/(2a))(((1+-r)/(1-+r))^a -/+ 1) for |phi(z)|, r = |z|."""
-    alpha = parameter("alpha", alpha)
-    r = np.abs(np.asarray(z, dtype=complex))
-    lo = (1.0 - ((1.0 - r) / (1.0 + r)) ** alpha) / (2.0 * alpha)
-    up = (((1.0 + r) / (1.0 - r)) ** alpha - 1.0) / (2.0 * alpha)
-    return _out(lo), _out(up)
-
-
 # Bound registry: formula, hypothesis and the map supremum a formula reads.
 #
 # ``hypothesis`` names the bound's row of criteria.CRITERIA; ``fixes`` holds

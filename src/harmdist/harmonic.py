@@ -8,6 +8,8 @@ is a truncated series.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import series as ts
@@ -22,7 +24,6 @@ from .analytic import (
     SeriesMap,
     ZERO,
 )
-from .disk import require_in_disk
 from .errors import NotSensePreservingError, ParameterError
 
 # A point counts as degenerate when 1 - |omega|^2 falls below this; the
@@ -38,17 +39,15 @@ class HarmonicMap:
         self.g = g
         self.name = name or f"{h.name}+conj({g.name})"
         self.reliable_radius = min(h.reliable_radius, g.reliable_radius)
-        h0, h1 = h.derivs(0.0, 1)[:2]
-        g0 = g.derivs(0.0, 0)[0]
-        self.normalized = (
-            abs(h0) < 1e-12 and abs(g0) < 1e-12 and abs(h1 - 1.0) < 1e-12
-        )
         # NormEstimates of this map per (functional, r_max, grid); see norms.GridSuprema.
         self.estimates: dict = {}
 
-    @property
-    def is_analytic(self) -> bool:
-        return self.g is ZERO
+    @cached_property
+    def normalized(self) -> bool:
+        """h(0) = g(0) = 0 and h'(0) = 1, evaluated when first read, not when the map is built."""
+        h0, h1 = self.h.derivs(0.0, 1)[:2]
+        g0 = self.g.derivs(0.0, 0)[0]
+        return abs(h0) < 1e-12 and abs(g0) < 1e-12 and abs(h1 - 1.0) < 1e-12
 
     def __call__(self, z):
         return self.h(z) + np.conj(self.g(z))
@@ -63,9 +62,6 @@ class HarmonicMap:
             [None, *self.g.derivs(z, order + 1, first=1)],
             order,
         )
-
-    def check_sense_preserving(self, z):
-        self.check_dilatation(self.omega_derivs(z, 0)[0])
 
     def check_dilatation(self, w):
         """Raise unless 1 - |omega|^2 >= SENSE_TOL for the dilatation values w."""
@@ -118,17 +114,6 @@ def omega_quotients(hv, gv, order: int):
     return tuple(out)
 
 
-def jacobian(f: HarmonicMap, z):
-    """J_f = |h'|^2 - |g'|^2; raises when not positive."""
-    require_in_disk(z)
-    h1 = f.h.derivs(z, 1)[1]
-    g1 = f.g.derivs(z, 1)[1]
-    J = np.abs(h1) ** 2 - np.abs(g1) ** 2
-    if np.any(J <= 0.0):
-        raise NotSensePreservingError(f"{f.name}: Jacobian <= 0 at a queried point")
-    return J if np.ndim(J) else float(J)
-
-
 def analytic_as_harmonic(phi: AnalyticMap) -> HarmonicMap:
     """Wrap an analytic map as a harmonic map with g = 0."""
     return HarmonicMap(phi, ZERO, name=phi.name)
@@ -159,7 +144,7 @@ def from_h_and_omega(
     w = omega.taylor(order)
     g = SeriesMap(ts.integrate(ts.multiply(w, h1)), name=f"int({omega.name}*{h.name}')")
     f = HarmonicMap(h, g, name=f"shear({h.name},{omega.name})")
-    f.input_omega = omega  # kept for round-trip checks only
+    f.input_omega = omega  # the exact omega, for a certified ||omega|| to read (ROADMAP)
     return f
 
 
@@ -172,23 +157,6 @@ def harmonic_mobius(h: AnalyticMap, alpha: complex) -> HarmonicMap:
     alpha = complex(alpha)
     g = Affine(h, alpha, name=f"{alpha}*{h.name}") if alpha != 0 else ZERO
     return HarmonicMap(h, g, name=f"harmonic-mobius({h.name},{alpha})")
-
-
-def affine_transform(f: HarmonicMap, a: complex) -> HarmonicMap:
-    """f + a conj(f) = (h + a g) + conj(g + conj(a) h); P and S are invariant."""
-    if abs(a) >= 1.0:
-        raise NotSensePreservingError("affine parameter must satisfy |a| < 1")
-    a = complex(a)
-    h2 = LinearCombo([(1.0, f.h), (a, f.g)])
-    g2 = LinearCombo([(1.0, f.g), (np.conj(a), f.h)])
-    return HarmonicMap(h2, g2, name=f"affine({f.name},{a})")
-
-
-def shear_phi_lambda(f: HarmonicMap, lam: complex) -> AnalyticMap:
-    """The analytic family phi_lambda = h + lambda g."""
-    if f.g is ZERO or lam == 0:
-        return f.h
-    return LinearCombo([(1.0, f.h), (complex(lam), f.g)], name=f"phi_lambda({lam})")
 
 
 def _polynomial_degree(m: AnalyticMap) -> int | None:

@@ -261,6 +261,7 @@ def _estimates(points, peaks, kinds, values, r_max, grid) -> list:
     return out
 
 
+# No command runs this; bench/spans.instrument reads it with no fallback.
 def sup_weighted(
     func: Callable[[np.ndarray], np.ndarray],
     kind: str = "functional",

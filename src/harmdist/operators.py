@@ -9,8 +9,7 @@ analytic ones (the correction terms vanish identically).
 
 Each operator is written once, as a formula over a ``Jet``: the derivatives
 of h (and of omega) at the query points, evaluated once and shared by every
-formula that reads them.  The public ``(f, z)`` operators build a jet at z
-and apply the formula.
+formula that reads them.
 
 The harmonic Schwarzian is computed from the closed formula, never by
 differentiating P_f numerically; the finite-difference route exists only
@@ -23,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticMap, DERIV_SINGULAR_TOL
-from .disk import require_in_disk
-from .errors import DomainError, SingularError
+from .analytic import DERIV_SINGULAR_TOL
+from .errors import SingularError
 from .harmonic import SENSE_TOL, HarmonicMap, as_harmonic, omega_quotients
 
 
@@ -178,49 +176,6 @@ def omega_star_of(jet: Jet):
     return np.abs(w1) * (1.0 - np.abs(jet.z) ** 2) / denom
 
 
-def _complex(out):
-    return out if np.ndim(out) else complex(out)
-
-
-def pre_schwarzian(phi: AnalyticMap, z):
-    """P phi(z) = phi''(z) / phi'(z)."""
-    return _complex(pre_schwarzian_of(Jet(phi, z, 2)))
-
-
-def schwarzian(phi: AnalyticMap, z):
-    """S phi(z) = phi'''/phi' - (3/2)(phi''/phi')^2."""
-    return _complex(schwarzian_of(Jet(phi, z, schwarzian_order(phi))))
-
-
-def harmonic_pre_schwarzian(f, z):
-    """P_f(z) = h''/h' - conj(omega) omega' / (1 - |omega|^2)."""
-    return _complex(harmonic_pre_schwarzian_of(Jet(as_harmonic(f), z, 2)))
-
-
-def harmonic_schwarzian(f, z):
-    """Closed-form harmonic Schwarzian S_f(z)."""
-    return _complex(harmonic_schwarzian_of(Jet(as_harmonic(f), z, 3)))
-
-
-def omega_star_at(omega, z):
-    """Schwarz-Pick quantity |omega'|(1 - |z|^2)/(1 - |omega|^2) <= 1.
-
-    ``omega`` may be an AnalyticMap (the dilatation itself) or a
-    HarmonicMap, in which case its dilatation is used.
-    """
-    require_in_disk(z)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(omega, HarmonicMap):
-        out = omega_star_of(Jet(omega, z, 2))
-    else:
-        w, w1 = omega.derivs(z, 1)[:2]
-        denom = 1.0 - np.abs(w) ** 2
-        if np.any(denom <= 0.0):
-            raise DomainError(f"{omega.name}: |omega| >= 1 at a queried point")
-        out = np.abs(w1) * (1.0 - np.abs(z) ** 2) / denom
-    return out if np.ndim(out) else float(out)
-
-
 # Points per slice of point_jet's sense-preserving test, so that g'/h' and the
 # test's temporaries exist for one slice at a time.
 _CHECK_POINTS = 4096
@@ -284,19 +239,3 @@ def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
         Rh=w2 * ah if "Rh" in reads else None,
         h=h,
     )
-
-
-def distortion_quantities(f, z):
-    """(R, Q, R_h) at z.
-
-    R   = (1 - |z|^2)(|h'| - |g'|)   minimal stretch
-    Q   = (1 - |z|^2)(|h'| + |g'|)   maximal stretch
-    R_h = (1 - |z|^2)|h'|            analytic-part scale
-
-    For analytic input R = Q = R_h = R_phi.
-    """
-    require_in_disk(z)
-    jet = point_jet(f, z)
-    if np.ndim(jet.R):
-        return jet.R, jet.Q, jet.Rh
-    return float(jet.R), float(jet.Q), float(jet.Rh)

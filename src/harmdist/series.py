@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -195,10 +195,6 @@ class TaylorSeries:
             )
         (out,) = horner(z, [self.coefficients])
         return out if np.ndim(out) else complex(out)
-
-    def truncated(self, order: int) -> "TaylorSeries":
-        c = self.coefficients[: order + 1]
-        return TaylorSeries(c, self.reliable_radius)
 
 
 def _common(a: TaylorSeries, b: TaylorSeries) -> tuple[int, float]:

@@ -236,15 +236,6 @@ def _first_least(found: list) -> tuple:
     return next((x for x in found if np.isnan(x[0])), None) or min(found, key=lambda x: x[0])
 
 
-def _margin(v: PairTable) -> np.ndarray:
-    """The smaller signed margin per pair; negative where a side fails."""
-    m = np.full(np.shape(v["actual"]), np.inf)
-    for side in ("lower", "upper"):
-        if side in v:
-            m = np.minimum(m, v[f"{side}_margin"])
-    return m
-
-
 @dataclass
 class BoundReport:
     bound_name: str
@@ -273,12 +264,7 @@ class BoundReport:
 
 
 def verify_bound(f, bound_name: str, params: dict | None, samples: PairSet) -> BoundReport:
-    """Evaluate one bound over a pair sample, gated on its hypothesis."""
-    return _verify(f, bound_name, params, samples)[0]
-
-
-def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
-    """verify_bound's report and the params the bound was evaluated with.
+    """Evaluate one bound over a pair sample, gated on its hypothesis.
 
     Each given parameter is checked before the gate reads a supremum, and
     so is a given ||omega|| of a bound that reads it, with the checks its
@@ -313,7 +299,7 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
     )
     if not verdict.holds and not params.pop("force", False):
         report.parameters = _jsonable(params)
-        return report, params
+        return report
 
     if reads and reads not in params:
         params[reads] = _read(sups, reads, params)
@@ -340,7 +326,7 @@ def _verify(f, bound_name: str, params: dict | None, samples: PairSet):
         report.extra["proof_form_tighter_pairs"] = sum(r["proof_form"] for r in blocks)
 
     report.table = PairTable(a=a, b=b, **columns)
-    return report, params
+    return report
 
 
 def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff: float):
@@ -379,47 +365,6 @@ def _evaluate_blocks(f, bound_name: str, params: dict, a, b, r_eff: float):
         return _reduce(block, lo, bound_name)
 
     return a, b, columns, for_each_block(len(a), run)
-
-
-def counterexample_search(
-    f, bound_name: str, params: dict | None, budget: int = 400,
-    samples: PairSet | None = None, seed: int = 0, r_max: float = DEFAULT_R_MAX,
-):
-    """Pattern-search over (a, b) minimizing the signed margin.
-
-    Starts from the worst sampled pair and returns the most adversarial
-    pair found within the evaluation budget, with its margin.
-    """
-    f = as_harmonic(f)
-    if samples is None:
-        samples = sample_pairs("uniform-in-disc", 256, seed, min(r_max, f.reliable_radius))
-    report, params = _verify(f, bound_name, dict(params or {}, force=True), samples)
-    if report.worst_pair is None:
-        raise ParameterError("no margins to minimize for this bound")
-
-    r_eff = report.r_max
-    a0, b0 = report.worst_pair
-    x = np.array([a0.real, a0.imag, b0.real, b0.imag])
-    start = _evaluate_pairs(f, bound_name, params, np.array([a0]), np.array([b0]))
-    best = float(_margin(start)[0])
-    step = 0.05
-    evals = 0
-    while evals < budget and step > 1e-7:
-        cand = x + step * np.vstack([np.eye(4), -np.eye(4)])
-        ca, cb = cand[:, 0] + 1j * cand[:, 1], cand[:, 2] + 1j * cand[:, 3]
-        mod_a, mod_b = np.abs(ca), np.abs(cb)
-        lim = r_eff * (1.0 - 1e-9)
-        ca = np.where(mod_a >= lim, ca / mod_a * lim, ca)
-        cb = np.where(mod_b >= lim, cb / mod_b * lim, cb)
-        vals = _margin(_evaluate_pairs(f, bound_name, params, ca, cb))
-        evals += len(vals)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            x = np.array([ca[k].real, ca[k].imag, cb[k].real, cb[k].imag])
-        else:
-            step *= 0.5
-    return (complex(x[0], x[1]), complex(x[2], x[3])), best
 
 
 # ---------------------------------------------------------------------------

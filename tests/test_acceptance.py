@@ -28,18 +28,13 @@ from harmdist.analytic import (
     disk_automorphism_map,
 )
 from harmdist.catalog import CATALOG, get_map
-from harmdist.harmonic import (
-    affine_transform,
-    analytic_as_harmonic,
-    harmonic_mobius,
-    shear_linear,
-)
+from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
 from harmdist.norms import SCHWARZIAN, GridSuprema, polar_grid, sup_weighted
 from harmdist.operators import (
-    harmonic_pre_schwarzian,
-    harmonic_schwarzian,
-    omega_star_at,
-    schwarzian,
+    Jet,
+    harmonic_pre_schwarzian_of,
+    harmonic_schwarzian_of,
+    schwarzian_of,
 )
 from harmdist.verifier import sample_pairs, verify_bound
 
@@ -95,34 +90,36 @@ def test_02_vanishing_schwarzian(capsys):
     with verdict(capsys, 2, "vanishing-schwarzian") as failures:
         z = polar_grid(0.999, 64, 256)
         for name in ("harmonic-mobius-identity-0.3", "harmonic-mobius-halfplane-0.3"):
-            s = np.abs(harmonic_schwarzian(get_map(name), z))
+            s = np.abs(harmonic_schwarzian_of(Jet(get_map(name), z, 3)))
             if s.max() > 1e-9:
                 failures.append(f"{name}: max |S_f| = {s.max():.3e}")
         for phi in MOBIUS_H:
-            s = np.abs(schwarzian(phi, z))
+            s = np.abs(schwarzian_of(Jet(phi, z, 3)))
             if s.max() > 1e-9:
                 failures.append(f"{phi.name}: max |S| = {s.max():.3e}")
 
 
 def test_03_affine_invariance(capsys, rng):
-    from conftest import disc_points
+    from conftest import affine_transform, disc_points
 
     with verdict(capsys, 3, "affine-invariance") as failures:
         for name in ("shear-halfplane-0.4z", "harmonic-mobius-identity-0.3"):
             f = get_map(name)
             z = disc_points(rng, 500, r_hi=0.9)
-            p0 = harmonic_pre_schwarzian(f, z)
-            s0 = harmonic_schwarzian(f, z)
+            p0 = harmonic_pre_schwarzian_of(Jet(f, z, 2))
+            s0 = harmonic_schwarzian_of(Jet(f, z, 3))
             for _ in range(10):
                 a = complex(disc_points(rng, 1, r_hi=0.9)[0])
                 fa = affine_transform(f, a)
-                dp = np.abs(harmonic_pre_schwarzian(fa, z) - p0).max()
-                ds = np.abs(harmonic_schwarzian(fa, z) - s0).max()
+                dp = np.abs(harmonic_pre_schwarzian_of(Jet(fa, z, 2)) - p0).max()
+                ds = np.abs(harmonic_schwarzian_of(Jet(fa, z, 3)) - s0).max()
                 if dp > 1e-9 or ds > 1e-9:
                     failures.append(f"{name}, a={a:.3f}: dP={dp:.2e} dS={ds:.2e}")
 
 
 def test_04_schwarz_pick_ceiling(capsys):
+    from conftest import omega_star_at
+
     with verdict(capsys, 4, "schwarz-pick-ceiling") as failures:
         omegas = {
             "0.3z": Monomial(0.3, 1),
@@ -137,17 +134,17 @@ def test_04_schwarz_pick_ceiling(capsys):
 
 
 def test_05_operator_oracle_agreement(capsys, rng):
-    from conftest import disc_points, wirtinger_dz
-    from harmdist.harmonic import jacobian
+    from conftest import disc_points, jacobian, wirtinger_dz
 
     with verdict(capsys, 5, "operator-oracles") as failures:
         for name in sorted(CATALOG):
             f = get_map(name)
             z = disc_points(rng, 100, r_hi=0.7)
-            p = harmonic_pre_schwarzian(f, z)
+            p = harmonic_pre_schwarzian_of(Jet(f, z, 2))
             p_fd = wirtinger_dz(lambda zz: np.log(jacobian(f, zz)), z)
-            s = harmonic_schwarzian(f, z)
-            s_fd = wirtinger_dz(lambda zz: harmonic_pre_schwarzian(f, zz), z) - 0.5 * p * p
+            s = harmonic_schwarzian_of(Jet(f, z, 3))
+            dp_fd = wirtinger_dz(lambda zz: harmonic_pre_schwarzian_of(Jet(f, zz, 2)), z)
+            s_fd = dp_fd - 0.5 * p * p
             dp = np.abs(p - p_fd).max()
             ds = np.abs(s - s_fd).max()
             if dp > 1e-5 or ds > 1e-5:
@@ -184,6 +181,8 @@ def test_07_schwarzian_norm_fixtures(capsys):
 
 
 def test_08_containment_suites(capsys):
+    from conftest import growth_sandwich
+
     with verdict(capsys, 8, "containment-suites") as failures:
         identity, logtype = get_map("identity"), get_map("logtype")
 
@@ -229,13 +228,13 @@ def test_08_containment_suites(capsys):
         # pointwise growth bounds over a radius sweep, with the extremal
         # equality |k(r)| = upper on the positive real axis
         r = np.linspace(0.005, 0.995, 100)
-        lo, up = B.growth_sandwich(Koebe(), r, alpha=2.0)
+        lo, up = growth_sandwich(r, 2.0)
         k = np.abs(Koebe()(r))
         if not (np.all(lo <= k + 1e-9) and np.all(k <= up + 1e-9)):
             failures.append("koebe growth sweep not contained")
         if np.abs(k - up).max() > 1e-9 * np.abs(up).max():
             failures.append("koebe growth upper bound not attained at real r")
-        lo, up = B.growth_sandwich(HalfPlane(), r, alpha=1.0)
+        lo, up = growth_sandwich(r, 1.0)
         h = np.abs(HalfPlane()(r))
         if not (np.all(lo <= h + 1e-9) and np.all(h <= up + 1e-9)):
             failures.append("halfplane growth sweep not contained")

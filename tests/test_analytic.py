@@ -89,7 +89,7 @@ def test_mobius_pole_in_disc_rejected():
 def test_outside_disc_and_radius_checks():
     with pytest.raises(DomainError):
         Identity()(1.2)
-    s = SeriesMap(ExpMap(1.0).taylor(10).truncated(10), name="short-exp")
+    s = SeriesMap(ExpMap(1.0).taylor(10), name="short-exp")
     s.reliable_radius = 0.3
     with pytest.raises(PrecisionError):
         s(0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import disc_points
+from conftest import disc_points, growth_sandwich
 from harmdist import bounds as B
 from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
 from harmdist.errors import DomainError, NotSensePreservingError, ParameterError
@@ -133,8 +133,7 @@ def test_parameter_validation():
     lambda jet, v: B.dhk_bounds(jet, alpha=v),
     lambda jet, v: B.kim_minda_convex_lower(jet, p=v, omega_inf=0.3),
     lambda jet, v: B.linconn_bounds(jet, c=v, omega_inf=0.0),  # c ||omega|| is NaN
-    lambda jet, v: B.growth_sandwich(Koebe(), 0.5, alpha=v),
-], ids=["dhk", "kim_minda_convex", "linconn", "growth_sandwich"])
+], ids=["dhk", "kim_minda_convex", "linconn"])
 def test_non_finite_parameter_is_rejected(call, value):
     with pytest.raises(ParameterError, match=f"got {value}"):
         call(B.pair_jet(shear_linear(Identity(), 0.3), 0.1, 0.2), value)
@@ -172,11 +171,6 @@ def test_a_formula_called_without_a_parameter_takes_the_table_default(formula, n
     given = formula(jet, **extra, **{name: B.PARAMETERS[name].default})
     for side in ("lower", "upper"):
         assert np.array_equal(getattr(bare, side), getattr(given, side))
-
-
-def test_growth_sandwich_without_alpha_takes_the_table_default():
-    assert (B.growth_sandwich(Koebe(), 0.5)
-            == B.growth_sandwich(Koebe(), 0.5, alpha=B.PARAMETERS["alpha"].default))
 
 
 OMEGA_INF_FORMULAS = {
@@ -218,12 +212,10 @@ def test_mobius_exact_identity(rng):
 
 def test_growth_sandwich_koebe_equality():
     r = np.linspace(0.01, 0.95, 50)
-    lo, up = B.growth_sandwich(Koebe(), r, alpha=2.0)
+    lo, up = growth_sandwich(r, 2.0)
     k = np.abs(Koebe()(r))
     assert np.all(lo <= k + 1e-12)
     np.testing.assert_allclose(k, up, rtol=1e-9)  # equality at real r
-    with pytest.raises(ParameterError):
-        B.growth_sandwich(Koebe(), 0.5, alpha=0.5)
 
 
 def test_convex_h_upper_exceeds_identity_displacement(rng):

@@ -60,7 +60,7 @@ def test_nehari_harmonic_on_harmonic_mobius():
 
 
 def test_convexity_verdicts_with_radial_oracle():
-    from harmdist.operators import pre_schwarzian
+    from harmdist.operators import Jet, pre_schwarzian_of
 
     for phi, expect in ((HalfPlane(), True), (LogMap(), True), (Koebe(), False)):
         v = judge("convexity", phi)
@@ -70,7 +70,7 @@ def test_convexity_verdicts_with_radial_oracle():
     # real axis, where it diverges to -inf toward the rim; both the verdict
     # and the oracle are capped at r = 0.999, so compare in relative terms
     res = minimize_scalar(
-        lambda r: np.real(1.0 + (-r) * pre_schwarzian(Koebe(), -r)),
+        lambda r: float(np.real(1.0 + (-r) * pre_schwarzian_of(Jet(Koebe(), -r, 2)))),
         bounds=(0.0, 0.999), method="bounded", options={"xatol": 1e-10},
     )
     v = judge("convexity", Koebe())
@@ -139,7 +139,7 @@ def test_verdict_payload_shape():
 
 def test_affine_stability_of_becker_maps(rng):
     """phi_lambda = h + lambda g keeps the analytic criterion for |lambda| <= 1."""
-    from harmdist.harmonic import shear_phi_lambda
+    from conftest import shear_phi_lambda
 
     f = shear_linear(Identity(), 0.3)
     assert judge("becker_harmonic", f).holds

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from harmdist.analytic import ZERO
 from harmdist.descriptors import (
     load_descriptor,
     parse_complex,
@@ -78,7 +79,7 @@ def test_descriptor_harmonic_variants():
     f = parse_descriptor({"h": {"name": "identity"}, "omega": {"expr": "0.3z"}})
     np.testing.assert_allclose(f(z), z + np.conj(0.15 * z**2), rtol=1e-9)
     f = parse_descriptor({"h": {"name": "koebe"}})
-    assert f.is_analytic
+    assert f.g is ZERO
 
 
 def test_descriptor_rejections():

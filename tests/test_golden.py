@@ -9,13 +9,10 @@ import hashlib
 
 import pytest
 
-from harmdist.analytic import Koebe
 from harmdist.catalog import get_map
-from harmdist.harmonic import analytic_as_harmonic
 from harmdist.norms import DEFAULT_R_MAX
 from harmdist.verifier import (
     BOUND_REGISTRY,
-    counterexample_search,
     sample_pairs,
     verify_bound,
     write_pairs_csv,
@@ -120,14 +117,3 @@ def test_report_bytes_match_golden(bound, strategy, tmp_path):
     write_report_json(report, tmp_path / "r.json")
     write_pairs_csv(report, tmp_path / "r.csv")
     assert (_sha256(tmp_path / "r.json"), _sha256(tmp_path / "r.csv")) == GOLDEN[bound, strategy]
-
-
-def test_counterexample_search_matches_golden():
-    f = analytic_as_harmonic(Koebe())
-    s = sample_pairs("uniform-in-disc", 256, seed=0)
-    pair, margin = counterexample_search(
-        f, "dhk", {"alpha": 1.0}, budget=300, samples=s
-    )
-    assert pair == (0.998995725126792 - 0.002922187946144514j,
-                    -0.31024047059272364 - 0.1594032283276043j)
-    assert margin == -104096.12864451732

@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from conftest import disc_points, wirtinger_dz
-from harmdist.analytic import (ExpMap, HalfPlane, Identity, Koebe, LinearCombo, Mobius, Monomial,
+from conftest import (affine_transform, disc_points, jacobian, shear_phi_lambda,
+                      wirtinger_dz)
+from harmdist.analytic import (ZERO, HalfPlane, Identity, Koebe, LinearCombo, Mobius, Monomial,
                                SeriesMap)
+from harmdist.descriptors import parse_descriptor
 from harmdist.errors import NotSensePreservingError, ParameterError
 from harmdist.harmonic import (
     HarmonicMap,
-    affine_transform,
     analytic_as_harmonic,
+    as_harmonic,
     from_h_and_omega,
     halfplane_shear_g,
     harmonic_mobius,
-    jacobian,
     shear_linear,
-    shear_phi_lambda,
 )
+from harmdist.operators import point_jet
 from harmdist.series import TaylorSeries
 
 
@@ -25,7 +26,7 @@ def test_analytic_wrapper_evaluates_like_h(rng):
     f = analytic_as_harmonic(Koebe())
     z = disc_points(rng, 20, r_hi=0.7)
     np.testing.assert_allclose(f(z), Koebe()(z), rtol=1e-12)
-    assert f.is_analytic
+    assert f.g is ZERO
 
 
 def test_omega_derivs_match_quotient(rng):
@@ -90,7 +91,7 @@ def test_sense_preservation_guard():
         from_h_and_omega(Identity(), Monomial(1.2, 1))
     f = HarmonicMap(Identity(), Monomial(0.6, 2))  # omega = 1.2 z
     with pytest.raises(NotSensePreservingError):
-        f.check_sense_preserving(0.95)
+        point_jet(f, 0.95)
 
 
 def test_polynomial_omega_above_the_series_order_is_refused_before_it_is_evaluated(
@@ -148,3 +149,43 @@ def test_normalization_flag():
     assert analytic_as_harmonic(Koebe()).normalized
     shifted = HarmonicMap(Mobius(1.0, 0.5, 0.0, 1.0), Monomial(0.0, 0))
     assert not shifted.normalized
+
+
+def test_building_a_harmonic_map_evaluates_no_derivative(monkeypatch):
+    """normalized is evaluated when first read, once, and not when the map is built."""
+    calls = []
+    for cls in (Koebe, Monomial):
+        monkeypatch.setattr(cls, "derivs", lambda self, z, order=3, first=0, _d=cls.derivs:
+                            (calls.append(self), _d(self, z, order, first))[1])
+    h, g = Koebe(), Monomial(0.3, 2)
+    maps = [HarmonicMap(h, g), as_harmonic(h), analytic_as_harmonic(h)]
+    assert calls == []
+    for f in maps:
+        assert f.normalized
+        assert calls == [h, f.g]
+        assert f.normalized
+        assert calls == [h, f.g]
+        calls.clear()
+
+
+def test_every_catalog_map_is_normalized(catalog_map):
+    assert catalog_map.normalized
+
+
+# Whether a descriptor's map is normalized, as read when HarmonicMap built the flag eagerly.
+NORMALIZED = {
+    "series": ({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}, True),
+    "mobius": ({"h": {"name": "mobius", "params": {"a": 2, "b": 0.5, "c": 0.3, "d": 1}}}, False),
+    "compose-sigma": ({"h": {"compose_sigma": {"a": 0.3, "inner": {"expr": "0.5z + 0.1z^2"}}},
+                       "omega": {"expr": "0.3z"}}, False),
+    "identity-g": ({"h": {"name": "identity"}, "g": {"expr": "0.15z^2"}}, True),
+    "identity-omega": ({"h": {"name": "identity"}, "omega": {"expr": "0.3z"}}, True),
+    "koebe": ({"h": {"name": "koebe"}}, True),
+    "g-at-0": ({"h": {"name": "identity"}, "g": {"expr": "0.15z^2 + 0.1"}}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED))
+def test_the_normalized_flag_of_a_descriptor_is_unchanged(name):
+    descriptor, want = NORMALIZED[name]
+    assert parse_descriptor(descriptor).normalized == want

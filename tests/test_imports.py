@@ -171,3 +171,73 @@ def test_no_blas_call_would_use_a_pool():
     """
     found = [call for name in SUBMODULES for call in blas_calls(name)]
     assert found == [("series", "reciprocal", "dot")]
+
+
+# The functions and methods that no code in the package references: each is
+# a door for a reader outside it, named with its reader.
+UNREFERENCED = {
+    "bounds.pair_jet": "the checked public entry that the README uses",
+    "disk.hyperbolic": "checked public geometry",
+    "norms.polar_grid": "the bit reference for _grid_points",
+    "norms.sup_weighted": "bench/spans.instrument reads it with no fallback",
+    "cli._Parser.error": "an argparse hook",
+}
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(name: str) -> list[tuple[str, ast.AST]]:
+    """(dotted name, node) of each top-level function and non-dunder method of a module."""
+    found = []
+    for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+        if isinstance(node, FUNCTION):
+            found.append((f"{name}.{node.name}", node))
+        elif isinstance(node, ast.ClassDef):
+            found.extend((f"{name}.{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, FUNCTION) and not item.name.startswith("__"))
+    return found
+
+
+def references(tree: ast.AST) -> list[tuple[str, set[int]]]:
+    """Each name a tree references, as an ast.Name, an ast.Attribute or an import.
+
+    With each comes the ids of the function nodes it lies in, so that a
+    reference from inside a definition's own body can be told apart.
+    """
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, FUNCTION):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Name):
+            found.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            found.append((node.name.split(".")[-1], inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_function_is_referenced_in_the_package_or_is_a_named_door():
+    """A function that no code of the package names runs under no command, unless a door."""
+    refs = [r for m in MODULES for r in references(ast.parse((PACKAGE / f"{m}.py").read_text()))]
+    unreferenced = {dotted for m in MODULES for dotted, node in definitions(m)
+                    if not any(n == node.name and id(node) not in inside for n, inside in refs)}
+    assert unreferenced == set(UNREFERENCED)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_module_uses_every_name_it_imports(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == set()

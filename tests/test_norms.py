@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import block_edges
+from conftest import block_edges, omega_star_at
 from harmdist import norms, series
 from harmdist.analytic import ExpMap, HalfPlane, Identity, Koebe, LogMap, Monomial
 from harmdist.catalog import CATALOG, get_map
@@ -30,7 +30,7 @@ from harmdist.norms import (
     polar_grid,
     sup_weighted,
 )
-from harmdist.operators import Jet, omega_star_at
+from harmdist.operators import Jet
 
 GRID = (48, 128)  # slightly coarse for speed; refinement recovers accuracy
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import disc_points, wirtinger_dz
+from conftest import disc_points, jacobian, omega_star_at, wirtinger_dz
 from harmdist.analytic import HalfPlane, Identity, Koebe, LogMap, Mobius, Monomial
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, SingularError
@@ -13,38 +13,38 @@ from harmdist.harmonic import HarmonicMap, analytic_as_harmonic, harmonic_mobius
 from harmdist.norms import DEFAULT_R_MAX, SCHWARZIAN, GridSuprema, sup_weighted
 from harmdist.operators import (
     Jet,
-    distortion_quantities,
-    harmonic_pre_schwarzian,
-    harmonic_schwarzian,
-    omega_star_at,
+    harmonic_pre_schwarzian_of,
+    harmonic_schwarzian_of,
     point_jet,
-    pre_schwarzian,
-    schwarzian,
+    pre_schwarzian_of,
     schwarzian_of,
+    schwarzian_order,
 )
 
 
 def test_pre_schwarzian_closed_forms(rng):
     z = disc_points(rng, 25, r_hi=0.8)
     np.testing.assert_allclose(
-        pre_schwarzian(Koebe(), z), (2.0 * z + 4.0) / (1.0 - z * z), rtol=1e-12
+        pre_schwarzian_of(Jet(Koebe(), z, 2)), (2.0 * z + 4.0) / (1.0 - z * z), rtol=1e-12
     )
-    np.testing.assert_allclose(pre_schwarzian(HalfPlane(), z), 2.0 / (1.0 - z), rtol=1e-12)
+    np.testing.assert_allclose(
+        pre_schwarzian_of(Jet(HalfPlane(), z, 2)), 2.0 / (1.0 - z), rtol=1e-12
+    )
 
 
 def test_schwarzian_closed_forms(rng):
     z = disc_points(rng, 25, r_hi=0.8)
     np.testing.assert_allclose(
-        schwarzian(Koebe(), z), -6.0 / (1.0 - z * z) ** 2, rtol=1e-11
+        schwarzian_of(Jet(Koebe(), z, 3)), -6.0 / (1.0 - z * z) ** 2, rtol=1e-11
     )
     np.testing.assert_allclose(
-        schwarzian(LogMap(), z), 2.0 / (1.0 - z * z) ** 2, rtol=1e-11
+        schwarzian_of(Jet(LogMap(), z, 3)), 2.0 / (1.0 - z * z) ** 2, rtol=1e-11
     )
 
 
 def test_schwarzian_vanishes_for_mobius(rng):
     z = disc_points(rng, 25, r_hi=0.9)
-    s = schwarzian(Mobius(1.0, -0.2, -0.2, 1.0), z)
+    s = schwarzian_of(Jet(Mobius(1.0, -0.2, -0.2, 1.0), z, 3))
     np.testing.assert_allclose(s, 0.0, atol=1e-12)
 
 
@@ -56,7 +56,7 @@ def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, ma
     z = disc_points(rng, 25, r_hi=0.9)
     grid = (8, 32)
     want = schwarzian_of(Jet(phi, z, 3))
-    f = analytic_as_harmonic(phi)  # its construction reads h at 0, before the count
+    f = analytic_as_harmonic(phi)
     want_norm = sup_weighted(lambda z: SCHWARZIAN.formula(Jet(phi, z, SCHWARZIAN.jet_order(f))),
                              SCHWARZIAN.kind, grid=grid)
     orders = []
@@ -64,40 +64,39 @@ def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, ma
     monkeypatch.setattr(type(phi), "derivs",
                         lambda self, z, k=3, first=0:
                         (orders.append(k), derivs(self, z, k, first=first))[1])
-    assert schwarzian(phi, z).tobytes() == want.tobytes()
+    assert schwarzian_of(Jet(phi, z, schwarzian_order(phi))).tobytes() == want.tobytes()
     assert set(orders) == {order}
     orders.clear()
     assert GridSuprema(f, (), DEFAULT_R_MAX, grid).estimate(SCHWARZIAN) == want_norm
     assert set(orders) == {order}
     with pytest.raises(DomainError):
-        schwarzian(phi, np.append(z, 1.0))
+        schwarzian_of(Jet(phi, np.append(z, 1.0), schwarzian_order(phi)))
 
 
 def test_vanishing_derivative_raises():
     with pytest.raises(SingularError):
-        pre_schwarzian(Monomial(1.0, 2), 0.0)  # phi' = 2z vanishes at 0
+        pre_schwarzian_of(Jet(Monomial(1.0, 2), 0.0, 2))  # phi' = 2z vanishes at 0
 
 
 def test_harmonic_reduces_to_analytic(rng):
     z = disc_points(rng, 20, r_hi=0.8)
     f = analytic_as_harmonic(Koebe())
     np.testing.assert_allclose(
-        harmonic_pre_schwarzian(f, z), pre_schwarzian(Koebe(), z), rtol=1e-13
+        harmonic_pre_schwarzian_of(Jet(f, z, 2)), pre_schwarzian_of(Jet(Koebe(), z, 2)),
+        rtol=1e-13,
     )
     np.testing.assert_allclose(
-        harmonic_schwarzian(f, z), schwarzian(Koebe(), z), rtol=1e-13
+        harmonic_schwarzian_of(Jet(f, z, 3)), schwarzian_of(Jet(Koebe(), z, 3)), rtol=1e-13
     )
 
 
 def test_harmonic_pre_schwarzian_is_dz_log_jacobian(rng):
     """P_f equals the z-Wirtinger derivative of log J_f (oracle)."""
-    from harmdist.harmonic import jacobian
-
     for f in (shear_linear(HalfPlane(), 0.4), shear_linear(Identity(), 0.3)):
         z = disc_points(rng, 20, r_hi=0.6)
         oracle = wirtinger_dz(lambda zz: np.log(jacobian(f, zz)), z)
         np.testing.assert_allclose(
-            harmonic_pre_schwarzian(f, z), oracle, rtol=1e-5, atol=1e-6
+            harmonic_pre_schwarzian_of(Jet(f, z, 2)), oracle, rtol=1e-5, atol=1e-6
         )
 
 
@@ -105,10 +104,10 @@ def test_harmonic_schwarzian_from_pre_schwarzian(rng):
     """S_f = d/dz P_f - (1/2) P_f^2, with the derivative finite-differenced."""
     for f in (shear_linear(HalfPlane(), 0.4), shear_linear(Identity(), 0.3)):
         z = disc_points(rng, 20, r_hi=0.6)
-        p = harmonic_pre_schwarzian(f, z)
-        dp = wirtinger_dz(lambda zz: harmonic_pre_schwarzian(f, zz), z)
+        p = harmonic_pre_schwarzian_of(Jet(f, z, 2))
+        dp = wirtinger_dz(lambda zz: harmonic_pre_schwarzian_of(Jet(f, zz, 2)), z)
         np.testing.assert_allclose(
-            harmonic_schwarzian(f, z), dp - 0.5 * p * p, rtol=1e-5, atol=1e-6
+            harmonic_schwarzian_of(Jet(f, z, 3)), dp - 0.5 * p * p, rtol=1e-5, atol=1e-6
         )
 
 
@@ -116,7 +115,7 @@ def test_harmonic_schwarzian_vanishes_for_harmonic_mobius(rng):
     z = disc_points(rng, 30, r_hi=0.9)
     for h, alpha in ((Identity(), 0.3), (HalfPlane(), 0.6j), (Mobius(1.0, -0.2, -0.2, 1.0), 0.25)):
         f = harmonic_mobius(h, alpha)
-        np.testing.assert_allclose(harmonic_schwarzian(f, z), 0.0, atol=1e-10)
+        np.testing.assert_allclose(harmonic_schwarzian_of(Jet(f, z, 3)), 0.0, atol=1e-10)
 
 
 def test_omega_star_schwarz_pick(rng):
@@ -131,15 +130,15 @@ def test_omega_star_schwarz_pick(rng):
 def test_distortion_quantities(rng):
     f = shear_linear(Identity(), 0.4)
     z = disc_points(rng, 20, r_hi=0.8)
-    R, Q, Rh = distortion_quantities(f, z)
+    jet = point_jet(f, z)
     w2 = 1.0 - np.abs(z) ** 2
-    np.testing.assert_allclose(R, w2 * (1.0 - 0.4 * np.abs(z)), rtol=1e-12)
-    np.testing.assert_allclose(Q, w2 * (1.0 + 0.4 * np.abs(z)), rtol=1e-12)
-    np.testing.assert_allclose(Rh, w2, rtol=1e-12)
+    np.testing.assert_allclose(jet.R, w2 * (1.0 - 0.4 * np.abs(z)), rtol=1e-12)
+    np.testing.assert_allclose(jet.Q, w2 * (1.0 + 0.4 * np.abs(z)), rtol=1e-12)
+    np.testing.assert_allclose(jet.Rh, w2, rtol=1e-12)
     # analytic input collapses the three quantities
-    R, Q, Rh = distortion_quantities(analytic_as_harmonic(Koebe()), z)
-    np.testing.assert_allclose(R, Q, rtol=1e-14)
-    np.testing.assert_allclose(R, Rh, rtol=1e-14)
+    jet = point_jet(analytic_as_harmonic(Koebe()), z)
+    np.testing.assert_allclose(jet.R, jet.Q, rtol=1e-14)
+    np.testing.assert_allclose(jet.R, jet.Rh, rtol=1e-14)
 
 
 def test_point_jet_drops_each_derivative_once_read():

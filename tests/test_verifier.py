@@ -1,4 +1,4 @@
-"""Verification harness: sampling, gating, reports, counterexample search."""
+"""Verification harness: sampling, gating, reports."""
 
 import json
 import re
@@ -24,7 +24,6 @@ from harmdist.verifier import (
     REL_TOL,
     PairSet,
     sample_pairs,
-    counterexample_search,
     verify_bound,
     write_pairs_csv,
     write_report_json,
@@ -109,8 +108,7 @@ def test_detector_flags_deliberate_violations():
     assert r.worst_pair is not None
 
 
-@pytest.mark.parametrize("search", [False, True], ids=["verify_bound", "counterexample_search"])
-def test_a_bad_parameter_is_rejected_before_any_supremum_is_read(monkeypatch, search):
+def test_a_bad_parameter_is_rejected_before_any_supremum_is_read(monkeypatch):
     """Koebe fails the convexity gate, but p is checked before the gate reads a supremum."""
     def estimate(self, fn):
         raise AssertionError("a supremum was read")
@@ -118,10 +116,7 @@ def test_a_bad_parameter_is_rejected_before_any_supremum_is_read(monkeypatch, se
     monkeypatch.setattr(GridSuprema, "estimate", estimate)
     f, s = get_map("koebe"), sample_pairs("uniform-in-disc", 200, seed=0)
     with pytest.raises(ParameterError, match=re.escape("p must lie in (1, inf), got nan")):
-        if search:
-            counterexample_search(f, "kim_minda_convex", {"p": np.nan}, samples=s)
-        else:
-            verify_bound(f, "kim_minda_convex", {"p": np.nan}, s)
+        verify_bound(f, "kim_minda_convex", {"p": np.nan}, s)
 
 
 def test_a_parameter_not_given_takes_the_default_and_is_not_recorded():
@@ -228,24 +223,6 @@ def test_byte_identical_reports(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_counterexample_search_digs_deeper():
-    f = analytic_as_harmonic(Koebe())
-    s = sample_pairs("uniform-in-disc", 256, seed=0)
-    base = verify_bound(f, "dhk", {"alpha": 1.0, "force": True}, s)
-    worst0 = min(base.min_lower_margin, base.min_upper_margin)
-    (a, b), margin = counterexample_search(
-        f, "dhk", {"alpha": 1.0}, budget=300, samples=s
-    )
-    assert margin <= worst0 + 1e-12
-    assert abs(a) < 1.0 and abs(b) < 1.0
-
-
-def test_counterexample_search_prepares_once(estimates_made):
-    """The prepare step (the OMEGA_ABS scan for convex_h) runs once per search."""
-    counterexample_search(get_map("shear-identity-0.3z"), "convex_h", {}, budget=16)
-    assert estimates_made.count("omega_inf") == 1
-
-
 def test_each_sample_point_is_evaluated_once():
     """One verify_bound call runs h.derivs and g.derivs once per sample point."""
     f = get_map("shear-identity-0.3z")
@@ -261,7 +238,8 @@ def test_each_sample_point_is_evaluated_once():
     s = sample_pairs("uniform-in-disc", 500, seed=2)
     r = verify_bound(f, "dhk", {"alpha": 2.0}, s)
     assert r.pairs == 500
-    assert seen == {"h": 2 * r.pairs, "g": 2 * r.pairs}
+    # and dhk's gate, the normalized flag, reads h and g once, at z = 0
+    assert seen == {"h": 2 * r.pairs + 1, "g": 2 * r.pairs + 1}
 
 
 def test_each_sample_point_is_evaluated_once_in_blocks(monkeypatch):
@@ -281,7 +259,7 @@ def test_each_sample_point_is_evaluated_once_in_blocks(monkeypatch):
     r = verify_bound(f, "dhk", {"alpha": 2.0}, s)
     assert r.pairs == BLOCKED
     assert max(seen["h"]) < 2 * series._ELISION_POINTS
-    assert {k: sum(v) for k, v in seen.items()} == {"h": 2 * r.pairs, "g": 2 * r.pairs}
+    assert {k: sum(v) for k, v in seen.items()} == {"h": 2 * r.pairs + 1, "g": 2 * r.pairs + 1}
 
 
 def test_non_finite_pairs_count_as_violations():
