@@ -292,7 +292,10 @@ class SeriesMap(AnalyticMap):
     ``order`` with one ``series.horner`` call: one stacked Horner pass over
     all of them, block by block, with the bits of numpy's ``polyval``.  The
     derivatives are the rows of one array, so their memory is freed only
-    once every one of them is dropped.
+    once every one of them is dropped; ``harmonic.omega_quotients`` forms
+    omega, omega' and omega'' in those rows.  The derivative series are
+    ``series.derivative_coefficients`` of the series, numpy.polynomial's
+    ``polyder`` steps without loading it.
     """
 
     def __init__(self, s: TaylorSeries, name: str = "series"):
@@ -301,7 +304,7 @@ class SeriesMap(AnalyticMap):
         self.reliable_radius = s.reliable_radius
         self._dcoeffs = [s.coefficients]
         for _ in range(3):
-            self._dcoeffs.append(np.polynomial.polynomial.polyder(self._dcoeffs[-1]))
+            self._dcoeffs.append(ts.derivative_coefficients(self._dcoeffs[-1]))
 
     def derivs(self, z, order: int = 3, first: int = 0):
         return tuple(ts.horner(self._check(z), self._dcoeffs[first : order + 1]))

@@ -243,6 +243,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             f"{stem}: pairs={report.pairs} violations={report.violations} "
             f"hypothesis_met={report.hypothesis_met}"
         )
+        del samples, report  # a suite's pair table is freed before the next one samples
     for line in summaries:
         print(line)
     if unmet and not ns.allow_unmet:

@@ -57,7 +57,9 @@ class HarmonicMap:
 
         h(z) and g(z) are not evaluated: omega reads derivatives only.
         """
+        z = np.asarray(z, dtype=complex)
         return omega_quotients(
+            z,
             (None,) + self.h.derivs(z, order + 1, first=1),
             [None, *self.g.derivs(z, order + 1, first=1)],
             order,
@@ -71,8 +73,8 @@ class HarmonicMap:
             )
 
 
-def omega_quotients(hv, gv, order: int):
-    """(omega, omega', omega'') through ``order`` by the quotient rule.
+def omega_quotients(z, hv, gv, order: int):
+    """(omega, omega', omega'') through ``order`` by the quotient rule, at the points z.
 
     hv[k] and gv[k] are the k-th derivatives of h and g for 1 <= k <= order + 1.
 
@@ -80,38 +82,63 @@ def omega_quotients(hv, gv, order: int):
     omega'  = g''/h' - g' h''/h'^2
     omega'' = g'''/h' - (2 g'' h'' + g' h''')/h'^2 + 2 g' h''^2/h'^3
 
-    gv is a list, and each g derivative is dropped from it after its last
-    use.  The derivatives of one ``derivs`` call share one buffer (a
-    series map's are the rows of one ``series.horner`` output), so a caller
-    that keeps no other reference to them frees that buffer once g' is
-    dropped, after the last read of any of them.  Every product is the
-    expression the formulas above write, so its operands keep their order;
-    quotients and sums run in place.
+    omega'' is formed first, in the array of g''', then omega' in that of
+    g'' and omega in that of g': each g derivative is last read by the
+    quotient written into it.  The destination is g's array where
+    ``_writable`` allows it, else a fresh array, as numpy's ``g / h'``
+    makes; the operations are the same either way.  A series map's
+    derivatives are the rows of one ``series.horner`` output, so its omega
+    lives in those rows, and no array beside them is made for it.
+
+    gv is a list that hands g's derivatives over: each is dropped from it
+    after its last use, and may be overwritten.  z and h's derivatives are
+    never written.  Every product is the expression the formulas above
+    write, so its operands keep their order; quotients and sums run in
+    place.
     """
     h1 = hv[1]
-    out = [gv[1] / h1]
-    if order >= 1:
-        t = gv[1] * hv[2]
-        t /= h1**2
-        w1 = gv[2] / h1
-        w1 -= t
-        out.append(w1)
-        del t
+    into = [None] + [_writable(gv, k, [z, *hv]) for k in range(1, order + 2)]
+    out = []
     if order >= 2:
-        w2 = gv[3] / h1
+        w2 = np.divide(gv[3], h1, out=into[3])
         gv[3] = None
         t = 2.0 * gv[2] * hv[2]
-        gv[2] = None
         t += gv[1] * hv[3]
         t /= h1**2
         w2 -= t
         del t
         t = 2.0 * gv[1] * hv[2] ** 2
-        gv[1] = None
         t /= h1**3
         w2 += t
+        del t
         out.append(w2)
-    return tuple(out)
+    if order >= 1:
+        w1 = np.divide(gv[2], h1, out=into[2])
+        gv[2] = None
+        t = gv[1] * hv[2]
+        t /= h1**2
+        w1 -= t
+        del t
+        out.append(w1)
+    out.append(np.divide(gv[1], h1, out=into[1]))
+    gv[1] = None
+    return tuple(out[::-1])
+
+
+def _writable(gv, k, held):
+    """gv[k] when a quotient may be written into it, else None.
+
+    It must be a writable complex array of at least two points, sharing no
+    memory with an array in ``held`` or another of gv (``Identity.derivs``
+    returns one ``zero`` array twice, and ``z`` itself).  A one-point
+    array's in-place and out-of-place products round differently (see
+    ``series.horner``), and a scalar's arithmetic differs from an array's.
+    """
+    d = gv[k]
+    if not (isinstance(d, np.ndarray) and d.dtype == complex and d.size >= 2
+            and d.flags.writeable):
+        return None
+    return None if any(np.may_share_memory(d, o) for o in held + gv[1:k] + gv[k + 1:]) else d
 
 
 def analytic_as_harmonic(phi: AnalyticMap) -> HarmonicMap:

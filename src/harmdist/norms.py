@@ -310,10 +310,14 @@ def _pre_schwarzian_weighted(jet, with_z=False):
 
 
 def _becker_harmonic(jet):
-    """(1-|z|^2)|z P_f| + |z omega'|(1-|z|^2)/(1-|omega|^2)."""
+    """(1-|z|^2)|z P_f| + |z omega'|(1-|z|^2)/(1-|omega|^2).
+
+    P_f is formed before the weight, so that its temporaries and the
+    weight are not alive at once.
+    """
     z = jet.z
-    w2 = 1.0 - np.abs(z) ** 2
     p = harmonic_pre_schwarzian_of(jet)
+    w2 = 1.0 - np.abs(z) ** 2
     out = w2 * np.abs(z * p)
     del p
     w, w1 = jet.omega[:2]
@@ -331,9 +335,11 @@ SCHWARZIAN = Functional(
     lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(schwarzian_of(jet)), 3,
     order_on=schwarzian_order,
 )
+# |S_f| is formed before its weight, as the weight would stay alive through
+# S_f's temporaries; a product of two float64 arrays is commutative bit for bit.
 HARMONIC_SCHWARZIAN = Functional(
     "schwarzian_norm",
-    lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(harmonic_schwarzian_of(jet)), 3,
+    lambda jet: np.abs(harmonic_schwarzian_of(jet)) * (1.0 - np.abs(jet.z) ** 2) ** 2, 3,
 )
 OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1, capped=True)
 OMEGA_STAR = Functional("omega_star", omega_star_of, 2, capped=True)

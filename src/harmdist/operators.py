@@ -34,10 +34,12 @@ class Jet:
     omega^(order-1) come from one g.derivs call through the quotient rule.
     That call is made the first time a formula reads ``omega``, so a jet no
     formula reads omega from never evaluates g.  Both calls ask for
-    derivatives only (``first=1``), so neither h(z) nor g(z) is evaluated,
-    and ``omega_quotients`` holds the only reference to the derivatives of
-    g, dropping each after its last use; they share one buffer, freed with
-    the last of them.  The formulas run their own
+    derivatives only (``first=1``), so neither h(z) nor g(z) is evaluated.
+    ``omega_quotients`` holds the only reference to the derivatives of g,
+    and forms omega'' in the array of g''', omega' in that of g'' and omega
+    in that of g' (a series map's are the rows of one ``series.horner``
+    output), so the jet never holds g's derivatives beside arrays of omega
+    of their own.  The formulas run their own
     checks, so formulas sharing a jet raise the errors each would raise on
     its own, in the order they run.
 
@@ -59,7 +61,8 @@ class Jet:
         """(omega, omega', ...) through order - 1, from one g.derivs call."""
         if self._omega is None:
             self._omega = omega_quotients(
-                self.hd, [None, *self.f.g.derivs(self.z, self.order, first=1)], self.order - 1
+                self.z, self.hd, [None, *self.f.g.derivs(self.z, self.order, first=1)],
+                self.order - 1,
             )
         return self._omega
 

@@ -16,6 +16,7 @@ from harmdist.harmonic import (
     from_h_and_omega,
     halfplane_shear_g,
     harmonic_mobius,
+    omega_quotients,
     shear_linear,
 )
 from harmdist.operators import point_jet
@@ -189,3 +190,85 @@ NORMALIZED = {
 def test_the_normalized_flag_of_a_descriptor_is_unchanged(name):
     descriptor, want = NORMALIZED[name]
     assert parse_descriptor(descriptor).normalized == want
+
+
+# --- omega in g's arrays: the destination rule of omega_quotients ---
+
+def _out_of_place_quotients(hv, gv, order):
+    """omega_quotients as it was before it wrote into g's arrays: the bit oracle."""
+    h1 = hv[1]
+    out = [gv[1] / h1]
+    if order >= 1:
+        t = gv[1] * hv[2]
+        t /= h1**2
+        w1 = gv[2] / h1
+        w1 -= t
+        out.append(w1)
+    if order >= 2:
+        w2 = gv[3] / h1
+        t = 2.0 * gv[2] * hv[2]
+        t += gv[1] * hv[3]
+        t /= h1**2
+        w2 -= t
+        t = 2.0 * gv[1] * hv[2] ** 2
+        t /= h1**3
+        w2 += t
+        out.append(w2)
+    return tuple(out)
+
+
+def _bits(values):
+    return [(type(v).__name__, np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+SERIES_SHEAR = {"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}
+OMEGA_MAPS = {
+    "series": lambda: parse_descriptor(SERIES_SHEAR),  # g's derivatives share one buffer
+    "closed-form": lambda: shear_linear(HalfPlane(), 0.4),  # each derivative its own array
+    "identity-g": lambda: HarmonicMap(Koebe(), Identity()),  # g'' and g''' are one array
+}
+OMEGA_POINTS = {
+    "block": lambda rng: disc_points(rng, 20_000, r_hi=0.6),
+    "few": lambda rng: disc_points(rng, 7, r_hi=0.6),
+    "one-point": lambda rng: disc_points(rng, 1, r_hi=0.6),
+    "scalar": lambda rng: np.asarray(0.3 - 0.2j),
+    "python-scalar": lambda rng: 0.3 - 0.2j,
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("points", sorted(OMEGA_POINTS))
+@pytest.mark.parametrize("name", sorted(OMEGA_MAPS))
+def test_omega_quotients_keep_the_out_of_place_bits_and_write_only_g(rng, name, points, order):
+    f = OMEGA_MAPS[name]()
+    z = np.asarray(OMEGA_POINTS[points](rng), dtype=complex)
+    hv = (None,) + f.h.derivs(z, order + 1, first=1)
+    gv = [None, *f.g.derivs(z, order + 1, first=1)]
+    want = _out_of_place_quotients(hv, [None, *f.g.derivs(z, order + 1, first=1)], order)
+    held = _bits([z, *hv[1:]])
+    got = omega_quotients(z, hv, gv, order)
+    assert _bits(got) == _bits(want)
+    assert _bits([z, *hv[1:]]) == held
+    assert gv == [None] * (order + 2)
+
+
+def test_a_series_maps_omega_lives_in_the_rows_of_gs_derivatives(rng):
+    f = parse_descriptor(SERIES_SHEAR)
+    z = disc_points(rng, 20_000, r_hi=0.6)
+    rows = f.g.derivs(z, 3, first=1)
+    got = omega_quotients(z, (None,) + f.h.derivs(z, 3, first=1), [None, *rows], 2)
+    assert all(w is row for w, row in zip(got, rows))
+
+
+def test_omega_quotients_write_no_array_shared_with_z_or_h():
+    """g' is z itself and g'' is h'': omega and omega' go to fresh arrays, omega'' to g3."""
+    z = np.linspace(0.1, 0.5, 9) * (1 + 0.5j)
+    h1, h2, h3 = np.full(9, 1.5 + 0.5j), 0.5 * z, np.full(9, 0.25 + 0j)
+    held = _bits([z, h1, h2, h3])
+    want = _out_of_place_quotients((None, h1, h2, h3), [None, z, h2, np.ones(9, complex)], 2)
+    g3 = np.ones(9, complex)
+    got = omega_quotients(z, (None, h1, h2, h3), [None, z, h2, g3], 2)
+    assert _bits(got) == _bits(want)
+    assert _bits([z, h1, h2, h3]) == held
+    assert got[2] is g3
+    assert not any(np.shares_memory(w, a) for w in got[:2] for a in (z, h1, h2, h3, g3))

@@ -40,8 +40,10 @@ def after(code: str, result: str, env: dict | None = None):
 
 
 def loaded_after(code: str) -> set[str]:
-    """The harmdist modules, and numpy if loaded, after running code in a fresh interpreter."""
-    return set(after(code, "[m for m in sys.modules if m == 'numpy' or m.startswith('harmdist')]"))
+    """The harmdist modules, and numpy and numpy.polynomial if loaded, after running code
+    in a fresh interpreter."""
+    return set(after(code, "[m for m in sys.modules if m in ('numpy', 'numpy.polynomial') "
+                           "or m.startswith('harmdist')]"))
 
 
 def top_level_imports(name: str) -> set[str]:
@@ -95,6 +97,23 @@ def test_analyze_loads_no_verifier_plots_or_csv_rows(tmp_path):
     loaded = loaded_after(code)
     assert "harmdist.norms" in loaded and (tmp_path / "analyze.json").exists()
     assert not loaded & {"harmdist.verifier", "harmdist.plotting", "harmdist.csvrows"}
+
+
+SERIES_DESCRIPTOR = {"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}}
+
+
+@pytest.mark.parametrize("command", ["catalog", "analyze", "verify"])
+def test_no_command_loads_numpy_polynomial(tmp_path, command):
+    """The series algebra runs numpy.polynomial's steps without it (see harmdist.series)."""
+    desc = tmp_path / "series.json"
+    desc.write_text(json.dumps(SERIES_DESCRIPTOR))
+    out = str(tmp_path / "out")
+    argv = {"catalog": ["catalog"],
+            "analyze": ["analyze", "--map", str(desc), "--grid", "8,16", "--out", out],
+            "verify": ["verify", "--bound", "convex_h", "--map", str(desc), "--pairs", "200",
+                       "--out", out]}[command]
+    loaded = loaded_after(f"import harmdist.cli\nassert harmdist.cli.main({argv!r}) == 0")
+    assert "harmdist.series" in loaded and "numpy.polynomial" not in loaded
 
 
 BLAS = "OPENBLAS_NUM_THREADS"
@@ -186,10 +205,10 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def definitions(name: str) -> list[tuple[str, ast.AST]]:
-    """(dotted name, node) of each top-level function and non-dunder method of a module."""
+def definitions(name: str, tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(dotted name, node) of each top-level function and non-dunder method of a module's tree."""
     found = []
-    for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+    for node in tree.body:
         if isinstance(node, FUNCTION):
             found.append((f"{name}.{node.name}", node))
         elif isinstance(node, ast.ClassDef):
@@ -223,9 +242,14 @@ def references(tree: ast.AST) -> list[tuple[str, set[int]]]:
 
 
 def test_every_function_is_referenced_in_the_package_or_is_a_named_door():
-    """A function that no code of the package names runs under no command, unless a door."""
-    refs = [r for m in MODULES for r in references(ast.parse((PACKAGE / f"{m}.py").read_text()))]
-    unreferenced = {dotted for m in MODULES for dotted, node in definitions(m)
+    """A function that no code of the package names runs under no command, unless a door.
+
+    Each module is parsed once, and its trees are kept while ids are compared:
+    the ids of a freed tree's nodes may be reused by another tree's.
+    """
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    refs = [r for tree in trees.values() for r in references(tree)]
+    unreferenced = {dotted for m in MODULES for dotted, node in definitions(m, trees[m])
                     if not any(n == node.name and id(node) not in inside for n, inside in refs)}
     assert unreferenced == set(UNREFERENCED)
 

@@ -339,11 +339,12 @@ def test_grid_suprema_blocks_make_the_points_of_the_whole_grid(monkeypatch, grid
 
 # complex128 values a point of its block that each worker holds at most in the
 # grid scan of ANALYZE_FUNCTIONALS: the block's points, its jet and omega, and
-# one formula's temporaries (12.7 measured on the series map, whose g', g''
-# and g''' are rows of one array that omega frees once it is formed, and 11.6
-# on koebe, with numpy 2.4: S_f's Sh has no closed form there, and holds
-# h''/h' and 1.5 h''/h' beside S_f's two temporaries)
-SCAN_TEMPS = {"series": 13, "koebe": 12}
+# one formula's temporaries.  Measured with numpy 2.4: 10.2-10.3 on the series
+# map on one CPU and 9.8-10.3 a worker on two, whose omega is formed in the
+# rows that hold g', g'' and g''' (12.7 when omega took arrays of its own),
+# and 11.15 on koebe on one CPU and 11.1 on two: S_f's Sh has no closed form
+# there, and holds h''/h' and 1.5 h''/h' beside S_f's two temporaries.
+SCAN_TEMPS = {"series": 11, "koebe": 12}
 GUARD_GRID = (512, 1024)  # 524,289 points: 32 blocks, so the grid is 32 blocks' worth
 
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.polynomial import polyval
 
 from harmdist import series as ts
+from harmdist.analytic import SeriesMap
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import DomainError, PrecisionError, SingularError
 from harmdist.series import _ELISION_POINTS as K
@@ -85,6 +87,79 @@ def test_compose_matches_direct_evaluation():
     z = np.array([0.05, 0.1j, -0.08 + 0.04j])
     # inner(z) stays tiny, so truncation error is negligible
     np.testing.assert_allclose(comp(z), outer(inner(z)), rtol=1e-10, atol=1e-12)
+
+
+# --- the coefficient algebra: numpy.polynomial's steps, with its bits ---
+
+def _coefficients(length: int, kind: str, seed: int) -> np.ndarray:
+    """Random complex coefficients; "trailing" zeroes the top half, "zeros" scatters
+    zeros and negative zeros through them, "nonfinite" puts an inf and a NaN in."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    if kind == "trailing":
+        c[(length + 1) // 2:] = 0.0
+    elif kind == "zeros":
+        c.real[rng.random(length) < 0.3] = -0.0
+        c.imag[rng.random(length) < 0.3] = -0.0
+        c[rng.random(length) < 0.3] = 0.0
+    elif kind == "nonfinite":
+        c[rng.integers(length)] = complex(np.inf, np.nan)
+    return c
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _polynomial_compose(outer, inner):
+    """compose's coefficients as they were computed with numpy.polynomial."""
+    n = max(outer.truncation_order, inner.truncation_order)
+    co = outer.coefficients
+    acc = np.array([co[-1]], dtype=complex)
+    for k in range(len(co) - 2, -1, -1):
+        acc = P.polymul(acc, inner.coefficients)[: n + 1]
+        acc = P.polyadd(acc, [co[k]])
+    return np.pad(acc, (0, max(0, n + 1 - len(acc))))[: n + 1]
+
+
+ALGEBRA_LENGTHS = [1, 2, 5, 40, 121]
+ALGEBRA_KINDS = ["random", "trailing", "zeros", "nonfinite"]
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("length", ALGEBRA_LENGTHS)
+def test_the_coefficient_algebra_has_numpy_polynomials_bits(length, kind):
+    for seed in range(4):
+        a = _mk(_coefficients(length, kind, seed))
+        b = _mk(_coefficients(ALGEBRA_LENGTHS[seed], kind, 100 + seed))
+        n = max(a.truncation_order, b.truncation_order)
+        assert _same_bytes(ts.multiply(a, b).coefficients,
+                           _mk(P.polymul(a.coefficients, b.coefficients)[: n + 1]).coefficients)
+        assert _same_bytes(ts.differentiate(a).coefficients, _mk(P.polyder(a.coefficients)).coefficients)
+        assert _same_bytes(ts.integrate(a).coefficients, _mk(P.polyint(a.coefficients)).coefficients)
+        raw = _coefficients(length, kind, seed)
+        assert _same_bytes(ts.derivative_coefficients(raw), P.polyder(raw))
+
+
+@pytest.mark.parametrize("kind", ["random", "trailing", "zeros"])
+@pytest.mark.parametrize("length", ALGEBRA_LENGTHS)
+def test_compose_has_numpy_polynomials_bits(length, kind):
+    for seed in range(3):
+        outer = _mk(0.5 * _coefficients(length, kind, seed))
+        inner = _mk(0.3 * _coefficients(ALGEBRA_LENGTHS[seed + 1], kind, 100 + seed))
+        assert _same_bytes(ts.compose(outer, inner).coefficients, _polynomial_compose(outer, inner))
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("length", ALGEBRA_LENGTHS)
+def test_series_map_derivative_coefficients_are_numpy_polynomials(length, kind):
+    m = SeriesMap(_mk(_coefficients(length, kind, 7)))
+    want = [m.series.coefficients]
+    for _ in range(3):
+        want.append(P.polyder(want[-1]))
+    assert len(m._dcoeffs) == 4
+    assert all(_same_bytes(got, w) for got, w in zip(m._dcoeffs, want))
 
 
 def test_reliable_radius_policy():
