@@ -390,12 +390,6 @@ class Affine(AnalyticMap):
             out[0] = out[0] + self.add
         return tuple(out)
 
-    def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
-        s = self.m.taylor(order)
-        c = self.mul * s.coefficients.copy()
-        c[0] += self.add
-        return TaylorSeries(c, s.reliable_radius)
-
 
 def koebe_transform(phi: AnalyticMap, a: complex) -> AnalyticMap:
     """Renormalized precomposition with sigma_a.

@@ -45,6 +45,9 @@ _SIMPLE = {
 _TERM_RE = re.compile(
     r"^\s*(?P<coef>[^z]*?)\s*(?:\*\s*)?(?P<z>z(?:\^(?P<pow>\d+))?)?\s*$"
 )
+# Terms are split at a "+", dropped, and before a "-", but not at the sign
+# of an exponent ("1e-3z").
+_TERM_SPLIT = re.compile(r"(?<![eE])\+|(?<![eE])(?=-)")
 
 
 def parse_complex(v) -> complex:
@@ -66,10 +69,9 @@ def parse_complex(v) -> complex:
 
 
 def parse_expr(expr: str) -> AnalyticMap:
-    """Parse sums of c * z^k terms, e.g. '0.4z', 'z^2', '0.5z^3 + 0.1z'."""
-    text = expr.replace("-", "+-")
+    """Parse sums of c * z^k terms, e.g. '0.4z', 'z^2', '0.5z^3 + 0.1z', '1e-3z'."""
     terms = []
-    for raw in text.split("+"):
+    for raw in _TERM_SPLIT.split(expr):
         if not raw.strip():
             continue
         m = _TERM_RE.match(raw)

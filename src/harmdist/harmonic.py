@@ -97,7 +97,8 @@ def omega_quotients(z, hv, gv, order: int):
     place.
     """
     h1 = hv[1]
-    into = [None] + [_writable(gv, k, [z, *hv]) for k in range(1, order + 2)]
+    into = [None] + [_writable(gv[k], [z, *hv, *gv[1:k], *gv[k + 1:]])
+                     for k in range(1, order + 2)]
     out = []
     if order >= 2:
         w2 = np.divide(gv[3], h1, out=into[3])
@@ -125,20 +126,19 @@ def omega_quotients(z, hv, gv, order: int):
     return tuple(out[::-1])
 
 
-def _writable(gv, k, held):
-    """gv[k] when a quotient may be written into it, else None.
+def _writable(d, held):
+    """d when a result may be written into it, else None.
 
     It must be a writable complex array of at least two points, sharing no
-    memory with an array in ``held`` or another of gv (``Identity.derivs``
-    returns one ``zero`` array twice, and ``z`` itself).  A one-point
-    array's in-place and out-of-place products round differently (see
-    ``series.horner``), and a scalar's arithmetic differs from an array's.
+    memory with an array in ``held`` (``Identity.derivs`` returns one
+    ``zero`` array twice, and ``z`` itself).  A one-point array's in-place
+    and out-of-place products round differently (see ``series.horner``),
+    and a scalar's arithmetic differs from an array's.
     """
-    d = gv[k]
     if not (isinstance(d, np.ndarray) and d.dtype == complex and d.size >= 2
             and d.flags.writeable):
         return None
-    return None if any(np.may_share_memory(d, o) for o in held + gv[1:k] + gv[k + 1:]) else d
+    return None if any(np.may_share_memory(d, o) for o in held) else d
 
 
 def analytic_as_harmonic(phi: AnalyticMap) -> HarmonicMap:
@@ -241,12 +241,6 @@ def halfplane_shear_g(coef: complex) -> AnalyticMap:
                     out.append(coef * 2.0 * (2.0 + z) / p)
                 del p
             return tuple(out[first:])
-
-        def taylor(self, order: int = 40) -> ts.TaylorSeries:
-            n = np.arange(order + 1, dtype=float)
-            c = np.zeros(order + 1, dtype=complex)
-            c[2:] = coef * (n[2:] - 1.0) / n[2:]
-            return ts.TaylorSeries(c, ts.reliable_radius_from_coeffs(c))
 
     return _G()
 

@@ -4,12 +4,13 @@ Every named functional is a ``Functional``: a formula over an operators.Jet
 of a stated order.  The grid-jet contract: a supremum evaluates the map's
 jet once per block of a polar grid (one h.derivs call per block and, if a
 formula reads omega, one g.derivs call per block), scans the formula on
-it, and reduces the block's values to what an estimate reads of them: the
-error the formula raised, else the first non-finite value, else the
-maximum and its argmax.  The blocks' reductions are combined in grid
-order, so no grid of values is kept and an error is the first block's.  No
-grid of points is kept either: each block makes its own points, and the
-grid argmax its one point, from the rows of the polar grid they span
+it, and reduces the block's values to their maximum and its argmax.  The
+blocks' reductions are combined in grid order, so no grid of values is
+kept.  A scan raises the first error it meets, where a formula raises or
+gives a non-finite value: that of the first failing block in grid order,
+and within the block that of the first failing functional.  No grid of
+points is kept either: each block makes its own points, and the grid
+argmax its one point, from the rows of the polar grid they span
 (``_grid_points``), with the bits ``polar_grid`` gives them.  The grid
 argmax is then refined by a compass pattern search, ``_refine``.
 ``GridSuprema`` shares each block's jet among several functionals of the
@@ -137,16 +138,11 @@ def _peak(z: np.ndarray, v, kind: str, lo: int):
     """What an estimate reads of the values v at the points z, which start at grid index lo.
 
     That is the maximum and the grid index of its point first by
-    ``_least_key``, or the NonFiniteError of the first non-finite value.
-    v may be the exception that computing the values raised: it is the peak.
+    ``_least_key``.  A non-finite value raises the NonFiniteError of the
+    first.
     """
-    if isinstance(v, Exception):
-        return v
     v = np.asarray(v, dtype=float)
-    try:
-        _require_finite(z, v, kind)
-    except NonFiniteError as exc:
-        return exc.with_traceback(None)  # keeps no frame, so no block's jet
+    _require_finite(z, v, kind)
     top = v.max()
     at = np.flatnonzero(v == top)
     return float(top), lo + int(at[_least_key(z[at])])
@@ -155,24 +151,13 @@ def _peak(z: np.ndarray, v, kind: str, lo: int):
 def _grid_peak(points, peaks):
     """The grid maximum and argmax from the ``_peak`` of each block, in grid order.
 
-    Or the first block's exception.  The key of ``_least_key`` is a total
-    order, so the least of the blocks' argmaxes is the whole grid's.
-    ``points(lo, hi)`` gives the grid's points lo:hi.
+    The key of ``_least_key`` is a total order, so the least of the blocks'
+    argmaxes is the whole grid's.  ``points(lo, hi)`` gives the grid's
+    points lo:hi.
     """
-    for peak in peaks:
-        if isinstance(peak, Exception):
-            return peak
     top = max(t for t, _ in peaks)
     at = [i for t, i in peaks if t == top]
     return top, at[_least_key(np.concatenate([points(i, i + 1) for i in at]))]
-
-
-def _attempt(compute):
-    """compute() as a float array, or the exception it raised."""
-    try:
-        return np.asarray(compute(), dtype=float)
-    except Exception as exc:  # the search that owns the points meets it
-        return exc.with_traceback(None)
 
 
 _COMPASS = np.array([1, -1, 1j, -1j])
@@ -181,43 +166,34 @@ _COMPASS = np.array([1, -1, 1j, -1j])
 def _refine(starts, values, r_max: float) -> list:
     """Compass maximizations within |z| <= r_max, all in lockstep.
 
-    ``starts`` holds per search a (kind, z0, step), or the exception that
-    has already ended it.  Each of the REFINE_ITERS + 1 steps evaluates the
-    points of every search still running with one call ``values(z, spans)``:
-    z is their points end to end, spans holds (search, lo, hi) per search,
-    numbered as in ``starts``, and the call returns per span the float
-    values at z[lo:hi] or the exception that raised there.  A search
-    evaluates z0 first, then four compass points a step away from its best
-    point, and halves the step when none of them is higher.  It stops at
-    the first exception or non-finite value and returns it, and otherwise
-    returns (best z, its value, converged).
+    ``starts`` holds per search a (kind, z0, step).  Each of the
+    REFINE_ITERS + 1 steps evaluates the points of every search with one
+    call ``values(z, spans)``: z is their points end to end, spans holds
+    (lo, hi) per search, in the order of ``starts``, and the call yields per
+    span, in that order, the float values at z[lo:hi].  A search evaluates
+    z0 first, then four compass points a step away from its best point, and
+    halves the step when none of them is higher.  It returns per search
+    (best z, its value, converged).  An error that ``values`` raises
+    propagates, and a non-finite value raises NonFiniteError; as the values
+    are read in search order, the error is the first failing search's.
     """
-    out = [s if isinstance(s, Exception) else None for s in starts]
-    best = [(complex(s[1]), None) if o is None else None for s, o in zip(starts, out)]
-    steps = [s[2] if o is None else None for s, o in zip(starts, out)]
+    best = [(complex(z0), None) for _, z0, _ in starts]
+    steps = [step for _, _, step in starts]
     for it in range(REFINE_ITERS + 1):
-        live = [k for k in range(len(starts)) if out[k] is None]
-        if not live:
-            break
         points = []
-        for k in live:
+        for (z0, _), step in zip(best, steps):
             if it == 0:
-                points.append(np.array([best[k][0]]))
+                points.append(np.array([z0]))
                 continue
-            cand = best[k][0] + steps[k] * _COMPASS
+            cand = z0 + step * _COMPASS
             mod = np.maximum(np.abs(cand), 1e-300)
             points.append(np.where(mod >= r_max, cand / mod * r_max, cand))
         edges = np.cumsum([0] + [len(p) for p in points]).tolist()
-        spans = list(zip(live, edges, edges[1:]))
-        for k, cand, vals in zip(live, points, values(np.concatenate(points), spans)):
-            if not isinstance(vals, Exception):
-                try:
-                    _require_finite(cand, vals, starts[k][0])
-                except NonFiniteError as exc:
-                    vals = exc.with_traceback(None)
-            if isinstance(vals, Exception):
-                out[k] = vals
-            elif it == 0:
+        spans = list(zip(edges, edges[1:]))
+        for k, (start, cand, vals) in enumerate(zip(starts, points,
+                                                    values(np.concatenate(points), spans))):
+            _require_finite(cand, vals, start[0])
+            if it == 0:
                 best[k] = (best[k][0], float(vals[0]))
             else:
                 i = int(np.argmax(vals))
@@ -225,12 +201,11 @@ def _refine(starts, values, r_max: float) -> list:
                     best[k] = (complex(cand[i]), float(vals[i]))
                 else:
                     steps[k] *= REFINE_CONTRACTION
-    return [(*best[k], steps[k] < REFINE_CONVERGED_STEP) if out[k] is None else out[k]
-            for k in range(len(starts))]
+    return [(*b, step < REFINE_CONVERGED_STEP) for b, step in zip(best, steps)]
 
 
 def _estimates(points, peaks, kinds, values, r_max, grid) -> list:
-    """Per functional, its NormEstimate from its block peaks, or the exception it raised.
+    """Per functional, its NormEstimate from its block peaks.
 
     ``peaks`` holds per functional the ``_peak`` of each block of the polar
     grid, in grid order, and ``points(lo, hi)`` gives the grid's points
@@ -241,22 +216,14 @@ def _estimates(points, peaks, kinds, values, r_max, grid) -> list:
     nr, ntheta = grid
     tops = [_grid_peak(points, blocks) for blocks in peaks]
     starts = []
-    for kind, top in zip(kinds, tops):
-        if isinstance(top, Exception):
-            starts.append(top)
-            continue
-        bz = complex(points(top[1], top[1] + 1)[0])
+    for kind, (_, i) in zip(kinds, tops):
+        bz = complex(points(i, i + 1)[0])
         # initial step = local grid spacing near the argmax
         starts.append((kind, bz, max(r_max / nr, 2.0 * np.pi * max(abs(bz), r_max / nr) / ntheta)))
     out = []
-    for kind, start, top, result in zip(kinds, starts, tops, _refine(starts, values, r_max)):
-        if isinstance(result, Exception):
-            out.append(result)
-            continue
-        best_z, best_v = start[1], top[0]
-        rz, rv, converged = result
-        if rv > best_v:  # refinement may only improve the estimate
-            best_z, best_v = rz, rv
+    for (kind, bz, _), (top, _), (rz, rv, converged) in zip(starts, tops,
+                                                           _refine(starts, values, r_max)):
+        best_z, best_v = (rz, rv) if rv > top else (bz, top)  # refinement may only improve it
         out.append(NormEstimate(best_v, kind, r_max, (nr, ntheta), converged, best_z))
     return out
 
@@ -380,14 +347,13 @@ class GridSuprema:
     from its index range, and each argmax lookup its one point, through
     ``_grid_points``, with the bits ``polar_grid`` gives them.  Each block
     gets one jet, to the highest order the functionals read, and the worker
-    reduces each formula's values on the block to their ``_peak``: the
-    first non-finite value, or the maximum and its argmax.  The peaks are
-    combined in grid order, so no grid of values is kept.  Then the grid
-    argmaxes are refined in lockstep by ``_refine``: each step builds one
-    jet over the candidates of every search, and each formula reads its own
-    points through a ``Jet.view``.  Any other functional, or a capped one
-    whose r_max the reliable radius lowers, is estimated on a grid of its
-    own when it is asked for.
+    reduces each formula's values on the block to their ``_peak``, the
+    maximum and its argmax.  The peaks are combined in grid order, so no
+    grid of values is kept.  Then the grid argmaxes are refined in lockstep
+    by ``_refine``: each step builds one jet over the candidates of every
+    search, and each formula reads its own points through a ``Jet.view``.
+    Any other functional, or a capped one whose r_max the reliable radius
+    lowers, is estimated on a grid of its own when it is asked for.
 
     The values have the bits a single jet over the whole grid gives, because
     no block is smaller than 16384 points unless it is the whole grid.
@@ -400,15 +366,12 @@ class GridSuprema:
     array, so a search reads the values it would read on a jet of its own
     candidates.
 
-    A formula that raises on a block makes its error that block's peak, so
-    a functional's grid error is that of its first failing block in grid
-    order, on any number of CPUs; an error in making a block's jet is
-    raised here, the first failing block's (``for_each_block``).  A
-    functional whose formula raises, on the grid or at a refinement
-    candidate, leaves the others as they are; its error is not stored on
-    the map, and is raised each time its estimate is asked for.  The object
-    keeps the error without its traceback, whose frames would hold a
-    block's jet, and raises it with a fresh one each time.
+    Making the object raises the first error its scan meets: that of the
+    first failing block in grid order, on any number of CPUs
+    (``for_each_block``), and within a block that of the first functional,
+    in the order given, whose jet or formula raises or gives a non-finite
+    value (NonFiniteError).  An error in refinement is raised likewise, the
+    first failing search's.  A failed scan keeps no estimate on the map.
     """
 
     def __init__(self, f, functionals=(), r_max=DEFAULT_R_MAX, grid=DEFAULT_GRID):
@@ -420,7 +383,6 @@ class GridSuprema:
         self.r_max = r_max
         self.grid = tuple(grid)
         self._memo = f.estimates
-        self._errors = {}
         scanned = [fn for fn in functionals
                    if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
         if not scanned:
@@ -430,22 +392,19 @@ class GridSuprema:
 
         def scan(lo, hi):
             jet = Jet(f, points(lo, hi), order)
-            return [_peak(jet.z, _attempt(lambda: fn.formula(jet)), fn.kind, lo)
-                    for fn in scanned]
+            return [_peak(jet.z, fn.formula(jet), fn.kind, lo) for fn in scanned]
 
         n = self.grid[0] * self.grid[1] + 1
         peaks = list(zip(*for_each_block(n, scan)))  # per functional, per block
 
-        def values(points, spans):
+        def values(points, spans):  # lazily, so a search's error comes before the next's
             jet = Jet(f, points, order)
-            return [_attempt(lambda: scanned[k].formula(jet.view(lo, hi))) for k, lo, hi in spans]
+            return (np.asarray(fn.formula(jet.view(lo, hi)), dtype=float)
+                    for fn, (lo, hi) in zip(scanned, spans))
 
         kinds = [fn.kind for fn in scanned]
         for fn, est in zip(scanned, _estimates(points, peaks, kinds, values, r_max, self.grid)):
-            if isinstance(est, Exception):
-                self._errors[fn] = est
-            else:
-                self._memo[self._key(fn)] = est
+            self._memo[self._key(fn)] = est
 
     def _key(self, fn: Functional):
         r_max = min(self.r_max, self.f.reliable_radius) if fn.capped else self.r_max
@@ -456,8 +415,6 @@ class GridSuprema:
         key = self._key(fn)
         if key in self._memo:
             return self._memo[key]
-        if fn in self._errors:
-            raise self._errors[fn].with_traceback(None)  # a fresh traceback per call
         return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
 
     def order(self) -> OrderEstimate:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import DERIV_SINGULAR_TOL
 from .errors import SingularError
-from .harmonic import SENSE_TOL, HarmonicMap, as_harmonic, omega_quotients
+from .harmonic import SENSE_TOL, HarmonicMap, _writable, as_harmonic, omega_quotients
 
 
 class Jet:
@@ -208,9 +208,10 @@ def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
       long as f(z) does, and h' for as long as a kept h(z);
     - f(z) = h(z) + conj(g(z)) is built in g(z)'s buffer.  Conjugation
       and complex addition are exact componentwise, so it has the bits of
-      that expression.  Where g(z) is not a complex array of its own (a
-      scalar, or memory shared with z or another derivative, as the
-      identity map returns z itself), f(z) is a new array;
+      that expression.  Where ``harmonic._writable`` refuses g(z) (a
+      scalar, a single point, or memory shared with z or another
+      derivative, as the identity map returns z itself), f(z) is a new
+      array;
     - the sense-preserving test reads g'/h' a slice of points at a time.
     The caller checks that z lies in the disc.
     """
@@ -218,12 +219,8 @@ def point_jet(f, z, reads=("R", "Q", "Rh")) -> PointJet:
     z = np.asarray(z, dtype=complex)
     h0, h1 = f.h.derivs(z, 1)
     g0, g1 = f.g.derivs(z, 1)
-    if (isinstance(g0, np.ndarray) and g0.dtype == complex and g0.flags.writeable
-            and not any(np.may_share_memory(g0, x) for x in (z, h0, h1, g1))):
-        value = np.conjugate(g0, out=g0)
-        value += h0
-    else:
-        value = h0 + np.conj(g0)
+    value = np.conjugate(g0, out=_writable(g0, [z, h0, h1, g1]))
+    value += h0
     del g0
     h = h0 if "h" in reads else None
     del h0

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from harmdist.analytic import ZERO
+from harmdist.analytic import ZERO, LinearCombo
+from harmdist.cli import EXIT_OK, main
 from harmdist.descriptors import (
     load_descriptor,
     parse_complex,
@@ -41,6 +42,43 @@ def test_parse_expr_terms():
         parse_expr("sin(z)")
     with pytest.raises(ConfigError):
         parse_expr("")
+
+
+def _terms(m):
+    """(coefficient, power) per term of a parsed expression."""
+    monomials = [t for _, t in m.terms] if isinstance(m, LinearCombo) else [m]
+    return [(t.coef, t.power) for t in monomials]
+
+
+EXPONENT_TWINS = {"1e-3z": "0.001z", "2.5e-1z^2 + 0.1z": "0.25z^2 + 0.1z", "1E-2z": "0.01z",
+                  "1e+2z": "100z"}
+
+
+@pytest.mark.parametrize("expr, twin", EXPONENT_TWINS.items())
+def test_parse_expr_keeps_an_exponent_sign_in_its_coefficient(expr, twin):
+    assert _terms(parse_expr(expr)) == _terms(parse_expr(twin))
+
+
+ACCEPTED = ["0.3z", "z^2", "0.5z^3 + 0.1z", "-z + 0.2i*z^2", "0.1 - 0.3z^2", "-0.2iz^3-0.1z",
+            "z+-z", "0.5+0.3i*z"]
+
+
+@pytest.mark.parametrize("expr", ACCEPTED)
+def test_parse_expr_splits_an_expression_without_exponents_as_before(expr):
+    """The terms of splitting at every sign, as the grammar did before exponents."""
+    raws = [raw for raw in expr.replace("-", "+-").split("+") if raw.strip()]
+    assert _terms(parse_expr(expr)) == [t for raw in raws for t in _terms(parse_expr(raw))]
+
+
+def test_analyze_reads_an_exponent_coefficient_as_its_decimal_twin(tmp_path, capsys):
+    """A one-term expr is named by its Monomial, so the two reports are the same bytes."""
+    outputs = []
+    for expr in ("4e-1z", "0.4z"):
+        path = tmp_path / f"{expr}.json"
+        path.write_text(json.dumps({"h": {"name": "halfplane"}, "omega": {"expr": expr}}))
+        assert main(["analyze", "--map", str(path), "--grid", "16,64"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_parse_entry_variants():

@@ -1,6 +1,5 @@
 """Supremum engine and named norms, with 1-d maximization oracles."""
 
-import traceback
 import tracemalloc
 import warnings
 
@@ -261,16 +260,17 @@ def test_grid_suprema_blocks_stay_silent_under_the_callers_errstate(monkeypatch,
 
 
 def test_grid_suprema_raises_where_one_grid_jet_raises(monkeypatch):
-    """A block that raises leaves the error to the estimate that meets it."""
+    """Making the object raises the error of the whole-grid formula, and keeps no estimate."""
     monkeypatch.setattr(series, "_cpus", lambda: 3)
     f = HarmonicMap(Identity(), Monomial(0.99, 2))  # |omega| = 1.98|z| reaches 1
-    sups = GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
-    assert sups.estimate(PRE_SCHWARZIAN).value == 0.0
     with pytest.raises(SingularError) as blocked:
-        sups.estimate(HARMONIC_SCHWARZIAN)
+        GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
     with pytest.raises(SingularError) as whole:
         HARMONIC_SCHWARZIAN.formula(Jet(f, polar_grid(0.999, *BLOCKED_GRID), 3))
     assert str(blocked.value) == str(whole.value)
+    assert f.estimates == {}
+    assert GridSuprema(f, (), 0.999, BLOCKED_GRID).estimate(PRE_SCHWARZIAN).value == 0.0
+    assert len(f.estimates) == 1
 
 
 def test_grid_suprema_builds_no_grid_jet_after_a_block_raises(monkeypatch):
@@ -285,11 +285,55 @@ def test_grid_suprema_builds_no_grid_jet_after_a_block_raises(monkeypatch):
 
     monkeypatch.setattr(norms, "Jet", Counted)
     f = HarmonicMap(Identity(), Monomial(0.99, 2))
-    sups = GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
     with pytest.raises(SingularError):
-        sups.estimate(HARMONIC_SCHWARZIAN)
-    assert len(sizes) > 8
-    assert max(sizes) < 2 * series._ELISION_POINTS
+        GridSuprema(f, [PRE_SCHWARZIAN, HARMONIC_SCHWARZIAN], 0.999, BLOCKED_GRID)
+    edges = block_edges(BLOCKED_GRID[0] * BLOCKED_GRID[1] + 1)
+    assert 0 < len(sizes) <= len(edges) - 1
+    assert set(sizes) <= set(np.diff(edges).tolist())
+    assert f.estimates == {}
+
+
+def _fails_in_blocks(kind, blocks, error, r_max=0.9):
+    """A functional that fails at the middle grid point of each of ``blocks`` only.
+
+    ``error`` is the exception type it raises there, or None: then its value
+    there is NaN.
+    """
+    z = polar_grid(r_max, *BLOCKED_GRID)
+    edges = block_edges(z.size)
+    bad = [z[(edges[j] + edges[j + 1]) // 2] for j in blocks]
+
+    def formula(jet):
+        v = np.abs(jet.z)
+        for point in bad:
+            if error is not None and (jet.z == point).any():
+                raise error(f"{kind}: fails at z = {complex(point)}")
+            v[jet.z == point] = np.nan
+        return v
+
+    return Functional(kind, formula, 1), [complex(point) for point in bad]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "raise-first"])
+def test_the_scan_raises_the_first_failing_blocks_first_failing_functional(
+        monkeypatch, nan_first, cpus):
+    """Failures in blocks 2 and 6 of eight: block 2's, and in it the first functional's."""
+    monkeypatch.setattr(series, "_cpus", lambda: cpus)
+    late, _ = _fails_in_blocks("late", [6], SingularError)
+    nan, (nan_at, _) = _fails_in_blocks("nan", [2, 6], None)
+    boom, (boom_at,) = _fails_in_blocks("boom", [2], SingularError)
+    fns = [late, nan, boom] if nan_first else [late, boom, nan]
+    f = as_harmonic(Identity())
+    with pytest.raises(HarmdistError) as failed:
+        GridSuprema(f, fns, 0.9, BLOCKED_GRID)
+    if nan_first:
+        assert type(failed.value) is NonFiniteError
+        assert str(failed.value) == f"nan: functional value nan at z = {nan_at}"
+    else:
+        assert type(failed.value) is SingularError
+        assert str(failed.value) == f"boom: fails at z = {boom_at}"
+    assert f.estimates == {}
 
 
 # --- GridSuprema's block points: the bits of the whole grid, and no grid kept ---
@@ -432,22 +476,26 @@ def _off_grid_traps(r_max, grid):
     return nan, Functional("boom", boom, 1)
 
 
-def test_a_refinement_that_raises_leaves_the_other_estimates_as_they_are(grid=GRID):
+def test_a_refinement_that_raises_raises_the_error_it_raises_alone(grid=GRID):
+    """Each trap fails the shared scan as it fails alone; of the two, the first in order."""
     name = "shear-halfplane-0.4z"
     traps = _off_grid_traps(DEFAULT_R_MAX, grid)
-    f = get_map(name)
-    sups = GridSuprema(f, [traps[0], *ANALYZE_FUNCTIONALS, traps[1]], DEFAULT_R_MAX, grid)
-    alone = GridSuprema(get_map(name), ANALYZE_FUNCTIONALS, DEFAULT_R_MAX, grid)
-    for fn in ANALYZE_FUNCTIONALS:
-        assert repr(sups.estimate(fn)) == repr(alone.estimate(fn)), fn.kind
+    own = []
     for trap, error in zip(traps, (NonFiniteError, SingularError)):
-        with pytest.raises(error) as own:
-            GridSuprema(get_map(name), [trap], DEFAULT_R_MAX, grid).estimate(trap)
-        for _ in range(2):
-            with pytest.raises(error) as shared:
-                sups.estimate(trap)
-            assert str(shared.value) == str(own.value)
-    assert {key[0] for key in f.estimates} == set(ANALYZE_FUNCTIONALS)
+        with pytest.raises(error) as alone:
+            GridSuprema(get_map(name), [trap], DEFAULT_R_MAX, grid)
+        own.append(alone.value)
+        f = get_map(name)
+        with pytest.raises(error) as shared:
+            GridSuprema(f, [*ANALYZE_FUNCTIONALS, trap], DEFAULT_R_MAX, grid)
+        assert str(shared.value) == str(alone.value)
+        assert f.estimates == {}
+    for order in (traps, traps[::-1]):
+        with pytest.raises(HarmdistError) as both:
+            GridSuprema(get_map(name), [order[0], *ANALYZE_FUNCTIONALS, order[1]],
+                        DEFAULT_R_MAX, grid)
+        first = own[traps.index(order[0])]
+        assert type(both.value) is type(first) and str(both.value) == str(first)
 
 
 NAN_ON_GRID = Functional("nan", lambda jet: np.where(jet.z == 0, np.nan, np.abs(jet.z)), 1)
@@ -457,28 +505,21 @@ NAN_ON_GRID = Functional("nan", lambda jet: np.where(jet.z == 0, np.nan, np.abs(
     (lambda: HarmonicMap(Identity(), Monomial(0.99, 2)), []),  # |omega| = 1.98|z| reaches 1
     (lambda: get_map("shear-halfplane-0.4z"), [NAN_ON_GRID]),
 ], ids=["singular-on-the-grid", "non-finite-first"])
-def test_a_functional_that_fails_on_the_grid_leaves_the_others_as_they_are(make, first):
-    """Each estimate is the one a fresh map gives the functional alone; each error its own."""
-    f = make()
+def test_a_functional_that_fails_on_the_grid_fails_the_scan_with_its_own_error(make, first):
+    """On one block the error is that of the first functional, in order, that fails alone."""
     fns = [*first, *ANALYZE_FUNCTIONALS]
-    sups = GridSuprema(f, fns, 0.9, GRID)
-    failed = []
+    errors = []
     for fn in fns:
         try:
-            alone = repr(GridSuprema(make(), [fn], 0.9, GRID).estimate(fn))
+            GridSuprema(make(), [fn], 0.9, GRID)
         except HarmdistError as own:
-            frames = []
-            for _ in range(2):
-                with pytest.raises(type(own)) as shared:
-                    sups.estimate(fn)
-                assert str(shared.value) == str(own), fn.kind
-                frames.append([frame.name for frame in traceback.extract_tb(shared.tb)])
-            assert frames[0] == frames[1] and frames[0][-1] == "estimate", fn.kind
-            failed.append(fn)
-            continue
-        assert repr(sups.estimate(fn)) == alone, fn.kind
-    assert failed and fns.index(failed[0]) < max(fns.index(fn) for fn in fns if fn not in failed)
-    assert {key[0] for key in f.estimates} == set(fns) - set(failed)
+            errors.append(own)
+    assert errors and len(errors) < len(fns)
+    f = make()
+    with pytest.raises(HarmdistError) as shared:
+        GridSuprema(f, fns, 0.9, GRID)
+    assert type(shared.value) is type(errors[0]) and str(shared.value) == str(errors[0])
+    assert f.estimates == {}
 
 
 def _lexsort_argmax(z, v):

@@ -162,15 +162,19 @@ def test_point_jet_drops_each_derivative_once_read():
     assert peak < 8 * 9 * len(z)
 
 
-def test_point_jet_builds_the_value_in_no_array_it_was_given(rng):
+@pytest.mark.parametrize("n", [None, 1, 2, 50], ids=["scalar", "1", "2", "50"])
+def test_point_jet_builds_the_value_in_no_array_it_was_given(rng, n):
     """f(z) goes into g(z)'s buffer only where g(z) is an array of its own.
 
     The identity map returns z itself, as g(z) or h(z); neither z nor h(z)
-    is written, and f(z) has the bits of h(z) + conj(g(z)).
+    is written, and f(z) has the bits of h(z) + conj(g(z)), on a scalar
+    and a one-point g(z), which take a fresh array, too.
     """
-    z = disc_points(rng, 50, r_hi=0.8)
+    z = disc_points(rng, n or 1, r_hi=0.8)
+    z = z[0] if n is None else z
     before = z.copy()
-    for f in (HarmonicMap(Monomial(2.0, 1), Identity()), shear_linear(Identity(), 0.3)):
+    for f in (HarmonicMap(Monomial(2.0, 1), Identity()), shear_linear(Identity(), 0.3),
+              parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})):
         jet = point_jet(f, z, ("Rh", "h"))
         assert jet.value.tobytes() == (f.h(z) + np.conj(f.g(z))).tobytes()
         assert jet.h.tobytes() == f.h(z).tobytes() and z.tobytes() == before.tobytes()
