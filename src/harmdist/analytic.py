@@ -5,8 +5,8 @@ hand-coded closed forms (catalog entries) or by term-wise differentiation
 of a truncated Taylor series; ``derivs(z, order, first=1)`` leaves out the
 value for a caller that reads derivatives only.  Closed forms are exact on
 the whole open disc; series-backed maps certify a ``reliable_radius`` only.  A series map
-evaluates its derivative series with ``series.horner``, a blocked, in-place
-Horner pass over all of them at once that gives the same bits as numpy's
+evaluates its derivative series with ``series.horner``, an in-place Horner
+pass over all of them at once that gives the same bits as numpy's
 ``polyval``.
 
 Derivatives are hand-coded rather than finite-differenced because the
@@ -133,9 +133,7 @@ class Mobius(AnalyticMap):
             np.pad(np.array([self.d, self.c], complex), (0, order - 1)), 1.0
         )
         out = ts.multiply(num, ts.reciprocal(den))
-        return TaylorSeries(
-            out.coefficients, reliable_radius(self, out.coefficients)
-        )
+        return TaylorSeries(out.coefficients, ts.reliable_radius_from_coeffs(out.coefficients))
 
     def schwarzian_exact(self, z):
         # S(phi) vanishes identically for every Mobius map.
@@ -169,7 +167,7 @@ class HalfPlane(AnalyticMap):
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.ones(order + 1, dtype=complex)
         c[0] = 0.0
-        return TaylorSeries(c, reliable_radius(self, c))
+        return TaylorSeries(c, ts.reliable_radius_from_coeffs(c))
 
     def schwarzian_exact(self, z):
         # z/(1 - z) is a Mobius map: identically zero Schwarzian.
@@ -195,7 +193,7 @@ class Koebe(AnalyticMap):
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TaylorSeries:
         c = np.arange(order + 1, dtype=complex)
-        return TaylorSeries(c, reliable_radius(self, c))
+        return TaylorSeries(c, ts.reliable_radius_from_coeffs(c))
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ class LogMap(AnalyticMap):
         c = np.zeros(order + 1, dtype=complex)
         for k in range(1, order + 1, 2):
             c[k] = 1.0 / k
-        return TaylorSeries(c, reliable_radius(self, c))
+        return TaylorSeries(c, ts.reliable_radius_from_coeffs(c))
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ class SeriesMap(AnalyticMap):
 
     ``derivs`` evaluates the series' term-wise derivatives ``first`` through
     ``order`` with one ``series.horner`` call: one stacked Horner pass over
-    all of them, block by block, with the bits of numpy's ``polyval``.  The
+    all of them, with the bits of numpy's ``polyval``.  The
     derivatives are the rows of one array, so their memory is freed only
     once every one of them is dropped; ``harmonic.omega_quotients`` forms
     omega, omega' and omega'' in those rows.  The derivative series are
@@ -405,10 +403,3 @@ def koebe_transform(phi: AnalyticMap, a: complex) -> AnalyticMap:
     scale = 1.0 / ((1.0 - abs(a) ** 2) * d1)
     inner = Compose(phi, disk_automorphism_map(a))
     return Affine(inner, scale, -va * scale, name=f"koebe_transform({phi.name},{a})")
-
-
-def reliable_radius(m: AnalyticMap, coeffs: np.ndarray) -> float:
-    """Certified radius for a series conversion of a closed-form map."""
-    if m.reliable_radius >= 1.0:
-        return ts.reliable_radius_from_coeffs(coeffs)
-    return min(m.reliable_radius, ts.reliable_radius_from_coeffs(coeffs))

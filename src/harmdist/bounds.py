@@ -323,21 +323,21 @@ def corollary_bounds(jet, beta_lambda: float | None = None) -> PairBound:
 
 
 @_reads("Rh", "h", "omega0")
-def mobius_exact(jet):
+def mobius_exact(jet) -> PairBound:
     """Exact identity |f(a)-f(b)| = sqrt(R_h(a)R_h(b)) sinh(d) |1 + conj(alpha) lambda|.
 
     Requires f = h + conj(alpha h) with h Mobius, so alpha = omega(0);
-    lambda is the unimodular phase conj(h(a)-h(b))/(h(a)-h(b)).  Returns
-    the value itself, which is both a lower and an upper bound, and 0 at
-    a = b (by continuity; lambda is undefined there).
+    lambda is the unimodular phase conj(h(a)-h(b))/(h(a)-h(b)).  The value
+    is both the lower and the upper side, and 0 at a = b (by continuity;
+    lambda is undefined there).
     """
     dh = np.asarray(jet.a.h - jet.b.h)
     coincident = np.abs(dh) < 1e-300
     lam = np.conj(dh) / np.where(coincident, 1.0, dh)
     phase = np.abs(1.0 + np.conj(jet.omega0) * lam)
     val = np.sqrt(jet.a.Rh * jet.b.Rh) * np.sinh(jet.d) * phase
-    val = np.where(coincident, 0.0, val)
-    return _out(val)
+    val = _out(np.where(coincident, 0.0, val))
+    return PairBound(lower=val, upper=val)
 
 
 # Bound registry: formula, hypothesis and the map supremum a formula reads.

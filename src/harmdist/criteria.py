@@ -100,8 +100,8 @@ CRITERIA: dict[str, Criterion] = {
     "nehari_harmonic": Criterion(HARMONIC_SCHWARZIAN, lambda epsilon: epsilon, "epsilon"),
     # inf Re(1 + z h''/h') >= 0, the classical convexity characterization
     "convexity": Criterion(CONVEXITY, 0.0, reports=lambda s: {"infimum": -s}),
-    # ||omega||_inf < 1/c for h(D) a c-linearly connected domain; read up to
-    # the reliable radius, which the verdict records as its r_max
+    # ||omega||_inf < 1/c for h(D) a c-linearly connected domain, read at the
+    # grid's r_max, which the caller caps at the map's reliable radius
     "theorem_d": Criterion(OMEGA_ABS, lambda c: 1.0 / c, "c",
                            reports=lambda s: {"omega_inf": s}),
     # gates of bounds that need no supremum

@@ -79,6 +79,9 @@ def parse_expr(expr: str) -> AnalyticMap:
             raise ConfigError(f"cannot parse term {raw!r} in expression {expr!r}")
         coef_s = m.group("coef").strip()
         if coef_s in ("", "-"):
+            if m.group("z") is None:
+                raise ConfigError(f"term {raw.strip()!r} in expression {expr!r} "
+                                  "has no number and no z")
             coef = -1.0 if coef_s == "-" else 1.0
         else:
             coef = parse_complex(coef_s)

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import AnalyticMap, Identity, koebe_transform
+from .analytic import Identity, koebe_transform
 from .bounds import parameter
 from .errors import NonFiniteError, NormalizationError, ParameterError
 from .harmonic import as_harmonic
@@ -56,7 +56,6 @@ from .operators import (
     omega_star_of,
     pre_schwarzian_of,
     schwarzian_of,
-    schwarzian_order,
 )
 from .series import for_each_block
 
@@ -252,22 +251,11 @@ def sup_weighted(
 
 @dataclass(frozen=True)
 class Functional:
-    """A real pointwise functional: ``formula`` over a Jet of ``order``.
-
-    ``order_on(h)``, if given, is the order that suffices on analytic part
-    h.  A ``capped`` functional is boundary-dominated: its supremum is read
-    up to the map's reliable radius, which its estimate records as r_max.
-    """
+    """A real pointwise functional: ``formula`` over a Jet of ``order``."""
 
     kind: str
     formula: Callable[[Jet], np.ndarray]
     order: int
-    capped: bool = False
-    order_on: Callable[[AnalyticMap], int] | None = None
-
-    def jet_order(self, f) -> int:
-        """The jet order the formula reads on the harmonic map f."""
-        return self.order if self.order_on is None else self.order_on(f.h)
 
 
 def _pre_schwarzian_weighted(jet, with_z=False):
@@ -300,7 +288,6 @@ PRE_SCHWARZIAN_Z = Functional(
 SCHWARZIAN = Functional(
     "schwarzian_norm",
     lambda jet: (1.0 - np.abs(jet.z) ** 2) ** 2 * np.abs(schwarzian_of(jet)), 3,
-    order_on=schwarzian_order,
 )
 # |S_f| is formed before its weight, as the weight would stay alive through
 # S_f's temporaries; a product of two float64 arrays is commutative bit for bit.
@@ -308,8 +295,8 @@ HARMONIC_SCHWARZIAN = Functional(
     "schwarzian_norm",
     lambda jet: np.abs(harmonic_schwarzian_of(jet)) * (1.0 - np.abs(jet.z) ** 2) ** 2, 3,
 )
-OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1, capped=True)
-OMEGA_STAR = Functional("omega_star", omega_star_of, 2, capped=True)
+OMEGA_ABS = Functional("omega_inf", lambda jet: np.abs(jet.omega[0]), 1)
+OMEGA_STAR = Functional("omega_star", omega_star_of, 2)
 BECKER_HARMONIC = Functional("becker_functional", _becker_harmonic, 2)
 # |(1/2)(1-|z|^2) P phi(z) - conj(z)|, whose supremum is the order.
 ORDER = Functional(
@@ -336,8 +323,9 @@ class GridSuprema:
     is wrapped afresh each time, so its estimates last as long as the
     object.  An r_max that is NaN or at most 0, or a grid that is not two
     positive integer counts, raises ParameterError before any point is
-    evaluated; an r_max of 1 or more raises DomainError when the grid is
-    evaluated.
+    evaluated; an r_max of 1 or more raises DomainError, and one beyond the
+    map's reliable radius PrecisionError, when the grid is evaluated.  Every
+    functional is read at the r_max it is given: the caller caps it.
 
     When the object is made, it estimates each of its functionals that the
     map has no estimate of.  The grid is cut by ``series.for_each_block``
@@ -352,8 +340,8 @@ class GridSuprema:
     grid of values is kept.  Then the grid argmaxes are refined in lockstep
     by ``_refine``: each step builds one jet over the candidates of every
     search, and each formula reads its own points through a ``Jet.view``.
-    Any other functional, or a capped one whose r_max the reliable radius
-    lowers, is estimated on a grid of its own when it is asked for.
+    Any other functional is estimated on a grid of its own when it is
+    asked for.
 
     The values have the bits a single jet over the whole grid gives, because
     no block is smaller than 16384 points unless it is the whole grid.
@@ -383,12 +371,11 @@ class GridSuprema:
         self.r_max = r_max
         self.grid = tuple(grid)
         self._memo = f.estimates
-        scanned = [fn for fn in functionals
-                   if self._key(fn)[1] == r_max and self._key(fn) not in self._memo]
+        scanned = [fn for fn in functionals if self._key(fn) not in self._memo]
         if not scanned:
             return
         points = partial(_grid_points, r_max, *self.grid)
-        order = max(fn.jet_order(f) for fn in scanned)
+        order = max(fn.order for fn in scanned)
 
         def scan(lo, hi):
             jet = Jet(f, points(lo, hi), order)
@@ -407,15 +394,13 @@ class GridSuprema:
             self._memo[self._key(fn)] = est
 
     def _key(self, fn: Functional):
-        r_max = min(self.r_max, self.f.reliable_radius) if fn.capped else self.r_max
-        return fn, r_max, self.grid
+        return fn, self.r_max, self.grid
 
     def estimate(self, fn: Functional) -> NormEstimate:
         """The map's estimate of ``fn`` over this grid, made now if it has none."""
-        key = self._key(fn)
-        if key in self._memo:
-            return self._memo[key]
-        return GridSuprema(self.f, [fn], key[1], self.grid).estimate(fn)
+        if self._key(fn) not in self._memo:
+            GridSuprema(self.f, [fn], self.r_max, self.grid)
+        return self._memo[self._key(fn)]
 
     def order(self) -> OrderEstimate:
         """The order of the analytic part h: the ORDER estimate of h, if h is normalized.

@@ -113,13 +113,8 @@ def pre_schwarzian_of(jet: Jet):
     return jet.hd[2] / jet.hd[1]
 
 
-def schwarzian_order(h) -> int:
-    """The jet order ``schwarzian_of`` reads: 0 where h has a closed form, else 3."""
-    return 3 if getattr(h, "schwarzian_exact", None) is None else 0
-
-
 def schwarzian_of(jet: Jet, pre: list | None = None):
-    """S h on a jet of order ``schwarzian_order(h)`` or more.
+    """S h on a jet of order 3, or h's closed form where it has one.
 
     A caller that has formed h''/h' passes it as the one item of ``pre``,
     and S h reads it from there instead of forming it again.  It is popped

@@ -31,10 +31,10 @@ COMPOSE_RADIUS_FACTOR = 0.7
 _TAIL_TARGET = 1e-12
 
 # numpy's threshold for eliding temporaries, 256 KiB, counted in complex128
-# points.  `for_each_block` cuts `horner`'s points, `norms.GridSuprema`'s grid
-# and the verifier's pairs into blocks of at least this many points (unless
-# one block holds them all), so that a formula rounds on a block as it does
-# on the whole array (see norms.GridSuprema), and of fewer than twice as many.
+# points.  `for_each_block` cuts `norms.GridSuprema`'s grid and the verifier's
+# pairs into blocks of at least this many points (unless one block holds them
+# all), so that a formula rounds on a block as it does on the whole array (see
+# norms.GridSuprema), and of fewer than twice as many.
 _ELISION_POINTS = 256 * 1024 // 16
 
 
@@ -102,8 +102,8 @@ def for_each_block(n: int, run) -> list:
     of workers, because each block goes through the same calls on the same
     edges whichever thread runs it.
 
-    Its users: ``horner``, ``norms.GridSuprema``'s grid scan, and the
-    verifier's pair evaluation and point sampler.
+    Its users: ``norms.GridSuprema``'s grid scan, and the verifier's pair
+    evaluation and point sampler.
     """
     blocks = max(1, n // _ELISION_POINTS)
     edges = [n * j // blocks for j in range(blocks + 1)]
@@ -148,16 +148,14 @@ def horner(z, coeff_arrays) -> list:
     their top coefficients, and a shorter array's row stops earlier; the
     rows are stored longest first, so each step runs in place on the rows
     still running, with one multiply by z and one add of a column of their
-    coefficients.  The flattened z is cut into blocks by ``for_each_block``,
-    each running the pass on its own columns of the output, so no step
-    allocates, and the bits depend neither on the number of workers nor on
-    how many arrays share the pass.
+    coefficients.  The pass runs over z's points as given, on the caller's
+    thread, so no step allocates, and the bits do not depend on how many
+    arrays share the pass.
 
     A z of at most one point takes the polyval expression on the value as
     given.  numpy's scalar complex arithmetic and its array loop round
     differently, and so do its in-place and out-of-place products of a
-    one-point array; so a scalar is never evaluated as a one-point array,
-    and no block has a single point.
+    one-point array; so a scalar is never evaluated as a one-point array.
     """
     z = np.asarray(z, dtype=complex)
     if z.size <= 1 or not coeff_arrays:
@@ -171,18 +169,12 @@ def horner(z, coeff_arrays) -> list:
     # the coefficients step s adds, one column of the rows still running
     columns = [steps[: sum(n > s for n in lengths), s : s + 1] for s in range(lengths[0])]
     out = np.empty((len(rank), flat.size), dtype=complex)
-
-    def run(lo, hi):
-        zz = flat[lo:hi]
-        acc = out[:, lo:hi]
-        np.multiply(zz, 0, out=acc)
-        acc += columns[0]
-        for col in columns[1:]:
-            rows = acc[: len(col)]
-            rows *= zz
-            rows += col
-
-    for_each_block(flat.size, run)
+    np.multiply(flat, 0, out=out)
+    out += columns[0]
+    for col in columns[1:]:
+        rows = out[: len(col)]
+        rows *= flat
+        rows += col
     return [out[rank.index(i)].reshape(z.shape) for i in range(len(rank))]
 
 

@@ -181,18 +181,16 @@ def _evaluate_pairs(f, bound_name: str, params: dict, a, b) -> PairTable:
     """The PairTable of pairs (a, b): |f(a) - f(b)| and the bound's sides.
 
     Each point is evaluated once, through one pair jet.  A formula returns
-    a PairBound, or an exact value that is both its lower and upper side;
-    a side the bound lacks is not in the table.  The table also stores the
-    jet's d, which _reduce reads.  The caller checks that the pairs lie in
-    the disc.
+    a PairBound; a side the bound lacks is not in the table.  The table
+    also stores the jet's d, which _reduce reads.  The caller checks that
+    the pairs lie in the disc.
     """
     formula = BOUND_REGISTRY[bound_name]["formula"]
     jet = B.pair_jet_in_disc(f, a, b, formula.reads)
     names = inspect.signature(formula).parameters
     out = formula(jet, **{k: v for k, v in params.items() if k in names})
-    lower, upper = (out.lower, out.upper) if isinstance(out, B.PairBound) else (out, out)
     v = PairTable(a=a, b=b, d=np.asarray(jet.d), actual=np.asarray(jet.actual))
-    for side, x in (("lower", lower), ("upper", upper)):
+    for side, x in (("lower", out.lower), ("upper", out.upper)):
         if x is not None:
             v[side] = np.asarray(x, dtype=float)
     return v

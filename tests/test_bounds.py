@@ -1,5 +1,7 @@
 """Pointwise two-point bound evaluators: degeneracy, symmetry, reductions."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -204,10 +206,24 @@ def test_mobius_exact_identity(rng):
         f = harmonic_mobius(h, alpha)
         val = B.mobius_exact(B.pair_jet(f, a, b))
         actual = np.abs(f(a) - f(b))
-        np.testing.assert_allclose(val, actual, rtol=1e-9, atol=1e-12)
+        assert val.upper is val.lower  # the value is both sides
+        np.testing.assert_allclose(val.lower, actual, rtol=1e-9, atol=1e-12)
     # coincident points fall back to 0 by continuity
     f = harmonic_mobius(Identity(), 0.3)
-    assert B.mobius_exact(B.pair_jet(f, 0.2, 0.2)) == 0.0
+    assert B.mobius_exact(B.pair_jet(f, 0.2, 0.2)) == B.PairBound(lower=0.0, upper=0.0)
+
+
+@pytest.mark.parametrize("bound", sorted(B.BOUND_REGISTRY))
+def test_every_registry_formula_returns_a_pair_bound(bound, rng):
+    formula = B.BOUND_REGISTRY[bound]["formula"]
+    f = harmonic_mobius(HalfPlane(), 0.3)  # omega = 0.3
+    a, b = disc_points(rng, 20, r_hi=0.8), disc_points(rng, 20, r_hi=0.8)
+    given = {"omega_inf": 0.3}
+    out = formula(B.pair_jet(f, a, b, formula.reads),
+                  **{k: v for k, v in given.items() if k in inspect.signature(formula).parameters})
+    assert type(out) is B.PairBound
+    sides = [x for x in (out.lower, out.upper) if x is not None]
+    assert sides and all(np.shape(x) == a.shape for x in sides)
 
 
 def test_growth_sandwich_koebe_equality():

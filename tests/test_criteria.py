@@ -11,7 +11,7 @@ from harmdist.criteria import verdict
 from harmdist.descriptors import parse_descriptor
 from harmdist.errors import ParameterError, PrecisionError
 from harmdist.harmonic import analytic_as_harmonic, harmonic_mobius, shear_linear
-from harmdist.norms import DEFAULT_R_MAX, GridSuprema
+from harmdist.norms import DEFAULT_R_MAX, OMEGA_STAR, GridSuprema
 
 GRID = (48, 128)
 
@@ -95,16 +95,19 @@ def test_theorem_d_margins():
         judge("theorem_d", f, {"c": 0.5})
 
 
-def test_only_theorem_d_caps_r_max_at_the_reliable_radius():
-    """sup |omega| is read up to the reliable radius; the weighted norms refuse it."""
+def test_every_supremum_raises_beyond_the_reliable_radius():
+    """Each supremum is read at the r_max it is given, sup |omega| and ||omega*|| too."""
     f = parse_descriptor({"h": {"name": "halfplane"}, "omega": {"expr": "0.4z"}})
     assert f.reliable_radius == pytest.approx(0.7958, abs=1e-4)
-    v = judge("theorem_d", f, {"c": 1.0}, 0.999, (16, 64))
+    for criterion in ("theorem_d", "becker_harmonic", "nehari_harmonic"):
+        with pytest.raises(PrecisionError, match="beyond reliable radius"):
+            judge(criterion, f, {"c": 1.0}, 0.999, (16, 64))
+    with pytest.raises(PrecisionError, match="beyond reliable radius"):
+        GridSuprema(f, (), 0.999, (16, 64)).estimate(OMEGA_STAR)
+    assert not f.estimates
+    v = judge("theorem_d", f, {"c": 1.0}, f.reliable_radius, (16, 64))
     assert v.holds
     assert v.parameters["r_max"] == f.reliable_radius
-    for criterion in ("becker_harmonic", "nehari_harmonic"):
-        with pytest.raises(PrecisionError, match="beyond reliable radius"):
-            judge(criterion, f, r_max=0.999, grid=(16, 64))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

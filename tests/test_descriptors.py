@@ -1,12 +1,13 @@
 """JSON mapping descriptors and the dilatation expression grammar."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from harmdist.analytic import ZERO, LinearCombo
-from harmdist.cli import EXIT_OK, main
+from harmdist.cli import EXIT_CONFIG, EXIT_OK, main
 from harmdist.descriptors import (
     load_descriptor,
     parse_complex,
@@ -68,6 +69,19 @@ def test_parse_expr_splits_an_expression_without_exponents_as_before(expr):
     """The terms of splitting at every sign, as the grammar did before exponents."""
     raws = [raw for raw in expr.replace("-", "+-").split("+") if raw.strip()]
     assert _terms(parse_expr(expr)) == [t for raw in raws for t in _terms(parse_expr(raw))]
+
+
+@pytest.mark.parametrize("expr", ["z--z", "z-", "0.4z - ", "-"])
+def test_parse_expr_rejects_a_term_that_is_a_bare_sign(expr):
+    with pytest.raises(ConfigError, match=re.escape(f"term '-' in expression {expr!r}")):
+        parse_expr(expr)
+
+
+def test_analyze_exits_4_on_a_bare_sign_term(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"h": {"expr": "z-"}}))
+    assert main(["analyze", "--map", str(path), "--grid", "16,64"]) == EXIT_CONFIG
+    assert "term '-' in expression 'z-'" in capsys.readouterr().err
 
 
 def test_analyze_reads_an_exponent_coefficient_as_its_decimal_twin(tmp_path, capsys):

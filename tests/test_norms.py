@@ -88,7 +88,7 @@ def test_sup_engine_rejects_non_finite_refinement_values():
 def test_schwarzian_norm_fixtures_vs_oracle():
     est = GridSuprema(Koebe(), (), DEFAULT_R_MAX, GRID).estimate(SCHWARZIAN)
     oracle = _oracle_radial(
-        lambda z: SCHWARZIAN.formula(Jet(Koebe(), z, SCHWARZIAN.jet_order(as_harmonic(Koebe())))))
+        lambda z: SCHWARZIAN.formula(Jet(Koebe(), z, SCHWARZIAN.order)))
     assert est.value == pytest.approx(6.0, abs=2e-4)
     assert est.value == pytest.approx(oracle, rel=1e-6)
 
@@ -429,7 +429,7 @@ def _one_search_estimate(f, fn, r_max, grid, order):
     i = at[np.lexsort((np.mod(np.angle(z[at]), 2.0 * np.pi), np.round(np.abs(z[at]), 15)))[0]]
     best_z, best_v = complex(z[i]), float(v[i])
     step = max(r_max / nr, 2.0 * np.pi * max(abs(best_z), r_max / nr) / ntheta)
-    func = lambda z: fn.formula(Jet(f, z, fn.jet_order(f)))
+    func = lambda z: fn.formula(Jet(f, z, fn.order))
     sz, sv = best_z, float(func(np.array([best_z]))[0])
     for _ in range(norms.REFINE_ITERS):
         cand = sz + step * np.array([1, -1, 1j, -1j])
@@ -456,7 +456,7 @@ def test_lockstep_refinement_keeps_the_bits_of_one_search_per_functional(name, g
     f = ALL_MAPS[name]()
     r_max = min(DEFAULT_R_MAX, f.reliable_radius)
     sups = GridSuprema(f, ANALYZE_FUNCTIONALS, r_max, grid)
-    order = max(fn.jet_order(f) for fn in ANALYZE_FUNCTIONALS)
+    order = max(fn.order for fn in ANALYZE_FUNCTIONALS)
     for fn in ANALYZE_FUNCTIONALS:
         est = sups.estimate(fn)
         assert repr((est.value, est.argmax_point, est.refined)) == \

@@ -18,7 +18,6 @@ from harmdist.operators import (
     point_jet,
     pre_schwarzian_of,
     schwarzian_of,
-    schwarzian_order,
 )
 
 
@@ -48,29 +47,32 @@ def test_schwarzian_vanishes_for_mobius(rng):
     np.testing.assert_allclose(s, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("make, order", [
+@pytest.mark.parametrize("make, read", [
     (HalfPlane, 0), (lambda: Mobius(1.0, -0.2, -0.2, 1.0), 0), (Koebe, 3),
 ], ids=["halfplane", "mobius", "koebe"])
-def test_schwarzian_evaluates_only_the_derivatives_it_reads(rng, monkeypatch, make, order):
+def test_the_schwarzian_norm_reads_an_order_3_jet(rng, monkeypatch, make, read):
+    """SCHWARZIAN reads an order-3 jet on every h, with the bits and the norm of a
+    jet of only the ``read`` derivatives S h reads: none where h has a closed form."""
     phi = make()
     z = disc_points(rng, 25, r_hi=0.9)
     grid = (8, 32)
-    want = schwarzian_of(Jet(phi, z, 3))
-    f = analytic_as_harmonic(phi)
-    want_norm = sup_weighted(lambda z: SCHWARZIAN.formula(Jet(phi, z, SCHWARZIAN.jet_order(f))),
+    want = schwarzian_of(Jet(phi, z, read))
+    want_norm = sup_weighted(lambda z: SCHWARZIAN.formula(Jet(phi, z, read)),
                              SCHWARZIAN.kind, grid=grid)
     orders = []
     derivs = type(phi).derivs
     monkeypatch.setattr(type(phi), "derivs",
                         lambda self, z, k=3, first=0:
                         (orders.append(k), derivs(self, z, k, first=first))[1])
-    assert schwarzian_of(Jet(phi, z, schwarzian_order(phi))).tobytes() == want.tobytes()
-    assert set(orders) == {order}
+    assert SCHWARZIAN.order == 3
+    assert schwarzian_of(Jet(phi, z, SCHWARZIAN.order)).tobytes() == want.tobytes()
+    assert set(orders) == {3}
     orders.clear()
-    assert GridSuprema(f, (), DEFAULT_R_MAX, grid).estimate(SCHWARZIAN) == want_norm
-    assert set(orders) == {order}
+    assert GridSuprema(analytic_as_harmonic(phi), (), DEFAULT_R_MAX, grid).estimate(
+        SCHWARZIAN) == want_norm
+    assert set(orders) == {3}
     with pytest.raises(DomainError):
-        schwarzian_of(Jet(phi, np.append(z, 1.0), schwarzian_order(phi)))
+        schwarzian_of(Jet(phi, np.append(z, 1.0), SCHWARZIAN.order))
 
 
 def test_vanishing_derivative_raises():

@@ -241,7 +241,7 @@ def test_horner_matches_polyval_property(c, z):
     assert_same_bits(z, [coeffs, coeffs[::-1]])
 
 
-# --- the blocks on worker threads: same bits, caller's error state -----------
+# --- one pass on the caller's thread: same bits, caller's error state --------
 
 def _fan_out(monkeypatch, cpus):
     """Pretend the process may use ``cpus`` CPUs; count the workers started."""
@@ -257,17 +257,16 @@ def _fan_out(monkeypatch, cpus):
     return copies
 
 
-@pytest.mark.parametrize("cpus, blocks, workers", [
-    (2, 1, 1),  # one point fewer than the smallest fan-out: 2K - 1 points
-    (2, 2, 2),  # the smallest fan-out: 2K points, one block a worker
-    (3, 7, 3),  # seven blocks dealt 3 + 2 + 2
-    (4, 3, 3),  # the worker count is capped by the blocks, not by the CPUs
+@pytest.mark.parametrize("cpus, n", [
+    (2, 2 * K - 1),  # one point fewer than for_each_block's smallest fan-out
+    (2, 2 * K),  # two of for_each_block's blocks
+    (3, 7 * K),  # seven
+    (4, 3 * K),  # three, fewer than the CPUs
 ])
-def test_horner_threads_keep_polyval_bits(monkeypatch, cpus, blocks, workers):
+def test_horner_starts_no_worker_at_any_size(monkeypatch, cpus, n):
     copies = _fan_out(monkeypatch, cpus)
-    n = blocks * K if workers > 1 else (blocks + 1) * K - 1
-    assert_same_bits(_points(n, seed=blocks), SHEAR._dcoeffs[:2])
-    assert len(copies) == workers - 1
+    assert_same_bits(_points(n, seed=n // K), SHEAR._dcoeffs[:2])
+    assert not copies
 
 
 # Coefficient lengths of up to four arrays evaluated in one call.
@@ -294,12 +293,12 @@ def test_horner_runs_every_array_in_one_stacked_pass_with_polyval_bits(monkeypat
             assert all(value.base is got[0].base for value in got)
 
 
-def test_horner_threads_keep_the_bits_of_a_strided_grid(monkeypatch):
+def test_horner_starts_no_worker_on_a_strided_grid(monkeypatch):
     copies = _fan_out(monkeypatch, 2)
-    z = _points((3 * K // 1000 + 2, 1000)).T  # 2-D, not contiguous, 3 blocks
+    z = _points((3 * K // 1000 + 2, 1000)).T  # 2-D, not contiguous, over 3K points
     assert not z.flags.c_contiguous
     assert_same_bits(z, SHEAR._dcoeffs[:2])
-    assert len(copies) == 1
+    assert not copies
 
 
 def _overflowing(block, blocks=4):
